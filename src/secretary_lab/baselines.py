@@ -1,11 +1,12 @@
 """Reference online algorithms and estimators for their expected ratios.
 
 Two baselines: the classic wait-then-pick threshold rule and the rule
-that trusts the announced predictions and waits for their argmax.  Both
-are expressed as pure decision functions of the visible history, so they
-can be scored three interchangeable ways: exact enumeration of arrival
-orders, conversion to an explicit state policy, or seeded Monte Carlo
-for sizes where n! is out of reach.
+that trusts the announced predictions and waits for their argmax.  Each
+has two decision paths: a pure decision function of the visible history,
+and a vectorised batch runner that Monte Carlo uses and that must agree
+with it.  A rule can be scored by exact enumeration of arrival orders, by
+conversion to an explicit state policy, or by seeded Monte Carlo for
+sizes where n! is out of reach.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from .policy import (
 History = tuple[tuple[int, Fraction], ...]
 Arrival = tuple[int, Fraction]
 DecideFn = Callable[[History, Arrival, int, Sequence[Fraction] | None], Action]
-# A step function consumes arrivals one at a time and may keep running
-# state; it must agree with the pure decide function on every history.
-StepFn = Callable[[int, Fraction], Action]
 # A batch runner takes a (trials, n) matrix of 0-based arrival orders for
 # one scenario and returns the 0-based accepted candidate per trial
 # (-1 when nothing is accepted); it must agree with decide on every order.
@@ -47,16 +45,14 @@ class OnlineAlgorithm:
     """A named streaming decision rule.
 
     decide is pure: the action depends only on the visible history, the
-    current arrival, the horizon, and the announced predictions.  session
-    and run_batch are optional equivalents the Monte Carlo loop prefers,
-    in that order: session keeps running prefix statistics instead of
-    rescanning the history, run_batch decides whole blocks of arrival
-    orders at once.  Both must reproduce decide exactly.
+    current arrival, the horizon, and the announced predictions; it is the
+    reference path.  run_batch is an optional fast path that the Monte
+    Carlo loop prefers: it decides whole blocks of arrival orders at once
+    and must reproduce decide exactly.
     """
 
     name: str
     decide: DecideFn
-    session: Callable[[int, Sequence[Fraction] | None], StepFn] | None = None
     run_batch: BatchFn | None = None
 
 
@@ -87,23 +83,6 @@ def dynkin_policy(n: int) -> OnlineAlgorithm:
             return Action.ACCEPT
         return Action.REJECT
 
-    def session(horizon: int, predictions: Sequence[Fraction] | None) -> StepFn:
-        seen = 0
-        prefix_max: Fraction | None = None
-
-        def step(index: int, value: Fraction) -> Action:
-            nonlocal seen, prefix_max
-            seen += 1
-            if seen <= cutoff:
-                if prefix_max is None or value > prefix_max:
-                    prefix_max = value
-                return Action.REJECT
-            if prefix_max is None or value >= prefix_max or seen == horizon:
-                return Action.ACCEPT
-            return Action.REJECT
-
-        return step
-
     def run_batch(
         orders: np.ndarray,
         scenario: Scenario,
@@ -124,9 +103,7 @@ def dynkin_policy(n: int) -> OnlineAlgorithm:
         first = qualifies.argmax(axis=1) + cutoff
         return orders[np.arange(trials), first]
 
-    return OnlineAlgorithm(
-        name="dynkin", decide=decide, session=session, run_batch=run_batch
-    )
+    return OnlineAlgorithm(name="dynkin", decide=decide, run_batch=run_batch)
 
 
 def _dense_ranks(values: Sequence[Fraction]) -> np.ndarray:
@@ -153,12 +130,6 @@ def prediction_argmax_policy(predictions: Sequence[Fraction]) -> OnlineAlgorithm
     ) -> Action:
         return Action.ACCEPT if current[0] in argmax else Action.REJECT
 
-    def session(horizon: int, _predictions: Sequence[Fraction] | None) -> StepFn:
-        def step(index: int, value: Fraction) -> Action:
-            return Action.ACCEPT if index in argmax else Action.REJECT
-
-        return step
-
     def run_batch(
         orders: np.ndarray,
         scenario: Scenario,
@@ -173,9 +144,7 @@ def prediction_argmax_policy(predictions: Sequence[Fraction]) -> OnlineAlgorithm
         # horizon), the rule never accepts
         return np.where(hits.any(axis=1), accepted, -1)
 
-    return OnlineAlgorithm(
-        name="pred-argmax", decide=decide, session=session, run_batch=run_batch
-    )
+    return OnlineAlgorithm(name="pred-argmax", decide=decide, run_batch=run_batch)
 
 
 def run_algorithm(
@@ -331,25 +300,16 @@ def monte_carlo_estimate(
                 total += count * outcome
                 total_sq += count * outcome * outcome
     else:
-        use_session = alg.session is not None
         for trial in range(trials):
             scenario = scenarios[rows[trial]][0]
             accepted_value: Fraction | None = None
-            if use_session:
-                step = alg.session(n, predictions)
-                for raw in orders[trial].tolist():
-                    value = scenario.values[raw]
-                    if step(raw + 1, value) is Action.ACCEPT:
-                        accepted_value = value
-                        break
-            else:
-                history: History = ()
-                for raw in orders[trial].tolist():
-                    arrival = (raw + 1, scenario.values[raw])
-                    if alg.decide(history, arrival, n, predictions) is Action.ACCEPT:
-                        accepted_value = arrival[1]
-                        break
-                    history += (arrival,)
+            history: History = ()
+            for raw in orders[trial].tolist():
+                arrival = (raw + 1, scenario.values[raw])
+                if alg.decide(history, arrival, n, predictions) is Action.ACCEPT:
+                    accepted_value = arrival[1]
+                    break
+                history += (arrival,)
             outcome = _metric_value(metric, accepted_value, scenario)
             total += outcome
             total_sq += outcome * outcome

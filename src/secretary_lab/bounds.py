@@ -19,23 +19,19 @@ from fractions import Fraction
 from importlib import resources
 
 from .construction import ConstructionParams, build_hard_family
-from .errors import (
-    NonpositiveBudgetError,
-    ParameterError,
-    PrecisionExhaustedError,
-    UnknownPresetError,
-)
+from .errors import NonpositiveBudgetError, ParameterError, UnknownPresetError
 from .exact import (
-    MAX_DIGITS,
     Comparison,
     Enclosure,
+    _refine,
     compare_to_inv_e,
     decimal_str,
-    default_digits,
     format_value,
     inv_e_enclosure,
     parse_value,
     refine_until_decisive,
+    render_enclosure,
+    render_number,
 )
 from .policy import solve_optimal
 
@@ -63,8 +59,8 @@ def beta_bounds(
     max_width: Fraction | None = None, digits: int | None = None
 ) -> Enclosure:
     """Certified rational enclosure of beta = (3/2)(1/e - 1/3)."""
-    level = digits if digits is not None else default_digits()
-    while True:
+
+    def attempt(level: int) -> Enclosure | None:
         inv = inv_e_enclosure(level)
         enclosure = Enclosure(
             lower=Fraction(3, 2) * inv.lower - Fraction(1, 2),
@@ -73,18 +69,12 @@ def beta_bounds(
         )
         if max_width is None or enclosure.width <= max_width:
             return enclosure
-        if level >= MAX_DIGITS:
-            raise PrecisionExhaustedError(
-                f"beta enclosure wider than requested at {level} digits"
-            )
-        level = min(2 * level, MAX_DIGITS)
+        return None
+
+    return _refine(attempt, digits, lambda: "beta enclosure of the requested width")
 
 
-def threshold_value(
-    mix_eps: Fraction,
-    max_width: Fraction | None = None,
-    digits: int | None = None,
-) -> Enclosure:
+def threshold_value(mix_eps: Fraction, digits: int | None = None) -> Enclosure:
     """Certified enclosure of (beta - mix_eps)/(1 - mix_eps), the room
     left for 1/s + 1/(k-1) after spending mix_eps of the budget.
 
@@ -96,8 +86,8 @@ def threshold_value(
         raise ParameterError(f"mix_eps must be >= 0, got {format_value(eps)}")
     if eps >= 1:
         raise ParameterError(f"mix_eps must be < 1, got {format_value(eps)}")
-    level = digits if digits is not None else default_digits()
-    while True:
+
+    def attempt(level: int) -> Enclosure | None:
         beta = beta_bounds(digits=level)
         if eps >= beta.upper:
             raise NonpositiveBudgetError(
@@ -106,19 +96,14 @@ def threshold_value(
                 "no room remains for 1/s + 1/(k-1)"
             )
         if eps <= beta.lower:
-            enclosure = Enclosure(
+            return Enclosure(
                 lower=(beta.lower - eps) / (1 - eps),
                 upper=(beta.upper - eps) / (1 - eps),
                 digits=beta.digits,
             )
-            if max_width is None or enclosure.width <= max_width:
-                return enclosure
-        if level >= MAX_DIGITS:
-            raise PrecisionExhaustedError(
-                f"threshold at mix_eps = {format_value(eps)} undecided "
-                f"at {level} digits"
-            )
-        level = min(2 * level, MAX_DIGITS)
+        return None
+
+    return _refine(attempt, digits, lambda: f"threshold at mix_eps = {format_value(eps)}")
 
 
 def ub_display(mix_eps: Fraction, s: Fraction, k: int) -> Fraction:
@@ -217,19 +202,6 @@ class TheoremReport:
     worst_row: tuple[int, Fraction]
 
     def to_dict(self, digits: int = 12) -> dict:
-        def number(x: Fraction) -> dict:
-            return {"exact": format_value(x), "decimal": decimal_str(x, digits)}
-
-        def interval(e: Enclosure | None) -> dict | None:
-            if e is None:
-                return None
-            return {
-                "lower": number(e.lower),
-                "upper": number(e.upper),
-                "digits": e.digits,
-                "width_decimal": decimal_str(e.width, digits),
-            }
-
         return {
             "preset": self.preset,
             "params": {
@@ -244,17 +216,17 @@ class TheoremReport:
                 "structural_minimum": 4,
                 "stated_working_ranges": ["k >= 12", "k >= 20"],
             },
-            "alpha": number(self.alpha),
-            "beta_enclosure": interval(self.beta_enclosure),
-            "threshold": interval(self.threshold),
-            "ub_display": number(self.ub_display),
-            "oracle_optimum": number(self.oracle_optimum),
-            "dp_optimum": number(self.dp_optimum),
+            "alpha": render_number(self.alpha, digits),
+            "beta_enclosure": render_enclosure(self.beta_enclosure, digits),
+            "threshold": render_enclosure(self.threshold, digits),
+            "ub_display": render_number(self.ub_display, digits),
+            "oracle_optimum": render_number(self.oracle_optimum, digits),
+            "dp_optimum": render_number(self.dp_optimum, digits),
             "verdict_vs_inv_e": self.verdict_vs_inv_e.value,
             "preset_inequality_holds": self.preset_inequality_holds,
             "worst_row": {
                 "id": self.worst_row[0],
-                "ratio": number(self.worst_row[1]),
+                "ratio": render_number(self.worst_row[1], digits),
             },
         }
 

@@ -44,7 +44,14 @@ from .construction import (
     render_family_markdown,
 )
 from .errors import NonpositiveBudgetError, ParameterError, SecretaryLabError
-from .exact import compare_to_inv_e, decimal_str, format_value, parse_value
+from .exact import (
+    compare_to_inv_e,
+    decimal_str,
+    format_value,
+    parse_value,
+    render_enclosure,
+    render_number,
+)
 from .instances import PriorFamily, load_family, render_family_json
 from .policy import InformationState, Policy, evaluate_policy, solve_optimal
 
@@ -138,7 +145,7 @@ def _policy_as_algorithm(policy: Policy) -> OnlineAlgorithm:
     def decide(history, current, n, predictions):
         return policy.action_for(InformationState(tuple(history), current))
 
-    return OnlineAlgorithm(name="policy", decide=decide, session=None)
+    return OnlineAlgorithm(name="policy", decide=decide)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -177,21 +184,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-
-    def number(x: Fraction) -> dict:
-        return {"exact": format_value(x), "decimal": decimal_str(x, args.digits)}
-
-    def interval(e) -> dict:
-        return {
-            "lower": number(e.lower),
-            "upper": number(e.upper),
-            "digits": e.digits,
-            "width_decimal": decimal_str(e.width, args.digits),
-        }
-
+    digits = args.digits
     beta = beta_bounds()
     try:
-        threshold = interval(threshold_value(params.mix_eps))
+        threshold = threshold_value(params.mix_eps)
     except NonpositiveBudgetError:
         threshold = None
     payload = {
@@ -201,11 +197,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             "k": params.k,
             "row_count": params.row_count,
         },
-        "alpha": number(alpha_value(params.mix_eps, params.s, params.k)),
-        "beta_enclosure": interval(beta),
-        "threshold": threshold,
-        "ub_display": number(ub_display(params.mix_eps, params.s, params.k)),
-        "oracle_optimum": number(oracle_optimum(params.mix_eps, params.s, params.k)),
+        "alpha": render_number(alpha_value(params.mix_eps, params.s, params.k), digits),
+        "beta_enclosure": render_enclosure(beta, digits),
+        "threshold": render_enclosure(threshold, digits),
+        "ub_display": render_number(ub_display(params.mix_eps, params.s, params.k), digits),
+        "oracle_optimum": render_number(
+            oracle_optimum(params.mix_eps, params.s, params.k), digits
+        ),
     }
     _emit(payload, args.output)
     return 0

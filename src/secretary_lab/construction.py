@@ -104,7 +104,7 @@ def confusion_pair_rows(i: int, column: Column, k: int) -> tuple[int, int]:
 
     Found by scanning the exponent pattern; the closed form
     (2i - 4 + (i mod 2), 2i - 2 + (i mod 2)) for column 2 and its swap
-    partners for column 3 is asserted against the scan.
+    partners for column 3 is checked against the scan.
     """
     if column not in (2, 3):
         raise ParameterError(f"column must be 2 or 3, got {column}")
@@ -122,9 +122,10 @@ def confusion_pair_rows(i: int, column: Column, k: int) -> tuple[int, int]:
     else:
         closed_form = tuple(sorted(swap_partner_row(r) for r in
                                    (2 * i - 4 + (i % 2), 2 * i - 2 + (i % 2))))
-    assert matches == closed_form, (
-        f"pattern scan {matches} disagrees with closed form {closed_form}"
-    )
+    if matches != closed_form:
+        raise RuntimeError(
+            f"pattern scan {matches} disagrees with closed form {closed_form}"
+        )
     return matches
 
 

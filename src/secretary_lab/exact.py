@@ -54,7 +54,10 @@ def parse_value(text: str, base: Fraction | None = None) -> Fraction:
         return Fraction(base) ** exponent
     if "/" in text:
         num_text, den_text = text.split("/", 1)
-        return Fraction(int(num_text), int(den_text))
+        denominator = int(den_text)
+        if denominator == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(int(num_text), denominator)
     return Fraction(int(text))
 
 
@@ -111,6 +114,24 @@ def decimal_str(x: Fraction, digits: int = 12) -> str:
         return f"{sign}{quotient}"
     integer_part, frac_part = divmod(quotient, scale)
     return f"{sign}{integer_part}.{frac_part:0{digits}d}"
+
+
+def render_number(x: Fraction, digits: int) -> dict:
+    """Report entry for an exact value: grammar string plus decimal."""
+    return {"exact": format_value(x), "decimal": decimal_str(x, digits)}
+
+
+def render_enclosure(enclosure: Enclosure | None, digits: int) -> dict | None:
+    """Report entry for an enclosure (None stays None): both ends, the
+    precision level and the decimal width."""
+    if enclosure is None:
+        return None
+    return {
+        "lower": render_number(enclosure.lower, digits),
+        "upper": render_number(enclosure.upper, digits),
+        "digits": enclosure.digits,
+        "width_decimal": decimal_str(enclosure.width, digits),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +217,27 @@ def inv_e_enclosure(digits: int | None = None) -> Enclosure:
     )
 
 
+def _refine(attempt, start_digits: int | None, what, max_digits: int = MAX_DIGITS):
+    """Return the first non-None ``attempt(digits)``, starting at
+    ``start_digits`` (default: ``default_digits()``) and doubling the
+    precision up to ``max_digits``.
+
+    Every enclosure records the level it was built at, so the levels
+    tried here are part of the reports.  Raises PrecisionExhaustedError
+    once the attempt at ``max_digits`` also fails; ``what()`` names the
+    undecided quantity, built only then because operands can run to
+    thousands of digits.
+    """
+    digits = start_digits if start_digits is not None else default_digits()
+    while True:
+        result = attempt(digits)
+        if result is not None:
+            return result
+        if digits >= max_digits:
+            raise PrecisionExhaustedError(f"{what()} undecided at {digits} digits")
+        digits = min(2 * digits, max_digits)
+
+
 def refine_until_decisive(
     produce,
     x: Fraction,
@@ -208,16 +250,12 @@ def refine_until_decisive(
     Raises PrecisionExhaustedError past ``max_digits``; for a rational x
     and an irrational constant that can only happen with a too-small cap.
     """
-    digits = start_digits if start_digits is not None else default_digits()
-    while True:
+
+    def attempt(digits: int) -> Comparison | None:
         verdict = produce(digits).compare(x)
-        if verdict is not Comparison.INDETERMINATE:
-            return verdict
-        if digits >= max_digits:
-            raise PrecisionExhaustedError(
-                f"comparison of {x} still indeterminate at {digits} digits"
-            )
-        digits = min(2 * digits, max_digits)
+        return None if verdict is Comparison.INDETERMINATE else verdict
+
+    return _refine(attempt, start_digits, lambda: f"comparison of {x}", max_digits)
 
 
 def compare_to_inv_e(
@@ -241,13 +279,11 @@ def floor_n_over_e(n: int, start_digits: int | None = None) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    digits = start_digits if start_digits is not None else default_digits()
-    while True:
+
+    def attempt(digits: int) -> int | None:
         outer = e_enclosure(digits)
-        low = Fraction(n) / outer.upper
-        high = Fraction(n) / outer.lower
-        if low.__floor__() == high.__floor__():
-            return low.__floor__()
-        if digits >= MAX_DIGITS:
-            raise PrecisionExhaustedError(f"floor({n}/e) undecided at {digits} digits")
-        digits = min(2 * digits, MAX_DIGITS)
+        low = (Fraction(n) / outer.upper).__floor__()
+        high = (Fraction(n) / outer.lower).__floor__()
+        return low if low == high else None
+
+    return _refine(attempt, start_digits, lambda: f"floor({n}/e)")

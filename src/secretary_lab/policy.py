@@ -31,7 +31,7 @@ from .errors import (
     MissingStateError,
     UnreachableStateError,
 )
-from .exact import decimal_str, format_value, parse_value
+from .exact import format_value, parse_value, render_number
 from .instances import PriorFamily, Scenario, competitive_ratio, scenario_max, validate_family
 
 MAX_ENUMERATION_N = 8
@@ -147,13 +147,16 @@ class SolveReport:
     constrained: bool | None = None
 
     def to_dict(self, digits: int = 12) -> dict:
-        def number(x: Fraction) -> dict:
-            return {"exact": format_value(x), "decimal": decimal_str(x, digits)}
-
         return {
-            "optimum": number(self.optimum),
-            "per_row": {str(row_id): number(v) for row_id, v in sorted(self.per_row.items())},
-            "worst_row": {"id": self.worst_row[0], "ratio": number(self.worst_row[1])},
+            "optimum": render_number(self.optimum, digits),
+            "per_row": {
+                str(row_id): render_number(v, digits)
+                for row_id, v in sorted(self.per_row.items())
+            },
+            "worst_row": {
+                "id": self.worst_row[0],
+                "ratio": render_number(self.worst_row[1], digits),
+            },
             "constrained": self.constrained,
             "policy_states": len(self.policy),
         }
@@ -244,6 +247,30 @@ def _checked_family(family: PriorFamily) -> list[tuple[Scenario, Fraction]]:
     return support
 
 
+def _branches(
+    n: int,
+    observed: tuple[tuple[int, Fraction], ...],
+    branch: list[tuple[Scenario, Fraction]],
+):
+    """The chance step after ``observed``: yields ``(j, value, sub)`` for
+    each candidate j that has not arrived, in ascending order, and each
+    value j takes in ``branch``, in first-seen row order, where ``sub``
+    holds the rows of ``branch`` that show that value.
+
+    This order fixes the state order of reachable_states, and with it
+    random_policy per seed and the traversal of every solver walk.
+    """
+    arrived = {i for i, _ in observed}
+    for j in range(1, n + 1):
+        if j in arrived:
+            continue
+        groups: dict[Fraction, list[tuple[Scenario, Fraction]]] = {}
+        for scenario, mass in branch:
+            groups.setdefault(scenario.value_at(j), []).append((scenario, mass))
+        for value, sub in groups.items():
+            yield j, value, sub
+
+
 def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     """Exact optimal deterministic policy by backward induction over the
     history tree, optionally restricted to the consistency constraint.
@@ -288,28 +315,26 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
         observed: tuple[tuple[int, Fraction], ...],
         branch: list[tuple[Scenario, Fraction]],
     ) -> Fraction:
-        arrived = {i for i, _ in observed}
-        remaining = [j for j in range(1, n + 1) if j not in arrived]
         total_mass = sum(mass for _, mass in branch)
-        share = Fraction(1, len(remaining))
+        share = Fraction(1, n - len(observed))
         acc = Fraction(0)
-        for j in remaining:
-            groups: dict[Fraction, list[tuple[Scenario, Fraction]]] = {}
-            for scenario, mass in branch:
-                groups.setdefault(scenario.value_at(j), []).append((scenario, mass))
-            for value, sub in groups.items():
-                sub_mass = sum(mass for _, mass in sub)
-                acc += (
-                    share
-                    * (sub_mass / total_mass)
-                    * decision_value(observed, (j, value), sub)
-                )
+        for j, value, sub in _branches(n, observed, branch):
+            sub_mass = sum(mass for _, mass in sub)
+            acc += (
+                share
+                * (sub_mass / total_mass)
+                * decision_value(observed, (j, value), sub)
+            )
         return acc
 
     optimum = chance_value((), support)
     policy = Policy(actions)
     evaluation = evaluate_policy(policy, family)
-    assert evaluation.optimum == optimum
+    if evaluation.optimum != optimum:
+        raise RuntimeError(
+            "backward induction and policy evaluation disagree: "
+            f"{format_value(optimum)} vs {format_value(evaluation.optimum)}"
+        )
     return SolveReport(
         optimum=optimum,
         policy=policy,
@@ -396,16 +421,10 @@ def reachable_states(family: PriorFamily) -> list[InformationState]:
     states: list[InformationState] = []
 
     def walk(observed, branch):
-        arrived = {i for i, _ in observed}
-        remaining = [j for j in range(1, n + 1) if j not in arrived]
-        for j in remaining:
-            groups: dict[Fraction, list] = {}
-            for scenario, mass in branch:
-                groups.setdefault(scenario.value_at(j), []).append((scenario, mass))
-            for value, sub in groups.items():
-                states.append(InformationState(observed, (j, value)))
-                if len(observed) + 1 < n:
-                    walk(observed + ((j, value),), sub)
+        for j, value, sub in _branches(n, observed, branch):
+            states.append(InformationState(observed, (j, value)))
+            if len(observed) + 1 < n:
+                walk(observed + ((j, value),), sub)
 
     walk((), support)
     return states
@@ -457,19 +476,11 @@ def brute_force_optimum(
             if len(observed) + 1 == n:
                 results.append({state: Action.REJECT})
             else:
-                child_lists = []
-                arrived = {i for i, _ in observed} | {current[0]}
                 next_observed = observed + (current,)
-                for j in range(1, n + 1):
-                    if j in arrived:
-                        continue
-                    groups: dict[Fraction, list] = {}
-                    for scenario, mass in branch:
-                        groups.setdefault(scenario.value_at(j), []).append(
-                            (scenario, mass)
-                        )
-                    for value, sub in groups.items():
-                        child_lists.append(subpolicies(next_observed, (j, value), sub))
+                child_lists = [
+                    subpolicies(next_observed, (j, value), sub)
+                    for j, value, sub in _branches(n, next_observed, branch)
+                ]
                 for combo in itertools.product(*child_lists):
                     merged = {state: Action.REJECT}
                     for part in combo:
@@ -483,23 +494,19 @@ def brute_force_optimum(
         return results
 
     total = Fraction(0)
-    for j in range(1, n + 1):
-        groups: dict[Fraction, list] = {}
-        for scenario, mass in support:
-            groups.setdefault(scenario.value_at(j), []).append((scenario, mass))
-        for value, sub in groups.items():
-            subtree_orders = [order for order in orders if order[0] == j]
-            best = None
-            for candidate in subpolicies((), (j, value), sub):
-                policy = Policy(candidate)
-                contribution = Fraction(0)
-                for scenario, mass in sub:
-                    for order in subtree_orders:
-                        accepted = _simulate(policy, scenario, order)
-                        contribution += (
-                            mass * order_weight * competitive_ratio(accepted, scenario)
-                        )
-                if best is None or contribution > best:
-                    best = contribution
-            total += best
+    for j, value, sub in _branches(n, (), support):
+        subtree_orders = [order for order in orders if order[0] == j]
+        best = None
+        for candidate in subpolicies((), (j, value), sub):
+            policy = Policy(candidate)
+            contribution = Fraction(0)
+            for scenario, mass in sub:
+                for order in subtree_orders:
+                    accepted = _simulate(policy, scenario, order)
+                    contribution += (
+                        mass * order_weight * competitive_ratio(accepted, scenario)
+                    )
+            if best is None or contribution > best:
+                best = contribution
+        total += best
     return total

@@ -41,10 +41,12 @@ def distinct_family(n: int) -> PriorFamily:
 
 
 def acceptance_position(alg: OnlineAlgorithm, scenario: Scenario, order) -> int | None:
-    step = alg.session(len(order), None)
+    history = ()
     for position, index in enumerate(order, start=1):
-        if step(index, scenario.value_at(index)).value == "accept":
+        arrival = (index, scenario.value_at(index))
+        if alg.decide(history, arrival, len(order), None).value == "accept":
             return position
+        history += (arrival,)
     return None
 
 
@@ -188,13 +190,6 @@ def test_hooks_agree_with_decide_everywhere(anchor_family):
         for scenario in anchor_family.scenarios:
             for order in itertools.permutations(range(1, 4)):
                 expected = run_algorithm(alg, scenario, order)
-                step = alg.session(3, None)
-                session_value = None
-                for index in order:
-                    if step(index, scenario.value_at(index)).value == "accept":
-                        session_value = scenario.value_at(index)
-                        break
-                assert session_value == expected
                 block = np.array([[i - 1 for i in order]], dtype=np.int64)
                 accepted = alg.run_batch(block, scenario, 3, None)[0]
                 batch_value = (
@@ -219,13 +214,12 @@ def test_monte_carlo_is_deterministic(anchor_family):
 
 def test_monte_carlo_paths_are_bit_identical(anchor_family):
     full = dynkin_policy(3)
-    session_only = OnlineAlgorithm(full.name, full.decide, full.session, None)
-    decide_only = OnlineAlgorithm(full.name, full.decide, None, None)
+    decide_only = OnlineAlgorithm(full.name, full.decide, None)
     estimates = [
         monte_carlo_estimate(alg, anchor_family, trials=400, seed=5)
-        for alg in (full, session_only, decide_only)
+        for alg in (full, decide_only)
     ]
-    assert estimates[0].mean_exact == estimates[1].mean_exact == estimates[2].mean_exact
+    assert estimates[0].mean_exact == estimates[1].mean_exact
 
 
 def test_monte_carlo_tracks_exact_value(anchor_family):

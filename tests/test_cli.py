@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import secretary_lab
 from secretary_lab import Policy, load_family
 from secretary_lab.cli import main, run_command
 
@@ -25,6 +30,13 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
         run_command(["gen", "--eps", "1/10", "--s", "5", "--k", "4"])  # no -o
     assert err.value.code == 2
+
+
+def test_zero_denominator_is_a_domain_error(capsys):
+    assert run_command(["bounds", "--eps", "1/0", "--s", "5", "--k", "4"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
 
 
 def test_gen_writes_loadable_family(tmp_path, capsys):
@@ -288,3 +300,20 @@ def test_main_entry(monkeypatch, capsys):
         main()
     assert err.value.code == 0
     assert json.loads(capsys.readouterr().out)["alpha"]["exact"] == "18/25"
+
+
+def test_python_dash_m_runs_the_cli():
+    package_root = str(Path(secretary_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (package_root, env.get("PYTHONPATH")))
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "secretary_lab", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert "usage: secretary-lab" in result.stdout

@@ -186,6 +186,13 @@ def test_confusion_pair_examples():
     assert confusion_pair_rows(3, 3, 20) == (2, 4)
 
 
+def test_confusion_pair_self_check_raises_on_disagreement(monkeypatch):
+    # The scan-versus-closed-form check must survive python -O.
+    monkeypatch.setattr("secretary_lab.construction.swap_partner_row", lambda row: row)
+    with pytest.raises(RuntimeError, match="disagrees"):
+        confusion_pair_rows(3, 3, 20)
+
+
 @pytest.mark.parametrize("k", range(4, 41, 2))
 def test_confusion_pairs_match_scan(k):
     for column in (2, 3):

@@ -54,7 +54,7 @@ def test_parse_power_form_needs_base():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "one", "3/", "/4", "1.5", "s^"):
+    for bad in ("", "one", "3/", "/4", "1.5", "s^", "1/0"):
         with pytest.raises(ValueError):
             parse_value(bad, base=Fraction(2))
 

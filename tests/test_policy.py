@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secretary_lab import (
     Action,
@@ -199,6 +201,22 @@ def test_report_to_dict(anchor_family):
     assert str(payload["worst_row"]["id"]) in payload["per_row"]
 
 
+def test_solver_self_check_raises_on_disagreement(monkeypatch, anchor_family):
+    # The induction-versus-evaluation check must survive python -O.
+    import secretary_lab.policy as policy_module
+
+    evaluate = policy_module.evaluate_policy
+
+    def skewed(policy, family):
+        report = evaluate(policy, family)
+        report.optimum += Fraction(1, 10**9)
+        return report
+
+    monkeypatch.setattr(policy_module, "evaluate_policy", skewed)
+    with pytest.raises(RuntimeError, match="disagree"):
+        solve_optimal(anchor_family, constrained=True)
+
+
 def test_single_candidate_family():
     family = PriorFamily(
         n=1,
@@ -307,3 +325,47 @@ def test_random_unconstrained_policy_can_break_consistency(anchor_family):
         )
     ]
     assert broken
+
+
+# ---------------------------------------------------------------------------
+# Differential check on generated families.
+# ---------------------------------------------------------------------------
+
+# A pool of three values makes ties within and across rows common.
+SMALL_VALUES = st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2)))
+
+
+@st.composite
+def small_families(draw) -> PriorFamily:
+    """Valid families with n <= 3, one to three rows of positive mass, and
+    sometimes one extra row of mass zero; any row may be the prediction.
+
+    n = 4 is left out: unconstrained brute force alone takes over a second
+    per family there.
+    """
+    n = draw(st.integers(min_value=1, max_value=3))
+    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        weights.append(0)
+    scenarios = tuple(
+        Scenario(row, tuple(draw(SMALL_VALUES) for _ in range(n)))
+        for row in range(1, len(weights) + 1)
+    )
+    total = sum(weights)
+    return PriorFamily(
+        n=n,
+        scenarios=scenarios,
+        probabilities=tuple(Fraction(w, total) for w in weights),
+        prediction_id=draw(st.integers(1, len(weights))),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_families())
+def test_solver_brute_force_and_evaluation_agree(family):
+    for constrained in (True, False):
+        solved = solve_optimal(family, constrained=constrained)
+        assert brute_force_optimum(family, constrained=constrained) == solved.optimum
+        evaluated = evaluate_policy(solved.policy, family)
+        assert evaluated.optimum == solved.optimum
+        assert evaluated.per_row == solved.per_row
