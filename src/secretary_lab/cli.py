@@ -134,10 +134,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = solve_optimal(family, constrained=not args.unconstrained)
     _emit(report.to_dict(args.digits), args.output)
     if args.policy_out is not None:
-        _atomic_write(
-            args.policy_out,
-            json.dumps(report.policy.to_dict(), indent=2, sort_keys=True) + "\n",
-        )
+        _atomic_write(args.policy_out, report.policy.to_json())
     return 0
 
 

@@ -50,6 +50,8 @@ def parse_value(text: str, base: Fraction | None = None) -> Fraction:
     if text.startswith("s^"):
         if base is None:
             raise ValueError(f"power form {text!r} needs a family base")
+        if base == 0:
+            raise ValueError(f"power form {text!r} needs a nonzero family base")
         exponent = int(text[2:])
         return Fraction(base) ** exponent
     if "/" in text:
@@ -63,7 +65,8 @@ def parse_value(text: str, base: Fraction | None = None) -> Fraction:
 
 def format_value(x: Fraction) -> str:
     """Render ``x`` in the grammar: "p" for integers, else "p/q"."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

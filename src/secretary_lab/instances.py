@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DegenerateInstanceError, UndefinedErrorMeasureError
+from .errors import DegenerateInstanceError, InvalidFamilyError, UndefinedErrorMeasureError
 from .exact import format_value, format_value_with_base, parse_value
 
 
@@ -196,26 +196,57 @@ def family_to_dict(family: PriorFamily) -> dict:
 
 
 def family_from_dict(payload: dict) -> PriorFamily:
+    """Family from the file format's JSON object.
+
+    Raises InvalidFamilyError when the object, a scenario entry or a
+    field has the wrong JSON type, so that a malformed file is refused
+    instead of being read in some other way.
+    """
+    _shaped(payload, dict, "a family file")
     base = None
     if payload.get("base_s") is not None:
-        base = parse_value(payload["base_s"])
+        base = parse_value(_shaped(payload["base_s"], str, '"base_s"'))
     scenarios = []
     probabilities = []
-    for entry in payload["scenarios"]:
+    for position, entry in enumerate(_field(payload, "scenarios", list, "the family"), 1):
+        where = f"scenario entry {position}"
+        _shaped(entry, dict, where)
+        values = _field(entry, "values", list, where)
         scenarios.append(
             Scenario(
-                id=int(entry["id"]),
-                values=tuple(parse_value(v, base) for v in entry["values"]),
+                id=_field(entry, "id", int, where),
+                values=tuple(
+                    parse_value(_shaped(v, str, f"value {i} of {where}"), base)
+                    for i, v in enumerate(values, 1)
+                ),
             )
         )
-        probabilities.append(parse_value(entry["probability"], base))
+        probabilities.append(parse_value(_field(entry, "probability", str, where), base))
     return PriorFamily(
-        n=int(payload["n"]),
+        n=_field(payload, "n", int, "the family"),
         scenarios=tuple(scenarios),
         probabilities=tuple(probabilities),
-        prediction_id=int(payload["prediction_id"]),
+        prediction_id=_field(payload, "prediction_id", int, "the family"),
         base=base,
     )
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _shaped(value, kind: type, what: str):
+    """``value`` if it has JSON type ``kind``; true and false are no integers."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InvalidFamilyError(
+            [f"{what} must be {_JSON_TYPES[kind]}, not {type(value).__name__}"]
+        )
+    return value
+
+
+def _field(entry: dict, key: str, kind: type, where: str):
+    if key not in entry:
+        raise InvalidFamilyError([f"{where} has no {key!r} field"])
+    return _shaped(entry[key], kind, f"{key!r} of {where}")
 
 
 def dump_family(family: PriorFamily, path: str | Path) -> None:

@@ -7,11 +7,16 @@ and must irrevocably accept or reject.  The reward is the accepted value;
 the objective is the expected competitive ratio (accepted value over the
 realized scenario's maximum, 0 if nothing is accepted).
 
-States are full observation histories, so the process is tree-structured
-and backward induction runs over the history tree with exact posterior
-weights.  An optional hard constraint restricts actions so that the
-resulting policy is guaranteed to pick a maximum-value candidate whenever
-the announced predictions are exactly correct, for every arrival order.
+A policy is a table keyed on full observation histories, the arrivals in
+the order they came.  The values behind it depend only on which arrivals
+have been seen, not on their order: the posterior, the accept value, the
+consistency constraint and the value after a reject are all functions of
+the set of arrivals.  Backward induction therefore computes each value
+once per set of arrivals, with exact posterior weights, and copies the
+decision to every ordered history that reaches that set.  An optional
+hard constraint restricts actions so that the resulting policy is
+guaranteed to pick a maximum-value candidate whenever the announced
+predictions are exactly correct, for every arrival order.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -54,14 +61,20 @@ class InformationState:
     current: tuple[int, Fraction]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "observed",
-            tuple((int(i), Fraction(v)) for i, v in self.observed),
-        )
-        object.__setattr__(
-            self, "current", (int(self.current[0]), Fraction(self.current[1]))
-        )
+        # The solver and the evaluator build hundreds of thousands of
+        # states from arrivals that are already (int, Fraction) tuples.
+        if type(self.observed) is not tuple or not all(
+            map(_is_arrival, self.observed)
+        ):
+            object.__setattr__(
+                self,
+                "observed",
+                tuple((int(i), Fraction(v)) for i, v in self.observed),
+            )
+        if not _is_arrival(self.current):
+            object.__setattr__(
+                self, "current", (int(self.current[0]), Fraction(self.current[1]))
+            )
         indices = [i for i, _ in self.observed] + [self.current[0]]
         if len(set(indices)) != len(indices):
             raise ValueError(f"duplicate candidate indices in state: {indices}")
@@ -83,6 +96,15 @@ class InformationState:
         prefix, _, current_text = text.partition("|current=")
         observed = tuple(_parse_arrival(item) for item in prefix.split(",") if item)
         return cls(observed=observed, current=_parse_arrival(current_text))
+
+
+def _is_arrival(item) -> bool:
+    return (
+        type(item) is tuple
+        and len(item) == 2
+        and type(item[0]) is int
+        and type(item[1]) is Fraction
+    )
 
 
 def _parse_arrival(item: str) -> tuple[int, Fraction]:
@@ -117,6 +139,11 @@ class Policy:
 
     @classmethod
     def from_dict(cls, payload: dict[str, str]) -> "Policy":
+        if not isinstance(payload, dict):
+            raise ValueError(
+                "policy must be a JSON object mapping states to actions, "
+                f"not {type(payload).__name__}"
+            )
         return cls(
             {
                 InformationState.parse(key): Action(value)
@@ -124,11 +151,12 @@ class Policy:
             }
         )
 
+    def to_json(self) -> str:
+        """The policy file's text: sorted states, two-space indent."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
     def dump(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        Path(path).write_text(self.to_json(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "Policy":
@@ -272,8 +300,15 @@ def _branches(
 
 
 def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
-    """Exact optimal deterministic policy by backward induction over the
-    history tree, optionally restricted to the consistency constraint.
+    """Exact optimal deterministic policy by backward induction, optionally
+    restricted to the consistency constraint.
+
+    The induction runs once per set of arrivals: the value after a set of
+    rejections is memoised on that set, and the decision at a state on
+    the set plus the current arrival.  One depth-first walk over the
+    history tree visits every ordered history the induction enters and
+    copies the decision of its set to it, so the policy table is keyed
+    on ordered histories.
 
     Ties between equal-valued actions resolve toward accepting, so the
     returned policy is a deterministic function of the family alone.
@@ -282,52 +317,80 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     prediction = family.prediction()
     n = family.n
     actions: dict[InformationState, Action] = {}
+    chances: dict[frozenset, Fraction] = {}
+    decisions: dict[tuple[frozenset, tuple[int, Fraction]], tuple[Action, Fraction, bool]] = {}
 
-    def decision_value(
-        observed: tuple[tuple[int, Fraction], ...],
-        current: tuple[int, Fraction],
+    def decide(
+        state: InformationState,
+        seen: frozenset,
         branch: list[tuple[Scenario, Fraction]],
-    ) -> Fraction:
-        state = InformationState(observed, current)
+    ) -> tuple[Action, Fraction]:
+        """Action and value at ``state``, whose rejected arrivals form the
+        set ``seen``; descends into the ordered subtree after a reject
+        whenever rejecting is allowed, so every history in it is recorded."""
+        key = (seen, state.current)
+        known = decisions.get(key)
+        if known is not None:
+            action, value, descend = known
+            if descend:
+                chance(state.arrivals(), branch)
+            return action, value
+        allowed = consistent_actions(prediction, state) if constrained else BOTH_ACTIONS
+        descend = False
+        if len(state.observed) + 1 == n:
+            reject_value = Fraction(0)
+        elif Action.REJECT in allowed:
+            descend = True
+            reject_value = chance(state.arrivals(), branch)
+        else:
+            reject_value = None
         total_mass = sum(mass for _, mass in branch)
-        value = current[1]
+        offered = state.current[1]
         accept_value = (
-            sum((mass * value / scenario_max(scenario) for scenario, mass in branch),
+            sum((mass * offered / scenario_max(scenario) for scenario, mass in branch),
                 Fraction(0))
             / total_mass
         )
-        allowed = consistent_actions(prediction, state) if constrained else BOTH_ACTIONS
-        if len(observed) + 1 == n:
-            reject_value = Fraction(0)
-        elif Action.REJECT in allowed:
-            reject_value = chance_value(observed + (current,), branch)
-        else:
-            reject_value = None
         if Action.ACCEPT in allowed and (
             reject_value is None or accept_value >= reject_value
         ):
-            actions[state] = Action.ACCEPT
-            return accept_value
-        actions[state] = Action.REJECT
-        return reject_value if reject_value is not None else Fraction(0)
+            action, value = Action.ACCEPT, accept_value
+        else:
+            action = Action.REJECT
+            value = reject_value if reject_value is not None else Fraction(0)
+        decisions[key] = (action, value, descend)
+        return action, value
 
-    def chance_value(
+    def chance(
         observed: tuple[tuple[int, Fraction], ...],
         branch: list[tuple[Scenario, Fraction]],
     ) -> Fraction:
-        total_mass = sum(mass for _, mass in branch)
-        share = Fraction(1, n - len(observed))
+        """Value once ``observed`` has been rejected; records the action
+        of every ordered state that follows."""
+        seen = frozenset(observed)
+        known = chances.get(seen)
+        if known is None:
+            total_mass = sum(mass for _, mass in branch)
+            share = Fraction(1, n - len(observed))
         acc = Fraction(0)
         for j, value, sub in _branches(n, observed, branch):
-            sub_mass = sum(mass for _, mass in sub)
-            acc += (
-                share
-                * (sub_mass / total_mass)
-                * decision_value(observed, (j, value), sub)
-            )
-        return acc
+            state = InformationState(observed, (j, value))
+            action, state_value = decide(state, seen, sub)
+            actions[state] = action
+            if known is None:
+                sub_mass = sum(mass for _, mass in sub)
+                acc += share * (sub_mass / total_mass) * state_value
+        if known is None:
+            chances[seen] = known = acc
+        return known
 
-    optimum = chance_value((), support)
+    try:
+        optimum = chance((), support)
+    finally:
+        # decide and chance refer to each other, so without this the
+        # tables would live on until the cycle collector runs.
+        chances.clear()
+        decisions.clear()
     policy = Policy(actions)
     evaluation = evaluate_policy(policy, family)
     if evaluation.optimum != optimum:
@@ -364,8 +427,13 @@ def _simulate(
 
 
 def evaluate_policy(policy: Policy, family: PriorFamily) -> SolveReport:
-    """Exact mixture expectation of a policy by enumerating every
-    (row, arrival order) pair.
+    """Exact mixture expectation of a policy over every (row, arrival
+    order) pair.
+
+    Each row's orders are enumerated depth-first, one arrival prefix at
+    a time, so each (row, prefix) state is looked up once.  An acceptance
+    after d arrivals stands for the (n - d)! orders that extend that
+    prefix, which keeps the sum over (row, order) pairs exact.
 
     Rows with probability zero are not part of the mixture and are left
     out of the per-row map.
@@ -374,17 +442,18 @@ def evaluate_policy(policy: Policy, family: PriorFamily) -> SolveReport:
         raise EnumerationGuardError(
             f"n = {family.n} too large for exact enumeration (max {MAX_ENUMERATION_N})"
         )
-    orders = list(itertools.permutations(range(1, family.n + 1)))
     per_row: dict[int, Fraction] = {}
     mixture = Fraction(0)
     for scenario, probability in family.items():
         if probability == 0:
             continue
-        row_total = Fraction(0)
-        for order in orders:
-            accepted = _simulate(policy, scenario, order)
-            row_total += competitive_ratio(accepted, scenario)
-        conditional = row_total / len(orders)
+        counts = _order_counts(policy, scenario, family.n)
+        row_total = sum(
+            (count * competitive_ratio(accepted, scenario)
+             for accepted, count in counts.items()),
+            Fraction(0),
+        )
+        conditional = row_total / math.factorial(family.n)
         per_row[scenario.id] = conditional
         mixture += probability * conditional
     worst_id = min(per_row, key=lambda row_id: (per_row[row_id], row_id))
@@ -395,6 +464,29 @@ def evaluate_policy(policy: Policy, family: PriorFamily) -> SolveReport:
         worst_row=(worst_id, per_row[worst_id]),
         constrained=None,
     )
+
+
+def _order_counts(
+    policy: Policy, scenario: Scenario, n: int
+) -> Counter[Fraction | None]:
+    """How many of the n! arrival orders end with each accepted value
+    (``None``: nothing accepted) when the policy runs on ``scenario``."""
+    extensions = [math.factorial(n - d) for d in range(n + 1)]
+    counts: Counter[Fraction | None] = Counter()
+
+    def walk(observed: tuple[tuple[int, Fraction], ...], remaining: tuple[int, ...]):
+        depth = len(observed) + 1
+        for index in remaining:
+            arrival = (index, scenario.value_at(index))
+            if policy.action_for(InformationState(observed, arrival)) is Action.ACCEPT:
+                counts[arrival[1]] += extensions[depth]
+            elif depth < n:
+                walk(observed + (arrival,), tuple(j for j in remaining if j != index))
+            else:
+                counts[None] += 1
+
+    walk((), tuple(range(1, n + 1)))
+    return counts
 
 
 def is_consistent(policy: Policy, prediction: Scenario) -> bool:

@@ -88,7 +88,10 @@ def test_solve_eval_round_trip(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["optimum"]["exact"] == "1703/3125"
     assert report["constrained"] is True
-    Policy.load(policy_path)  # parses
+    # --policy-out and Policy.dump write the same bytes.
+    dumped_path = tmp_path / "dumped.json"
+    Policy.load(policy_path).dump(dumped_path)
+    assert dumped_path.read_bytes() == policy_path.read_bytes()
 
     code = run_command(
         [
@@ -103,6 +106,46 @@ def test_solve_eval_round_trip(tmp_path, capsys):
     evaluated = json.loads(capsys.readouterr().out)
     assert evaluated["mode"] == "exact"
     assert evaluated["report"]["optimum"]["exact"] == "1703/3125"
+
+
+def _row(**fields) -> dict:
+    return {"id": 1, "values": ["2", "1"], "probability": "1", **fields}
+
+
+def _one_row_family(**fields) -> dict:
+    return {"n": 2, "scenarios": [_row(**fields)], "prediction_id": 1}
+
+
+MALFORMED_INPUTS = {
+    "power-form-on-zero-base": (
+        "family", {**_one_row_family(values=["s^-1", "1"]), "base_s": "0"}
+    ),
+    "values-not-a-list": ("family", _one_row_family(values=5)),
+    "values-as-one-string": ("family", _one_row_family(values="21")),
+    "scenarios-not-a-list": (
+        "family", {"n": 2, "scenarios": _row(), "prediction_id": 1}
+    ),
+    "float-probability": ("family", _one_row_family(probability=1.0)),
+    "family-is-a-list": ("family", [_one_row_family()]),
+    "policy-is-a-list": ("policy", ["|current=(1:5)"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_file_is_one_error_line(tmp_path, capsys, name):
+    kind, payload = MALFORMED_INPUTS[name]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    if kind == "family":
+        argv = ["solve", "--family", str(path)]
+    else:
+        argv = ["eval", "--family", str(gen_family(tmp_path)), "--alg", f"policy:{path}"]
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
 
 
 def test_solve_unconstrained(tmp_path, capsys):

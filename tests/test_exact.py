@@ -51,6 +51,9 @@ def test_parse_power_form_needs_base():
     assert parse_value("s^0", base=Fraction(5)) == Fraction(1)
     with pytest.raises(ValueError):
         parse_value("s^3")
+    for text in ("s^-1", "s^0", "s^2"):
+        with pytest.raises(ValueError):
+            parse_value(text, base=Fraction(0))
 
 
 def test_parse_rejects_garbage():

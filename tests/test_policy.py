@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,14 +21,17 @@ from secretary_lab import (
     UnreachableStateError,
     brute_force_optimum,
     build_hard_family,
+    competitive_ratio,
     consistent_actions,
     evaluate_policy,
     is_consistent,
+    oracle_optimum,
     posterior,
     random_policy,
     reachable_states,
     solve_optimal,
 )
+from secretary_lab.policy import _simulate
 
 S = Fraction(5)
 BOTH = frozenset({Action.ACCEPT, Action.REJECT})
@@ -185,6 +191,29 @@ def test_per_row_mixture_identity(anchor_family):
     assert report.per_row[report.worst_row[0]] == report.worst_row[1]
 
 
+# SHA-256 of the policy file text as an induction over every ordered
+# history writes it: computing each value once per set of arrivals must
+# not change the table by a byte.
+POLICY_DIGESTS = {
+    (4, 5, True): "1c953f562f0d6e2e368acbdb0a395fbbeec21a759f94da71f97d4a0412c38a30",
+    (4, 5, False): "82b325b65b7a48ddb5f3ea40cf30274c180a9b79627955992ff6617ed134aff3",
+    (6, 4, True): "96423c5b7a414061226e9de7db9ffcdcb772a63b52e18663af0141df4073569f",
+    (6, 4, False): "2b2a6e4bbc5c279d4638d7c8c9bc0b63cc3a80666a612009f8d125f31952b1d6",
+}
+POLICY_SIZES = {(4, 5, True): 1293, (4, 5, False): 1989, (6, 4, True): 395, (6, 4, False): 576}
+
+
+@pytest.mark.parametrize("k, n, constrained", sorted(POLICY_DIGESTS))
+def test_policy_table_is_byte_identical(k, n, constrained):
+    family = build_hard_family(ConstructionParams(Fraction(1, 10), S, k, n=n))
+    policy = solve_optimal(family, constrained=constrained).policy
+    text = json.dumps(policy.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert text == policy.to_json()
+    assert len(policy) == POLICY_SIZES[k, n, constrained]
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == POLICY_DIGESTS[k, n, constrained]
+
+
 def test_solved_policy_covers_every_reachable_state(anchor_family):
     # The unconstrained solver visits the whole tree; the constrained one
     # never enters subtrees the constraint prunes, so it covers a subset.
@@ -315,6 +344,50 @@ def test_random_constrained_policies_are_dominated(anchor_family, seed):
     assert evaluate_policy(policy, anchor_family).optimum <= CONSTRAINED_OPT
 
 
+def enumerated_evaluation(policy, family):
+    """Reference evaluator: one simulation per (row, arrival order) pair.
+    Returns the mixture value and the per-row map."""
+    orders = list(itertools.permutations(range(1, family.n + 1)))
+    per_row = {}
+    for scenario, probability in family.items():
+        if probability == 0:
+            continue
+        row_total = sum(
+            (competitive_ratio(_simulate(policy, scenario, order), scenario)
+             for order in orders),
+            Fraction(0),
+        )
+        per_row[scenario.id] = row_total / len(orders)
+    mixture = sum(
+        (family.probability_of(row) * value for row, value in per_row.items()),
+        Fraction(0),
+    )
+    return mixture, per_row
+
+
+def assert_evaluators_agree(policy, family):
+    evaluated = evaluate_policy(policy, family)
+    assert (evaluated.optimum, evaluated.per_row) == enumerated_evaluation(policy, family)
+
+
+@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("constrained", (True, False))
+def test_evaluation_matches_order_enumeration_on_random_policies(n, constrained):
+    family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=n))
+    for seed in range(20):
+        assert_evaluators_agree(random_policy(family, seed, constrained), family)
+
+
+def test_both_evaluators_refuse_a_policy_with_a_missing_state(anchor_family):
+    actions = dict(random_policy(anchor_family, seed=3, constrained=False).actions)
+    del actions[InformationState((), (2, S**3))]
+    holed = Policy(actions)
+    with pytest.raises(MissingStateError):
+        evaluate_policy(holed, anchor_family)
+    with pytest.raises(MissingStateError):
+        enumerated_evaluation(holed, anchor_family)
+
+
 def test_random_unconstrained_policy_can_break_consistency(anchor_family):
     broken = [
         seed
@@ -369,3 +442,21 @@ def test_solver_brute_force_and_evaluation_agree(family):
         evaluated = evaluate_policy(solved.policy, family)
         assert evaluated.optimum == solved.optimum
         assert evaluated.per_row == solved.per_row
+        assert enumerated_evaluation(solved.policy, family) == (
+            evaluated.optimum,
+            evaluated.per_row,
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eps=st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=1000).filter(
+        lambda eps: eps > 0
+    ),
+    s=st.integers(2, 80),
+    k=st.sampled_from((4, 6)),
+    n=st.integers(3, 5),
+)
+def test_solver_matches_closed_form_on_hard_families(eps, s, k, n):
+    family = build_hard_family(ConstructionParams(eps, Fraction(s), k, n=n))
+    assert solve_optimal(family, constrained=True).optimum == oracle_optimum(eps, s, k)
