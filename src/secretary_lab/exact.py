@@ -65,7 +65,7 @@ def parse_value(text: str, base: Fraction | None = None) -> Fraction:
 
 def format_value(x: Fraction) -> str:
     """Render ``x`` in the grammar: "p" for integers, else "p/q"."""
-    if type(x) is not Fraction:
+    if type(x) is not Fraction:  # Fraction(x) would copy x
         x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)

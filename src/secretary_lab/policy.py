@@ -62,7 +62,8 @@ class InformationState:
 
     def __post_init__(self) -> None:
         # The solver and the evaluator build hundreds of thousands of
-        # states from arrivals that are already (int, Fraction) tuples.
+        # states from arrivals that are already (int, Fraction) tuples;
+        # keeping them lets the states of a policy table share one copy.
         if type(self.observed) is not tuple or not all(
             map(_is_arrival, self.observed)
         ):
