@@ -1,18 +1,23 @@
 """Reference online algorithms and estimators for their expected ratios.
 
 Two baselines: the classic wait-then-pick threshold rule and the rule
-that trusts the announced predictions and waits for their argmax.  Each
-has two decision paths: a pure decision function of the visible history,
-and a vectorised batch runner that Monte Carlo uses and that must agree
-with it.  A rule can be scored by exact enumeration of arrival orders, by
-conversion to an explicit state policy, or by seeded Monte Carlo for
-sizes where n! is out of reach.
+that trusts the announced predictions and waits for their argmax.  The
+predictions are announced before the first arrival, so a rule binds them
+when it is built and its hooks never receive them.  Each baseline has two
+decision paths: a pure decision function of the visible history, and a
+vectorised batch runner that must agree with it.  A rule can be scored by
+exact enumeration of arrival orders, by conversion to an explicit state
+policy, or by seeded Monte Carlo for sizes where n! is out of reach.
+Monte Carlo scores every rule through one tally: how often each value is
+accepted in each row, from the batch runner when the rule has one and
+from the decision function otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -21,7 +26,13 @@ import numpy as np
 
 from .errors import EnumerationGuardError, ParameterError
 from .exact import decimal_str, floor_n_over_e
-from .instances import PriorFamily, Scenario, competitive_ratio, scenario_max
+from .instances import (
+    PriorFamily,
+    Scenario,
+    competitive_ratio,
+    require_valid_family,
+    scenario_max,
+)
 from .policy import (
     MAX_ENUMERATION_N,
     Action,
@@ -33,11 +44,11 @@ from .policy import (
 
 History = tuple[tuple[int, Fraction], ...]
 Arrival = tuple[int, Fraction]
-DecideFn = Callable[[History, Arrival, int, Sequence[Fraction] | None], Action]
+DecideFn = Callable[[History, Arrival, int], Action]
 # A batch runner takes a (trials, n) matrix of 0-based arrival orders for
 # one scenario and returns the 0-based accepted candidate per trial
 # (-1 when nothing is accepted); it must agree with decide on every order.
-BatchFn = Callable[[np.ndarray, Scenario, int, Sequence[Fraction] | None], np.ndarray]
+BatchFn = Callable[[np.ndarray, Scenario, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -45,9 +56,10 @@ class OnlineAlgorithm:
     """A named streaming decision rule.
 
     decide is pure: the action depends only on the visible history, the
-    current arrival, the horizon, and the announced predictions; it is the
-    reference path.  run_batch is an optional fast path that the Monte
-    Carlo loop prefers: it decides whole blocks of arrival orders at once
+    current arrival and the horizon; it is the reference path.  A rule
+    that uses the announced predictions binds them when it is built.
+    run_batch is an optional fast path that Monte Carlo prefers for its
+    acceptance counts: it decides whole blocks of arrival orders at once
     and must reproduce decide exactly.
     """
 
@@ -68,12 +80,7 @@ def dynkin_policy(n: int) -> OnlineAlgorithm:
         raise ParameterError(f"n must be >= 1, got {n}")
     cutoff = floor_n_over_e(n)
 
-    def decide(
-        history: History,
-        current: Arrival,
-        horizon: int,
-        predictions: Sequence[Fraction] | None,
-    ) -> Action:
+    def decide(history: History, current: Arrival, horizon: int) -> Action:
         position = len(history) + 1
         if position <= cutoff:
             return Action.REJECT
@@ -83,12 +90,7 @@ def dynkin_policy(n: int) -> OnlineAlgorithm:
             return Action.ACCEPT
         return Action.REJECT
 
-    def run_batch(
-        orders: np.ndarray,
-        scenario: Scenario,
-        horizon: int,
-        predictions: Sequence[Fraction] | None,
-    ) -> np.ndarray:
+    def run_batch(orders: np.ndarray, scenario: Scenario, horizon: int) -> np.ndarray:
         # Dense ranks order exactly as the exact values do, so the >=
         # comparisons below are free of rounding.
         ranks = _dense_ranks(scenario.values)
@@ -122,20 +124,10 @@ def prediction_argmax_policy(predictions: Sequence[Fraction]) -> OnlineAlgorithm
     best = max(predicted)
     argmax = frozenset(i for i, v in enumerate(predicted, start=1) if v == best)
 
-    def decide(
-        history: History,
-        current: Arrival,
-        horizon: int,
-        _predictions: Sequence[Fraction] | None,
-    ) -> Action:
+    def decide(history: History, current: Arrival, horizon: int) -> Action:
         return Action.ACCEPT if current[0] in argmax else Action.REJECT
 
-    def run_batch(
-        orders: np.ndarray,
-        scenario: Scenario,
-        horizon: int,
-        _predictions: Sequence[Fraction] | None,
-    ) -> np.ndarray:
+    def run_batch(orders: np.ndarray, scenario: Scenario, horizon: int) -> np.ndarray:
         targets = np.array(sorted(i - 1 for i in argmax), dtype=np.int64)
         hits = np.isin(orders, targets)
         first = hits.argmax(axis=1)
@@ -152,11 +144,10 @@ def run_algorithm(
 ) -> Fraction | None:
     """Accepted value when the algorithm faces one arrival order."""
     n = len(scenario.values)
-    predictions = None
     history: History = ()
     for index in order:
         arrival = (index, scenario.value_at(index))
-        if alg.decide(history, arrival, n, predictions) is Action.ACCEPT:
+        if alg.decide(history, arrival, n) is Action.ACCEPT:
             return arrival[1]
         history += (arrival,)
     return None
@@ -164,6 +155,7 @@ def run_algorithm(
 
 def exact_expected_ratio(alg: OnlineAlgorithm, family: PriorFamily) -> Fraction:
     """Exact mixture expected ratio by enumerating rows times orders."""
+    require_valid_family(family)
     if family.n > MAX_ENUMERATION_N:
         raise EnumerationGuardError(
             f"n = {family.n} requires {family.n}! order enumeration; "
@@ -187,7 +179,7 @@ def algorithm_to_policy(alg: OnlineAlgorithm, family: PriorFamily) -> Policy:
     family's reachable states (the bridge to evaluate_policy)."""
     actions = {}
     for state in reachable_states(family):
-        actions[state] = alg.decide(state.observed, state.current, family.n, None)
+        actions[state] = alg.decide(state.observed, state.current, family.n)
     return Policy(actions)
 
 
@@ -251,9 +243,15 @@ def monte_carlo_estimate(
     metric "ratio" is the competitive ratio of the accepted value;
     "success" is the indicator of having accepted a maximum-value
     candidate.  Row selection compares a uniform draw against exact
-    cumulative probabilities, and the running mean is accumulated in
-    exact arithmetic, so results are reproducible across platforms.
+    cumulative probabilities, and the totals are accumulated in exact
+    arithmetic, so results are reproducible across platforms.
+
+    The outcome of a trial depends only on its row and the accepted
+    value, so each row's trials are tallied by accepted value
+    (``_acceptance_counts``) and each (row, value) outcome is added once,
+    weighted by its count.
     """
+    require_valid_family(family)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if metric not in ("ratio", "success"):
@@ -265,7 +263,6 @@ def monte_carlo_estimate(
         running += probability
         cumulative.append(running)
     n = family.n
-    predictions = family.prediction().values
     multi_row = len(scenarios) > 1
 
     # Draw all randomness first, one substream per trial: an optional row
@@ -282,37 +279,14 @@ def monte_carlo_estimate(
 
     total = Fraction(0)
     total_sq = Fraction(0)
-    if alg.run_batch is not None:
-        # The outcome depends only on the scenario and the accepted
-        # candidate, so exact totals follow from acceptance counts.
-        for row, (scenario, _) in enumerate(scenarios):
-            block = orders[rows == row]
-            if block.shape[0] == 0:
-                continue
-            accepted = alg.run_batch(block, scenario, n, predictions)
-            counts = np.bincount(accepted[accepted >= 0], minlength=n)
-            for candidate, count in enumerate(counts.tolist()):
-                if count == 0:
-                    continue
-                outcome = _metric_value(
-                    metric, scenario.values[candidate], scenario
-                )
-                total += count * outcome
-                total_sq += count * outcome * outcome
-    else:
-        for trial in range(trials):
-            scenario = scenarios[rows[trial]][0]
-            accepted_value: Fraction | None = None
-            history: History = ()
-            for raw in orders[trial].tolist():
-                arrival = (raw + 1, scenario.values[raw])
-                if alg.decide(history, arrival, n, predictions) is Action.ACCEPT:
-                    accepted_value = arrival[1]
-                    break
-                history += (arrival,)
-            outcome = _metric_value(metric, accepted_value, scenario)
-            total += outcome
-            total_sq += outcome * outcome
+    for row, (scenario, _) in enumerate(scenarios):
+        block = orders[rows == row]
+        if block.shape[0] == 0:
+            continue
+        for accepted, count in _acceptance_counts(alg, block, scenario).items():
+            outcome = _metric_value(metric, accepted, scenario)
+            total += count * outcome
+            total_sq += count * outcome * outcome
 
     mean = total / trials
     if trials > 1:
@@ -326,6 +300,20 @@ def monte_carlo_estimate(
         trials=trials,
         seed=seed,
         metric=metric,
+    )
+
+
+def _acceptance_counts(
+    alg: OnlineAlgorithm, block: np.ndarray, scenario: Scenario
+) -> Counter[Fraction | None]:
+    """How many orders of ``block`` (rows of 0-based arrival orders) end
+    with each accepted value (``None``: nothing accepted)."""
+    if alg.run_batch is not None:
+        accepted = alg.run_batch(block, scenario, len(scenario.values)).tolist()
+        return Counter(None if c < 0 else scenario.values[c] for c in accepted)
+    return Counter(
+        run_algorithm(alg, scenario, [raw + 1 for raw in order])
+        for order in block.tolist()
     )
 
 

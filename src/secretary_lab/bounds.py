@@ -186,16 +186,49 @@ def load_preset(name: str) -> ConstructionParams:
 
 
 @dataclass(frozen=True)
-class TheoremReport:
-    """Everything verify_theorem establishes for one parameter point."""
+class BoundChain:
+    """The closed-form chain at one parameter point; threshold is None
+    when mix_eps leaves no budget."""
 
-    params: ConstructionParams
-    preset: str | None
     alpha: Fraction
     beta_enclosure: Enclosure
     threshold: Enclosure | None
     ub_display: Fraction
     oracle_optimum: Fraction
+
+    def to_dict(self, digits: int = 12) -> dict:
+        return {
+            "alpha": render_number(self.alpha, digits),
+            "beta_enclosure": render_enclosure(self.beta_enclosure, digits),
+            "threshold": render_enclosure(self.threshold, digits),
+            "ub_display": render_number(self.ub_display, digits),
+            "oracle_optimum": render_number(self.oracle_optimum, digits),
+        }
+
+
+def bound_chain(params: ConstructionParams, digits: int | None = None) -> BoundChain:
+    """alpha, the beta and threshold enclosures, ub_display and
+    oracle_optimum at ``params``, with enclosures seeded at ``digits``."""
+    try:
+        threshold = threshold_value(params.mix_eps, digits=digits)
+    except NonpositiveBudgetError:
+        threshold = None
+    return BoundChain(
+        alpha=alpha_value(params.mix_eps, params.s, params.k),
+        beta_enclosure=beta_bounds(digits=digits),
+        threshold=threshold,
+        ub_display=ub_display(params.mix_eps, params.s, params.k),
+        oracle_optimum=oracle_optimum(params.mix_eps, params.s, params.k),
+    )
+
+
+@dataclass(frozen=True)
+class TheoremReport(BoundChain):
+    """Everything verify_theorem establishes for one parameter point: the
+    bound chain plus the solved optimum and the verdicts."""
+
+    params: ConstructionParams
+    preset: str | None
     dp_optimum: Fraction
     verdict_vs_inv_e: Comparison
     preset_inequality_holds: bool
@@ -216,11 +249,7 @@ class TheoremReport:
                 "structural_minimum": 4,
                 "stated_working_ranges": ["k >= 12", "k >= 20"],
             },
-            "alpha": render_number(self.alpha, digits),
-            "beta_enclosure": render_enclosure(self.beta_enclosure, digits),
-            "threshold": render_enclosure(self.threshold, digits),
-            "ub_display": render_number(self.ub_display, digits),
-            "oracle_optimum": render_number(self.oracle_optimum, digits),
+            **super().to_dict(digits),
             "dp_optimum": render_number(self.dp_optimum, digits),
             "verdict_vs_inv_e": self.verdict_vs_inv_e.value,
             "preset_inequality_holds": self.preset_inequality_holds,
@@ -286,36 +315,26 @@ def verify_theorem(
         params = load_preset(preset)
     family = build_hard_family(params)
     solved = solve_optimal(family, constrained=True)
-    closed_form = oracle_optimum(params.mix_eps, params.s, params.k)
-    if solved.optimum != closed_form:
+    chain = bound_chain(params, digits)
+    if solved.optimum != chain.oracle_optimum:
         raise RuntimeError(
             "backward induction and closed form disagree: "
-            f"{format_value(solved.optimum)} vs {format_value(closed_form)}"
+            f"{format_value(solved.optimum)} vs {format_value(chain.oracle_optimum)}"
         )
-    display_bound = ub_display(params.mix_eps, params.s, params.k)
-    alpha = alpha_value(params.mix_eps, params.s, params.k)
-    beta = beta_bounds(digits=digits)
     target = 1 / params.s + Fraction(1, params.k - 1)
-    try:
-        threshold = threshold_value(params.mix_eps, digits=digits)
-    except NonpositiveBudgetError:
-        threshold = None
+    if chain.threshold is None:
         holds = False
     else:
         verdict = refine_until_decisive(
             lambda d: threshold_value(params.mix_eps, digits=d),
             target,
-            start_digits=threshold.digits,
+            start_digits=chain.threshold.digits,
         )
         holds = verdict is Comparison.LESS
     return TheoremReport(
+        **vars(chain),
         params=params,
         preset=preset,
-        alpha=alpha,
-        beta_enclosure=beta,
-        threshold=threshold,
-        ub_display=display_bound,
-        oracle_optimum=closed_form,
         dp_optimum=solved.optimum,
         verdict_vs_inv_e=compare_to_inv_e(solved.optimum),
         preset_inequality_holds=holds,

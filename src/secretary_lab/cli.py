@@ -27,31 +27,15 @@ from .baselines import (
     monte_carlo_estimate,
     prediction_argmax_policy,
 )
-from .bounds import (
-    TheoremReport,
-    alpha_value,
-    beta_bounds,
-    known_presets,
-    oracle_optimum,
-    threshold_value,
-    ub_display,
-    verify_theorem,
-)
+from .bounds import alpha_value, bound_chain, known_presets, ub_display, verify_theorem
 from .construction import (
     ConstructionParams,
     build_hard_family,
     render_family_csv,
     render_family_markdown,
 )
-from .errors import NonpositiveBudgetError, ParameterError, SecretaryLabError
-from .exact import (
-    compare_to_inv_e,
-    decimal_str,
-    format_value,
-    parse_value,
-    render_enclosure,
-    render_number,
-)
+from .errors import ParameterError, SecretaryLabError
+from .exact import compare_to_inv_e, decimal_str, format_value, parse_value
 from .instances import PriorFamily, load_family, render_family_json
 from .policy import InformationState, Policy, evaluate_policy, solve_optimal
 
@@ -139,7 +123,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _policy_as_algorithm(policy: Policy) -> OnlineAlgorithm:
-    def decide(history, current, n, predictions):
+    def decide(history, current, n):
         return policy.action_for(InformationState(tuple(history), current))
 
     return OnlineAlgorithm(name="policy", decide=decide)
@@ -181,12 +165,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    digits = args.digits
-    beta = beta_bounds()
-    try:
-        threshold = threshold_value(params.mix_eps)
-    except NonpositiveBudgetError:
-        threshold = None
     payload = {
         "params": {
             "mix_eps": format_value(params.mix_eps),
@@ -194,13 +172,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             "k": params.k,
             "row_count": params.row_count,
         },
-        "alpha": render_number(alpha_value(params.mix_eps, params.s, params.k), digits),
-        "beta_enclosure": render_enclosure(beta, digits),
-        "threshold": render_enclosure(threshold, digits),
-        "ub_display": render_number(ub_display(params.mix_eps, params.s, params.k), digits),
-        "oracle_optimum": render_number(
-            oracle_optimum(params.mix_eps, params.s, params.k), digits
-        ),
+        **bound_chain(params).to_dict(args.digits),
     }
     _emit(payload, args.output)
     return 0

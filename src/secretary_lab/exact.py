@@ -12,27 +12,17 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PrecisionExhaustedError
 
-DEFAULT_DIGITS = 50
+DEFAULT_DIGITS = 50  # seed precision (decimal digits) for enclosures
 MAX_DIGITS = 10_000
-PRECISION_ENV_VAR = "SECRETARY_LAB_PRECISION"
-
-
-def default_digits() -> int:
-    """Seed precision (decimal digits) for enclosures, overridable via env."""
-    raw = os.environ.get(PRECISION_ENV_VAR)
-    if raw is None:
-        return DEFAULT_DIGITS
-    digits = int(raw)
-    if digits < 1:
-        raise ValueError(f"{PRECISION_ENV_VAR} must be a positive integer, got {raw!r}")
-    return digits
+# A power form s^e is refused before it is computed when |e| times the
+# larger bit length of the base's numerator and denominator exceeds this.
+MAX_POWER_BITS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +34,8 @@ def parse_value(text: str, base: Fraction | None = None) -> Fraction:
     """Parse a value string into an exact rational.
 
     ``base`` supplies the family-level constant for the "s^e" form; a
-    power form without a base is an error.
+    power form without a base, or one whose value would need more than
+    MAX_POWER_BITS bits, is an error.
     """
     text = text.strip()
     if text.startswith("s^"):
@@ -53,7 +44,13 @@ def parse_value(text: str, base: Fraction | None = None) -> Fraction:
         if base == 0:
             raise ValueError(f"power form {text!r} needs a nonzero family base")
         exponent = int(text[2:])
-        return Fraction(base) ** exponent
+        base = Fraction(base)
+        size = max(base.numerator.bit_length(), base.denominator.bit_length())
+        if abs(exponent) * size > MAX_POWER_BITS:
+            raise ValueError(
+                f"power form {text!r} would exceed {MAX_POWER_BITS} bits"
+            )
+        return base ** exponent
     if "/" in text:
         num_text, den_text = text.split("/", 1)
         denominator = int(den_text)
@@ -207,7 +204,7 @@ def _e_series_state(digits: int) -> tuple[Fraction, Fraction]:
 def e_enclosure(digits: int | None = None) -> Enclosure:
     """Rational enclosure of e with width below 10**-digits."""
     if digits is None:
-        digits = default_digits()
+        digits = DEFAULT_DIGITS
     partial, tail = _e_series_state(digits)
     return Enclosure(lower=partial, upper=partial + tail, digits=digits)
 
@@ -222,7 +219,7 @@ def inv_e_enclosure(digits: int | None = None) -> Enclosure:
 
 def _refine(attempt, start_digits: int | None, what, max_digits: int = MAX_DIGITS):
     """Return the first non-None ``attempt(digits)``, starting at
-    ``start_digits`` (default: ``default_digits()``) and doubling the
+    ``start_digits`` (default: ``DEFAULT_DIGITS``) and doubling the
     precision up to ``max_digits``.
 
     Every enclosure records the level it was built at, so the levels
@@ -231,7 +228,7 @@ def _refine(attempt, start_digits: int | None, what, max_digits: int = MAX_DIGIT
     undecided quantity, built only then because operands can run to
     thousands of digits.
     """
-    digits = start_digits if start_digits is not None else default_digits()
+    digits = start_digits if start_digits is not None else DEFAULT_DIGITS
     while True:
         result = attempt(digits)
         if result is not None:

@@ -174,6 +174,13 @@ def validate_family(family: PriorFamily) -> ValidationReport:
     return ValidationReport(valid=not violations, violations=tuple(violations))
 
 
+def require_valid_family(family: PriorFamily) -> None:
+    """Raise InvalidFamilyError with every violation validate_family finds."""
+    report = validate_family(family)
+    if not report.valid:
+        raise InvalidFamilyError(report.violations)
+
+
 # ---------------------------------------------------------------------------
 # File format: UTF-8 JSON with all values in the text grammar.
 # ---------------------------------------------------------------------------

@@ -34,12 +34,17 @@ from pathlib import Path
 from .errors import (
     DegenerateInstanceError,
     EnumerationGuardError,
-    InvalidFamilyError,
     MissingStateError,
     UnreachableStateError,
 )
 from .exact import format_value, parse_value, render_number
-from .instances import PriorFamily, Scenario, competitive_ratio, scenario_max, validate_family
+from .instances import (
+    PriorFamily,
+    Scenario,
+    competitive_ratio,
+    require_valid_family,
+    scenario_max,
+)
 
 MAX_ENUMERATION_N = 8
 
@@ -260,9 +265,7 @@ def consistent_actions(
 # ---------------------------------------------------------------------------
 
 def _checked_family(family: PriorFamily) -> list[tuple[Scenario, Fraction]]:
-    report = validate_family(family)
-    if not report.valid:
-        raise InvalidFamilyError(report.violations)
+    require_valid_family(family)
     if family.n > MAX_ENUMERATION_N:
         raise EnumerationGuardError(
             f"n = {family.n} too large for exact enumeration (max {MAX_ENUMERATION_N})"
@@ -437,17 +440,12 @@ def evaluate_policy(policy: Policy, family: PriorFamily) -> SolveReport:
     prefix, which keeps the sum over (row, order) pairs exact.
 
     Rows with probability zero are not part of the mixture and are left
-    out of the per-row map.
+    out of the per-row map.  Raises InvalidFamilyError on a family that
+    validate_family rejects.
     """
-    if family.n > MAX_ENUMERATION_N:
-        raise EnumerationGuardError(
-            f"n = {family.n} too large for exact enumeration (max {MAX_ENUMERATION_N})"
-        )
     per_row: dict[int, Fraction] = {}
     mixture = Fraction(0)
-    for scenario, probability in family.items():
-        if probability == 0:
-            continue
+    for scenario, probability in _checked_family(family):
         counts = _order_counts(policy, scenario, family.n)
         row_total = sum(
             (count * competitive_ratio(accepted, scenario)
@@ -492,14 +490,10 @@ def _order_counts(
 
 def is_consistent(policy: Policy, prediction: Scenario) -> bool:
     """True iff the policy accepts a maximum-value candidate under every
-    arrival order of the prediction scenario."""
-    best = scenario_max(prediction)
-    n = len(prediction.values)
-    for order in itertools.permutations(range(1, n + 1)):
-        accepted = _simulate(policy, prediction, order)
-        if accepted != best:
-            return False
-    return True
+    arrival order of the prediction scenario, read off the scenario's
+    tally of accepted values."""
+    counts = _order_counts(policy, prediction, len(prediction.values))
+    return counts.keys() == {scenario_max(prediction)}
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 
 from secretary_lab import (
+    Action,
     EnumerationGuardError,
+    InformationState,
+    InvalidFamilyError,
     MonteCarloEstimate,
     OnlineAlgorithm,
     ParameterError,
+    Policy,
     PriorFamily,
     Scenario,
     decimal_str,
     dynkin_policy,
     dynkin_success_probability,
     evaluate_algorithm,
+    evaluate_policy,
     exact_expected_ratio,
     is_consistent,
     algorithm_to_policy,
@@ -44,7 +49,7 @@ def acceptance_position(alg: OnlineAlgorithm, scenario: Scenario, order) -> int 
     history = ()
     for position, index in enumerate(order, start=1):
         arrival = (index, scenario.value_at(index))
-        if alg.decide(history, arrival, len(order), None).value == "accept":
+        if alg.decide(history, arrival, len(order)).value == "accept":
             return position
         history += (arrival,)
     return None
@@ -154,7 +159,7 @@ def test_pred_argmax_never_fires_when_target_absent():
     alg = prediction_argmax_policy((F(1), F(1), F(5)))
     scenario = Scenario(1, (F(3), F(1)))
     assert run_algorithm(alg, scenario, (1, 2)) is None
-    batch = alg.run_batch(np.array([[0, 1]], dtype=np.int64), scenario, 2, None)
+    batch = alg.run_batch(np.array([[0, 1]], dtype=np.int64), scenario, 2)
     assert batch.tolist() == [-1]
 
 
@@ -181,6 +186,24 @@ def test_exact_ratio_guard_points_to_monte_carlo():
     assert "monte_carlo" in str(err.value)
 
 
+def test_every_scorer_refuses_an_invalid_family():
+    # probabilities that sum to 117/20
+    heavy = PriorFamily(
+        n=2, scenarios=(Scenario(1, (F(2), F(1))),), probabilities=(F(117, 20),),
+        prediction_id=1,
+    )
+    alg = dynkin_policy(2)
+    policy = Policy({InformationState((), (i, F(3 - i))): Action.ACCEPT for i in (1, 2)})
+    for score in (
+        lambda: exact_expected_ratio(alg, heavy),
+        lambda: evaluate_algorithm(alg, heavy),
+        lambda: evaluate_policy(policy, heavy),
+        lambda: monte_carlo_estimate(alg, heavy, trials=10, seed=0),
+    ):
+        with pytest.raises(InvalidFamilyError):
+            score()
+
+
 def test_hooks_agree_with_decide_everywhere(anchor_family):
     algs = [
         dynkin_policy(3),
@@ -191,7 +214,7 @@ def test_hooks_agree_with_decide_everywhere(anchor_family):
             for order in itertools.permutations(range(1, 4)):
                 expected = run_algorithm(alg, scenario, order)
                 block = np.array([[i - 1 for i in order]], dtype=np.int64)
-                accepted = alg.run_batch(block, scenario, 3, None)[0]
+                accepted = alg.run_batch(block, scenario, 3)[0]
                 batch_value = (
                     None if accepted < 0 else scenario.values[int(accepted)]
                 )
@@ -213,13 +236,16 @@ def test_monte_carlo_is_deterministic(anchor_family):
 
 
 def test_monte_carlo_paths_are_bit_identical(anchor_family):
-    full = dynkin_policy(3)
-    decide_only = OnlineAlgorithm(full.name, full.decide, None)
-    estimates = [
-        monte_carlo_estimate(alg, anchor_family, trials=400, seed=5)
-        for alg in (full, decide_only)
-    ]
-    assert estimates[0].mean_exact == estimates[1].mean_exact
+    # run_batch counts and decide counts must give the same estimate
+    for full in (dynkin_policy(3), prediction_argmax_policy((F(5), F(1), F(1)))):
+        decide_only = OnlineAlgorithm(full.name, full.decide, None)
+        for metric in ("ratio", "success"):
+            batch, reference = (
+                monte_carlo_estimate(alg, anchor_family, trials=400, seed=5, metric=metric)
+                for alg in (full, decide_only)
+            )
+            assert batch.mean_exact == reference.mean_exact
+            assert batch.std_error == reference.std_error
 
 
 def test_monte_carlo_tracks_exact_value(anchor_family):

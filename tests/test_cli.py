@@ -116,6 +116,22 @@ def _one_row_family(**fields) -> dict:
     return {"n": 2, "scenarios": [_row(**fields)], "prediction_id": 1}
 
 
+# Well-formed JSON that validate_family rejects: row 2 holds 3 of n = 6
+# values, or the probabilities sum to 117/20.
+SHORT_ROW_FAMILY = {
+    "n": 6,
+    "scenarios": [
+        {"id": 1, "values": ["2", "1", "1", "1", "1", "1"], "probability": "1/2"},
+        {"id": 2, "values": ["1", "2", "1"], "probability": "1/2"},
+    ],
+    "prediction_id": 1,
+}
+MASS_117_20_FAMILY = _one_row_family(probability="117/20")
+
+# Accepts the first arrival of the two-candidate family.
+ACCEPT_FIRST_POLICY = {"|current=(1:2)": "accept", "|current=(2:1)": "accept"}
+
+
 MALFORMED_INPUTS = {
     "power-form-on-zero-base": (
         "family", {**_one_row_family(values=["s^-1", "1"]), "base_s": "0"}
@@ -128,6 +144,9 @@ MALFORMED_INPUTS = {
     "float-probability": ("family", _one_row_family(probability=1.0)),
     "family-is-a-list": ("family", [_one_row_family()]),
     "policy-is-a-list": ("policy", ["|current=(1:5)"]),
+    "short-row-under-mc": ("mc", SHORT_ROW_FAMILY),
+    "mass-117-over-20-under-mc": ("mc", MASS_117_20_FAMILY),
+    "mass-117-over-20-under-policy": ("eval-policy", MASS_117_20_FAMILY),
 }
 
 
@@ -138,6 +157,12 @@ def test_malformed_input_file_is_one_error_line(tmp_path, capsys, name):
     path.write_text(json.dumps(payload), encoding="utf-8")
     if kind == "family":
         argv = ["solve", "--family", str(path)]
+    elif kind == "mc":
+        argv = ["eval", "--family", str(path), "--alg", "dynkin", "--mc", "--trials", "50"]
+    elif kind == "eval-policy":
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps(ACCEPT_FIRST_POLICY), encoding="utf-8")
+        argv = ["eval", "--family", str(path), "--alg", f"policy:{policy_path}"]
     else:
         argv = ["eval", "--family", str(gen_family(tmp_path)), "--alg", f"policy:{path}"]
     assert run_command(argv) == 1

@@ -29,6 +29,7 @@ from secretary_lab import (
     posterior,
     random_policy,
     reachable_states,
+    scenario_max,
     solve_optimal,
 )
 from secretary_lab.policy import _simulate
@@ -398,6 +399,28 @@ def test_random_unconstrained_policy_can_break_consistency(anchor_family):
         )
     ]
     assert broken
+
+
+def enumerated_consistency(policy, prediction):
+    """Reference check: one simulation per arrival order of the
+    prediction row, each of which must accept a maximum value."""
+    best = scenario_max(prediction)
+    orders = itertools.permutations(range(1, len(prediction.values) + 1))
+    return all(_simulate(policy, prediction, order) == best for order in orders)
+
+
+@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("constrained", (True, False))
+def test_consistency_matches_order_enumeration_on_random_policies(n, constrained):
+    family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=n))
+    prediction = family.prediction()
+    verdicts = []
+    for seed in range(20):
+        policy = random_policy(family, seed, constrained)
+        verdicts.append(is_consistent(policy, prediction))
+        assert verdicts[-1] == enumerated_consistency(policy, prediction)
+    # every constrained policy is consistent; some unconstrained one is not
+    assert all(verdicts) == constrained
 
 
 # ---------------------------------------------------------------------------
