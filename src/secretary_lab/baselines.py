@@ -1,20 +1,20 @@
 """Reference online algorithms and estimators for their expected ratios.
 
 Two baselines: the classic wait-then-pick threshold rule and the rule
-that trusts the announced predictions and waits for their argmax.  The
-predictions are announced before the first arrival, so a rule binds them
-when it is built and its hooks never receive them.  Each baseline has two
-decision paths: a pure decision function of the visible history, and a
-vectorised batch runner that must agree with it.  A rule can be scored by
-exact enumeration of arrival orders, by conversion to an explicit state
-policy, or by seeded Monte Carlo for sizes where n! is out of reach.
-Monte Carlo scores every rule through one tally: how often each value is
-accepted in each row, from the batch runner when the rule has one and
-from the decision function otherwise.
+that trusts the announced predictions and waits for their argmax.  A rule
+is one function of what it has seen, ``decide(observed, current)``; it
+binds the predictions and the number of candidates when it is built, and
+``Policy.decide`` makes a policy table a rule.  Each baseline also has a
+vectorised batch runner that must agree with its decide.  Scores count
+accepted values through one walker, ``policy._tally``, which decides each
+distinct arrival prefix once: exactly over all n! orders of every row, or
+by seeded Monte Carlo over the sampled orders of each row (through the
+batch runner when the rule has one) where n! is out of reach.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EnumerationGuardError, ParameterError
+from .errors import ParameterError
 from .exact import decimal_str, floor_n_over_e
 from .instances import (
     PriorFamily,
@@ -34,33 +34,34 @@ from .instances import (
     scenario_max,
 )
 from .policy import (
-    MAX_ENUMERATION_N,
     Action,
+    Arrival,
+    DecideFn,
+    History,
     Policy,
     SolveReport,
+    _exact_ratios,
+    _tally,
     evaluate_policy,
     reachable_states,
 )
 
-History = tuple[tuple[int, Fraction], ...]
-Arrival = tuple[int, Fraction]
-DecideFn = Callable[[History, Arrival, int], Action]
 # A batch runner takes a (trials, n) matrix of 0-based arrival orders for
 # one scenario and returns the 0-based accepted candidate per trial
 # (-1 when nothing is accepted); it must agree with decide on every order.
-BatchFn = Callable[[np.ndarray, Scenario, int], np.ndarray]
+BatchFn = Callable[[np.ndarray, Scenario], np.ndarray]
 
 
 @dataclass(frozen=True)
 class OnlineAlgorithm:
     """A named streaming decision rule.
 
-    decide is pure: the action depends only on the visible history, the
-    current arrival and the horizon; it is the reference path.  A rule
-    that uses the announced predictions binds them when it is built.
-    run_batch is an optional fast path that Monte Carlo prefers for its
-    acceptance counts: it decides whole blocks of arrival orders at once
-    and must reproduce decide exactly.
+    decide is pure: the action depends only on the arrivals rejected so
+    far and the current arrival; it is the reference path.  A rule that
+    uses the announced predictions or the number of candidates binds them
+    when it is built.  run_batch is an optional fast path that Monte Carlo
+    prefers for its acceptance counts: it decides whole blocks of arrival
+    orders at once and must reproduce decide exactly.
     """
 
     name: str
@@ -80,17 +81,16 @@ def dynkin_policy(n: int) -> OnlineAlgorithm:
         raise ParameterError(f"n must be >= 1, got {n}")
     cutoff = floor_n_over_e(n)
 
-    def decide(history: History, current: Arrival, horizon: int) -> Action:
+    def decide(history: History, current: Arrival) -> Action:
         position = len(history) + 1
         if position <= cutoff:
             return Action.REJECT
-        if cutoff == 0 or current[1] >= max(v for _, v in history[:cutoff]):
-            return Action.ACCEPT
-        if position == horizon:
+        if (cutoff == 0 or position == n
+                or current[1] >= max(v for _, v in history[:cutoff])):
             return Action.ACCEPT
         return Action.REJECT
 
-    def run_batch(orders: np.ndarray, scenario: Scenario, horizon: int) -> np.ndarray:
+    def run_batch(orders: np.ndarray, scenario: Scenario) -> np.ndarray:
         # Dense ranks order exactly as the exact values do, so the >=
         # comparisons below are free of rounding.
         ranks = _dense_ranks(scenario.values)
@@ -100,7 +100,7 @@ def dynkin_policy(n: int) -> OnlineAlgorithm:
             prefix_max = arrived[:, :cutoff].max(axis=1)
             qualifies = arrived[:, cutoff:] >= prefix_max[:, None]
         else:
-            qualifies = np.ones((trials, horizon), dtype=bool)
+            qualifies = np.ones(orders.shape, dtype=bool)
         qualifies[:, -1] = True
         first = qualifies.argmax(axis=1) + cutoff
         return orders[np.arange(trials), first]
@@ -124,16 +124,16 @@ def prediction_argmax_policy(predictions: Sequence[Fraction]) -> OnlineAlgorithm
     best = max(predicted)
     argmax = frozenset(i for i, v in enumerate(predicted, start=1) if v == best)
 
-    def decide(history: History, current: Arrival, horizon: int) -> Action:
+    def decide(history: History, current: Arrival) -> Action:
         return Action.ACCEPT if current[0] in argmax else Action.REJECT
 
-    def run_batch(orders: np.ndarray, scenario: Scenario, horizon: int) -> np.ndarray:
+    def run_batch(orders: np.ndarray, scenario: Scenario) -> np.ndarray:
         targets = np.array(sorted(i - 1 for i in argmax), dtype=np.int64)
         hits = np.isin(orders, targets)
         first = hits.argmax(axis=1)
         accepted = orders[np.arange(orders.shape[0]), first]
         # if no argmax index ever arrives (predictions longer than the
-        # horizon), the rule never accepts
+        # orders), the rule never accepts
         return np.where(hits.any(axis=1), accepted, -1)
 
     return OnlineAlgorithm(name="pred-argmax", decide=decide, run_batch=run_batch)
@@ -143,35 +143,20 @@ def run_algorithm(
     alg: OnlineAlgorithm, scenario: Scenario, order: Sequence[int]
 ) -> Fraction | None:
     """Accepted value when the algorithm faces one arrival order."""
-    n = len(scenario.values)
     history: History = ()
     for index in order:
         arrival = (index, scenario.value_at(index))
-        if alg.decide(history, arrival, n) is Action.ACCEPT:
+        if alg.decide(history, arrival) is Action.ACCEPT:
             return arrival[1]
         history += (arrival,)
     return None
 
 
 def exact_expected_ratio(alg: OnlineAlgorithm, family: PriorFamily) -> Fraction:
-    """Exact mixture expected ratio by enumerating rows times orders."""
-    require_valid_family(family)
-    if family.n > MAX_ENUMERATION_N:
-        raise EnumerationGuardError(
-            f"n = {family.n} requires {family.n}! order enumeration; "
-            f"use monte_carlo_estimate beyond n = {MAX_ENUMERATION_N}"
-        )
-    orders = list(itertools.permutations(range(1, family.n + 1)))
-    total = Fraction(0)
-    for scenario, probability in family.items():
-        if probability == 0:
-            continue
-        row_total = Fraction(0)
-        for order in orders:
-            accepted = run_algorithm(alg, scenario, order)
-            row_total += competitive_ratio(accepted, scenario)
-        total += probability * row_total / len(orders)
-    return total
+    """Exact mixture expected ratio over every (row, arrival order) pair,
+    through the same tally as evaluate_policy; refuses n above
+    MAX_ENUMERATION_N and points to monte_carlo_estimate."""
+    return _exact_ratios(alg.decide, family)[0]
 
 
 def algorithm_to_policy(alg: OnlineAlgorithm, family: PriorFamily) -> Policy:
@@ -179,7 +164,7 @@ def algorithm_to_policy(alg: OnlineAlgorithm, family: PriorFamily) -> Policy:
     family's reachable states (the bridge to evaluate_policy)."""
     actions = {}
     for state in reachable_states(family):
-        actions[state] = alg.decide(state.observed, state.current, family.n)
+        actions[state] = alg.decide(state.observed, state.current)
     return Policy(actions)
 
 
@@ -257,24 +242,20 @@ def monte_carlo_estimate(
     if metric not in ("ratio", "success"):
         raise ParameterError(f"metric must be 'ratio' or 'success', got {metric!r}")
     scenarios = [(s, p) for s, p in family.items() if p > 0]
-    cumulative: list[Fraction] = []
-    running = Fraction(0)
-    for _, probability in scenarios:
-        running += probability
-        cumulative.append(running)
+    cumulative = list(itertools.accumulate(p for _, p in scenarios))
     n = family.n
     multi_row = len(scenarios) > 1
 
     # Draw all randomness first, one substream per trial: an optional row
-    # uniform (exact comparison against the cumulative probabilities),
-    # then the arrival order.
+    # uniform (exact bisection of the cumulative probabilities, strictly
+    # rising without zero-mass rows), then the arrival order.
     rows = np.zeros(trials, dtype=np.int64)
     orders = np.empty((trials, n), dtype=np.int64)
     for trial in range(trials):
         rng = _trial_generator(seed, trial)
         if multi_row:
             u = Fraction(float(rng.random()))
-            rows[trial] = next(i for i, c in enumerate(cumulative) if u < c)
+            rows[trial] = bisect.bisect_right(cumulative, u)
         orders[trial] = rng.permutation(n)
 
     total = Fraction(0)
@@ -309,12 +290,9 @@ def _acceptance_counts(
     """How many orders of ``block`` (rows of 0-based arrival orders) end
     with each accepted value (``None``: nothing accepted)."""
     if alg.run_batch is not None:
-        accepted = alg.run_batch(block, scenario, len(scenario.values)).tolist()
+        accepted = alg.run_batch(block, scenario).tolist()
         return Counter(None if c < 0 else scenario.values[c] for c in accepted)
-    return Counter(
-        run_algorithm(alg, scenario, [raw + 1 for raw in order])
-        for order in block.tolist()
-    )
+    return _tally(alg.decide, scenario, (block + 1).tolist())
 
 
 def _metric_value(

@@ -206,16 +206,16 @@ class BoundChain:
         }
 
 
-def bound_chain(params: ConstructionParams, digits: int | None = None) -> BoundChain:
+def bound_chain(params: ConstructionParams) -> BoundChain:
     """alpha, the beta and threshold enclosures, ub_display and
-    oracle_optimum at ``params``, with enclosures seeded at ``digits``."""
+    oracle_optimum at ``params``."""
     try:
-        threshold = threshold_value(params.mix_eps, digits=digits)
+        threshold = threshold_value(params.mix_eps)
     except NonpositiveBudgetError:
         threshold = None
     return BoundChain(
         alpha=alpha_value(params.mix_eps, params.s, params.k),
-        beta_enclosure=beta_bounds(digits=digits),
+        beta_enclosure=beta_bounds(),
         threshold=threshold,
         ub_display=ub_display(params.mix_eps, params.s, params.k),
         oracle_optimum=oracle_optimum(params.mix_eps, params.s, params.k),
@@ -300,7 +300,6 @@ class TheoremReport(BoundChain):
 def verify_theorem(
     preset: str | None = None,
     params: ConstructionParams | None = None,
-    digits: int | None = None,
 ) -> TheoremReport:
     """Build the hard family, solve it under the consistency constraint,
     and check it against every closed form.
@@ -315,7 +314,7 @@ def verify_theorem(
         params = load_preset(preset)
     family = build_hard_family(params)
     solved = solve_optimal(family, constrained=True)
-    chain = bound_chain(params, digits)
+    chain = bound_chain(params)
     if solved.optimum != chain.oracle_optimum:
         raise RuntimeError(
             "backward induction and closed form disagree: "

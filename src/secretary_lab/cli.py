@@ -37,7 +37,7 @@ from .construction import (
 from .errors import ParameterError, SecretaryLabError
 from .exact import compare_to_inv_e, decimal_str, format_value, parse_value
 from .instances import PriorFamily, load_family, render_family_json
-from .policy import InformationState, Policy, evaluate_policy, solve_optimal
+from .policy import Policy, evaluate_policy, solve_optimal
 
 SWEEP_FIELDS = (
     "eps",
@@ -122,14 +122,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _policy_as_algorithm(policy: Policy) -> OnlineAlgorithm:
-    def decide(history, current, n):
-        return policy.action_for(InformationState(tuple(history), current))
-
-    return OnlineAlgorithm(name="policy", decide=decide)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.metric == "success" and not args.mc:
+        args.usage_error("argument --metric: success is only estimated with --mc")
     family = load_family(args.family)
     selector = args.alg
     if selector == "dynkin":
@@ -140,7 +135,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         policy = None
     elif selector.startswith("policy:"):
         policy = Policy.load(selector.removeprefix("policy:"))
-        algorithm = _policy_as_algorithm(policy)
+        algorithm = OnlineAlgorithm(name="policy", decide=policy.decide)
     else:
         raise ParameterError(
             f"unknown algorithm {selector!r}; use dynkin, pred-argmax, or policy:<file>"
@@ -283,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--metric", choices=("ratio", "success"), default="ratio")
     evaluate.add_argument("-o", "--output", help="output JSON path (default stdout)")
     evaluate.add_argument("--digits", type=int, default=12)
-    evaluate.set_defaults(handler=_cmd_eval)
+    evaluate.set_defaults(handler=_cmd_eval, usage_error=evaluate.error)
 
     bounds = sub.add_parser("bounds", help="print the closed-form bound chain")
     _add_param_flags(bounds, with_n=False)

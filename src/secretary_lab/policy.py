@@ -21,15 +21,17 @@ predictions are exactly correct, for every arrival order.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import json
-import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
+from typing import Callable, Sequence
 
 from .errors import (
     DegenerateInstanceError,
@@ -55,6 +57,12 @@ class Action(enum.Enum):
 
 
 BOTH_ACTIONS = frozenset((Action.ACCEPT, Action.REJECT))
+
+History = tuple[tuple[int, Fraction], ...]
+Arrival = tuple[int, Fraction]
+# A decision rule: the action at the current arrival, given the arrivals
+# rejected so far in the order they came.
+DecideFn = Callable[[History, Arrival], Action]
 
 
 @dataclass(frozen=True)
@@ -130,6 +138,10 @@ class Policy:
             return self.actions[state]
         except KeyError:
             raise MissingStateError(state.serialize()) from None
+
+    def decide(self, observed: History, current: Arrival) -> Action:
+        """The table as a decision rule."""
+        return self.action_for(InformationState(observed, current))
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -268,7 +280,8 @@ def _checked_family(family: PriorFamily) -> list[tuple[Scenario, Fraction]]:
     require_valid_family(family)
     if family.n > MAX_ENUMERATION_N:
         raise EnumerationGuardError(
-            f"n = {family.n} too large for exact enumeration (max {MAX_ENUMERATION_N})"
+            f"n = {family.n} too large for exact enumeration (max {MAX_ENUMERATION_N}); "
+            "use monte_carlo_estimate beyond that"
         )
     support = [(s, p) for s, p in family.items() if p > 0]
     for scenario, _ in support:
@@ -432,29 +445,14 @@ def _simulate(
 
 def evaluate_policy(policy: Policy, family: PriorFamily) -> SolveReport:
     """Exact mixture expectation of a policy over every (row, arrival
-    order) pair.
-
-    Each row's orders are enumerated depth-first, one arrival prefix at
-    a time, so each (row, prefix) state is looked up once.  An acceptance
-    after d arrivals stands for the (n - d)! orders that extend that
-    prefix, which keeps the sum over (row, order) pairs exact.
+    order) pair, tallied by ``_tally`` so that each (row, prefix) state is
+    looked up once.
 
     Rows with probability zero are not part of the mixture and are left
     out of the per-row map.  Raises InvalidFamilyError on a family that
     validate_family rejects.
     """
-    per_row: dict[int, Fraction] = {}
-    mixture = Fraction(0)
-    for scenario, probability in _checked_family(family):
-        counts = _order_counts(policy, scenario, family.n)
-        row_total = sum(
-            (count * competitive_ratio(accepted, scenario)
-             for accepted, count in counts.items()),
-            Fraction(0),
-        )
-        conditional = row_total / math.factorial(family.n)
-        per_row[scenario.id] = conditional
-        mixture += probability * conditional
+    mixture, per_row = _exact_ratios(policy.decide, family)
     worst_id = min(per_row, key=lambda row_id: (per_row[row_id], row_id))
     return SolveReport(
         optimum=mixture,
@@ -465,26 +463,54 @@ def evaluate_policy(policy: Policy, family: PriorFamily) -> SolveReport:
     )
 
 
-def _order_counts(
-    policy: Policy, scenario: Scenario, n: int
+def _exact_ratios(
+    decide: DecideFn, family: PriorFamily
+) -> tuple[Fraction, dict[int, Fraction]]:
+    """Mixture expected ratio of a decision rule and its conditional
+    expected ratio on each row of positive probability, over all n!
+    arrival orders of every row."""
+    support = _checked_family(family)
+    orders = list(itertools.permutations(range(1, family.n + 1)))
+    mixture = Fraction(0)
+    per_row: dict[int, Fraction] = {}
+    for scenario, probability in support:
+        tally = _tally(decide, scenario, orders).items()
+        per_row[scenario.id] = conditional = sum(
+            (count * competitive_ratio(accepted, scenario) for accepted, count in tally),
+            Fraction(0),
+        ) / len(orders)
+        mixture += probability * conditional
+    return mixture, per_row
+
+
+def _tally(
+    decide: DecideFn, scenario: Scenario, orders: Sequence[Sequence[int]]
 ) -> Counter[Fraction | None]:
-    """How many of the n! arrival orders end with each accepted value
-    (``None``: nothing accepted) when the policy runs on ``scenario``."""
-    extensions = [math.factorial(n - d) for d in range(n + 1)]
+    """How many of ``orders`` (1-based arrival orders of equal length) end
+    with each accepted value (``None``: nothing accepted) when ``decide``
+    runs on ``scenario``.  Sorted, the orders sharing a prefix form one run,
+    so each distinct prefix is decided once; an acceptance counts its run."""
+    ordered = sorted(orders)
     counts: Counter[Fraction | None] = Counter()
 
-    def walk(observed: tuple[tuple[int, Fraction], ...], remaining: tuple[int, ...]):
-        depth = len(observed) + 1
-        for index in remaining:
+    def walk(observed: History, lo: int, hi: int) -> None:
+        depth = len(observed)
+        if depth == len(ordered[lo]):
+            counts[None] += hi - lo
+            return
+        key = itemgetter(depth)
+        while lo < hi:
+            index = ordered[lo][depth]
+            end = bisect.bisect_right(ordered, index, lo, hi, key=key)
             arrival = (index, scenario.value_at(index))
-            if policy.action_for(InformationState(observed, arrival)) is Action.ACCEPT:
-                counts[arrival[1]] += extensions[depth]
-            elif depth < n:
-                walk(observed + (arrival,), tuple(j for j in remaining if j != index))
+            if decide(observed, arrival) is Action.ACCEPT:
+                counts[arrival[1]] += end - lo
             else:
-                counts[None] += 1
+                walk(observed + (arrival,), lo, end)
+            lo = end
 
-    walk((), tuple(range(1, n + 1)))
+    if ordered:
+        walk((), 0, len(ordered))
     return counts
 
 
@@ -492,7 +518,8 @@ def is_consistent(policy: Policy, prediction: Scenario) -> bool:
     """True iff the policy accepts a maximum-value candidate under every
     arrival order of the prediction scenario, read off the scenario's
     tally of accepted values."""
-    counts = _order_counts(policy, prediction, len(prediction.values))
+    orders = itertools.permutations(range(1, len(prediction.values) + 1))
+    counts = _tally(policy.decide, prediction, list(orders))
     return counts.keys() == {scenario_max(prediction)}
 
 

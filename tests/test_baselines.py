@@ -7,6 +7,7 @@ import pytest
 
 from secretary_lab import (
     Action,
+    ConstructionParams,
     EnumerationGuardError,
     InformationState,
     InvalidFamilyError,
@@ -24,6 +25,8 @@ from secretary_lab import (
     exact_expected_ratio,
     is_consistent,
     algorithm_to_policy,
+    build_hard_family,
+    competitive_ratio,
     monte_carlo_estimate,
     prediction_argmax_policy,
     run_algorithm,
@@ -49,7 +52,7 @@ def acceptance_position(alg: OnlineAlgorithm, scenario: Scenario, order) -> int 
     history = ()
     for position, index in enumerate(order, start=1):
         arrival = (index, scenario.value_at(index))
-        if alg.decide(history, arrival, len(order)).value == "accept":
+        if alg.decide(history, arrival).value == "accept":
             return position
         history += (arrival,)
     return None
@@ -155,11 +158,11 @@ def test_pred_argmax_perfect_on_single_scenario():
 
 
 def test_pred_argmax_never_fires_when_target_absent():
-    # predicted argmax is candidate 3, but the horizon is 2
+    # predicted argmax is candidate 3, but only two candidates arrive
     alg = prediction_argmax_policy((F(1), F(1), F(5)))
     scenario = Scenario(1, (F(3), F(1)))
     assert run_algorithm(alg, scenario, (1, 2)) is None
-    batch = alg.run_batch(np.array([[0, 1]], dtype=np.int64), scenario, 2)
+    batch = alg.run_batch(np.array([[0, 1]], dtype=np.int64), scenario)
     assert batch.tolist() == [-1]
 
 
@@ -177,6 +180,24 @@ def test_exact_ratio_two_routes_agree(anchor_family):
         direct = exact_expected_ratio(alg, anchor_family)
         via_policy = evaluate_algorithm(alg, anchor_family).optimum
         assert direct == via_policy
+
+
+def enumerated_ratio(alg: OnlineAlgorithm, family: PriorFamily) -> Fraction:
+    """Reference: one run_algorithm call per (row, arrival order) pair."""
+    orders = list(itertools.permutations(range(1, family.n + 1)))
+    return sum(
+        (probability * competitive_ratio(run_algorithm(alg, scenario, order), scenario)
+         for scenario, probability in family.items() if probability > 0
+         for order in orders),
+        F(0),
+    ) / len(orders)
+
+
+@pytest.mark.parametrize("n", (3, 5), ids=("anchor", "padded-n5"))
+def test_exact_ratio_matches_order_enumeration(n):
+    family = build_hard_family(ConstructionParams(F(1, 10), F(5), 4, n=n))
+    for alg in (dynkin_policy(n), prediction_argmax_policy(family.prediction().values)):
+        assert exact_expected_ratio(alg, family) == enumerated_ratio(alg, family)
 
 
 def test_exact_ratio_guard_points_to_monte_carlo():
@@ -214,7 +235,7 @@ def test_hooks_agree_with_decide_everywhere(anchor_family):
             for order in itertools.permutations(range(1, 4)):
                 expected = run_algorithm(alg, scenario, order)
                 block = np.array([[i - 1 for i in order]], dtype=np.int64)
-                accepted = alg.run_batch(block, scenario, 3)[0]
+                accepted = alg.run_batch(block, scenario)[0]
                 batch_value = (
                     None if accepted < 0 else scenario.values[int(accepted)]
                 )
@@ -262,6 +283,20 @@ def test_monte_carlo_success_metric():
     )
     exact = dynkin_success_probability(4)
     assert abs(estimate.mean_exact - exact) <= F(4 * estimate.std_error).limit_denominator(10**12)
+
+
+def test_monte_carlo_row_draws_are_pinned():
+    # 99 rows, so the row of almost every trial is drawn from a long
+    # cumulative list; the figures were recorded with a linear scan of
+    # that list and must not move under any other search.
+    family = build_hard_family(ConstructionParams(F(1, 10), F(50), 50, n=3))
+    assert len(family.scenarios) == 99
+    estimate = monte_carlo_estimate(dynkin_policy(3), family, trials=2000, seed=0)
+    assert estimate.mean_exact == F(
+        "1739910346748977331229661542172662058130435739221587854619738209001818441429859818977551"
+        "/3552713678800500929355621337890625000000000000000000000000000000000000000000000000000000"
+    )
+    assert estimate.std_error == 0.011020884573593156
 
 
 def test_monte_carlo_single_trial(anchor_family):

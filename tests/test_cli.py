@@ -207,13 +207,18 @@ def test_eval_unknown_algorithm(tmp_path, capsys):
     assert "unknown algorithm" in capsys.readouterr().err
 
 
-def test_eval_exact_and_mc_conflict(tmp_path):
+def test_eval_exact_and_mc_conflict(tmp_path, capsys):
     family_path = gen_family(tmp_path)
-    with pytest.raises(SystemExit) as err:
-        run_command(
-            ["eval", "--family", str(family_path), "--alg", "dynkin", "--exact", "--mc"]
-        )
-    assert err.value.code == 2
+    capsys.readouterr()
+    # the success metric is only estimated, so it needs --mc as well
+    for flags in (["--exact", "--mc"], ["--metric", "success"]):
+        with pytest.raises(SystemExit) as err:
+            run_command(["eval", "--family", str(family_path), "--alg", "dynkin", *flags])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--mc" in errors[0]
 
 
 def test_eval_mc_reruns_identically(tmp_path):

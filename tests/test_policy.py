@@ -32,7 +32,7 @@ from secretary_lab import (
     scenario_max,
     solve_optimal,
 )
-from secretary_lab.policy import _simulate
+from secretary_lab.policy import _simulate, _tally
 
 S = Fraction(5)
 BOTH = frozenset({Action.ACCEPT, Action.REJECT})
@@ -399,6 +399,27 @@ def test_random_unconstrained_policy_can_break_consistency(anchor_family):
         )
     ]
     assert broken
+
+
+def test_tally_decides_each_prefix_once():
+    scenario = Scenario(1, (S, Fraction(1), Fraction(2), Fraction(3)))
+    orders = list(itertools.permutations(range(1, 5)))
+    calls = []
+
+    def never(observed, current):
+        calls.append((observed, current))
+        return Action.REJECT
+
+    assert _tally(never, scenario, orders) == {None: 24}
+    # 4 + 12 + 24 + 24 distinct prefixes of lengths 1 to 4
+    assert len(calls) == len(set(calls)) == 64
+
+    def first(observed, current):
+        return Action.ACCEPT
+
+    # the input order of the orders does not matter
+    counts = _tally(first, scenario, orders[::-1])
+    assert counts == {value: 6 for value in scenario.values}
 
 
 def enumerated_consistency(policy, prediction):
