@@ -210,6 +210,8 @@ class MonteCarloEstimate:
 # streams never overlap and trial order or parallel scheduling cannot
 # change any draw.
 _TRIAL_STRIDE = 1 << 128
+# The seed is the Philox key, a 128-bit unsigned integer.
+_SEED_LIMIT = 1 << 128
 
 
 def _trial_generator(seed: int, trial: int) -> np.random.Generator:
@@ -239,6 +241,8 @@ def monte_carlo_estimate(
     require_valid_family(family)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ParameterError(f"seed must be in [0, 2^128), got {seed}")
     if metric not in ("ratio", "success"):
         raise ParameterError(f"metric must be 'ratio' or 'success', got {metric!r}")
     scenarios = [(s, p) for s, p in family.items() if p > 0]

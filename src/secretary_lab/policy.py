@@ -17,14 +17,22 @@ decision to every ordered history that reaches that set.  An optional
 hard constraint restricts actions so that the resulting policy is
 guaranteed to pick a maximum-value candidate whenever the announced
 predictions are exactly correct, for every arrival order.
+
+The induction is exact without Fraction arithmetic: it holds every value
+as a Python integer on one scale fixed per family (row weights p_r / max_r
+over their common denominator L, candidate values over theirs, V) and
+divides once per solve, by n! * V * L.  Policy evaluation, the
+independent check on it, uses plain Fractions.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -100,16 +108,22 @@ class InformationState:
     def arrived_indices(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.arrivals())
 
-    def serialize(self) -> str:
-        prefix = ",".join(f"({i}:{format_value(v)})" for i, v in self.observed)
-        i, v = self.current
-        return f"{prefix}|current=({i}:{format_value(v)})"
+    def serialize(self, render_arrival: Callable[[Arrival], str] | None = None) -> str:
+        """The state as text, each arrival rendered by ``render_arrival``
+        (default ``_render_arrival``)."""
+        render = render_arrival or _render_arrival
+        return ",".join(map(render, self.observed)) + "|current=" + render(self.current)
 
     @classmethod
-    def parse(cls, text: str) -> "InformationState":
+    def parse(
+        cls, text: str, parse_arrival: Callable[[str], Arrival] | None = None
+    ) -> "InformationState":
+        """The inverse of ``serialize``, each arrival parsed by
+        ``parse_arrival`` (default ``_parse_arrival``)."""
+        parse = parse_arrival or _parse_arrival
         prefix, _, current_text = text.partition("|current=")
-        observed = tuple(_parse_arrival(item) for item in prefix.split(",") if item)
-        return cls(observed=observed, current=_parse_arrival(current_text))
+        observed = tuple(parse(item) for item in prefix.split(",") if item)
+        return cls(observed=observed, current=parse(current_text))
 
 
 def _is_arrival(item) -> bool:
@@ -119,6 +133,12 @@ def _is_arrival(item) -> bool:
         and type(item[0]) is int
         and type(item[1]) is Fraction
     )
+
+
+def _render_arrival(arrival: Arrival) -> str:
+    """One arrival as it appears in a serialized state: "(i:v)"."""
+    index, value = arrival
+    return f"({index}:{format_value(value)})"
 
 
 def _parse_arrival(item: str) -> tuple[int, Fraction]:
@@ -150,8 +170,21 @@ class Policy:
         return isinstance(other, Policy) and self.actions == other.actions
 
     def to_dict(self) -> dict[str, str]:
+        # Solved and loaded tables share one tuple per distinct arrival,
+        # so each is rendered once, found by identity: hashing it would
+        # hash its Fraction.  The states keep every arrival alive during
+        # the call.
+        rendered: dict[int, str] = {}
+
+        def render(arrival: Arrival) -> str:
+            text = rendered.get(id(arrival))
+            if text is None:
+                text = rendered[id(arrival)] = _render_arrival(arrival)
+            return text
+
         entries = {
-            state.serialize(): action.value for state, action in self.actions.items()
+            state.serialize(render): action.value
+            for state, action in self.actions.items()
         }
         return dict(sorted(entries.items()))
 
@@ -162,9 +195,12 @@ class Policy:
                 "policy must be a JSON object mapping states to actions, "
                 f"not {type(payload).__name__}"
             )
+        # Each distinct arrival text is parsed once, and its states share
+        # the one tuple, as in a solved table.
+        parse = functools.cache(_parse_arrival)
         return cls(
             {
-                InformationState.parse(key): Action(value)
+                InformationState.parse(key, parse): Action(value)
                 for key, value in payload.items()
             }
         )
@@ -327,46 +363,78 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     copies the decision of its set to it, so the policy table is keyed
     on ordered histories.
 
+    Values are integers on one scale.  Row r weighs W_r = L * p_r / max_r
+    and value v counts v * V, where L and V are the least common multiples
+    of the denominators of the p_r / max_r and of the values.  At a state
+    with d rejected arrivals the accept value is
+    (n - d - 1)! * v * V * (sum of W_r over the rows still possible), a
+    chance node is the plain sum of its child states, and rejecting the
+    last arrival is worth 0.  Each is the true value times the rows'
+    probability mass times (n - d - 1)! * V * L, a positive factor shared
+    by both actions at a state, so every comparison, ties included, is
+    the one on true values; the optimum is the root's integer divided by
+    n! * V * L.  It is checked against evaluate_policy.
+
     Ties between equal-valued actions resolve toward accepting, so the
     returned policy is a deterministic function of the family alone.
     """
     support = _checked_family(family)
     prediction = family.prediction()
     n = family.n
+    weights = [probability / scenario_max(scenario) for scenario, probability in support]
+    weight_scale = math.lcm(*(w.denominator for w in weights))  # L
+    rows = [
+        (scenario, w.numerator * (weight_scale // w.denominator))
+        for (scenario, _), w in zip(support, weights)
+    ]
+    values = list(dict.fromkeys(v for scenario, _ in support for v in scenario.values))
+    value_scale = math.lcm(*(v.denominator for v in values))  # V
+    scaled_values = [v.numerator * (value_scale // v.denominator) for v in values]
+    value_ids = {v: vid for vid, v in enumerate(values)}
+    # Each row's value ids by 0-based column, so that no memo key hashes
+    # a Fraction: a key names an arrival by its (candidate, value id) pair.
+    row_value_ids = {
+        scenario.id: [value_ids[v] for v in scenario.values] for scenario, _ in support
+    }
+    factorials = [math.factorial(m) for m in range(n)]
+    # One tuple per distinct arrival, shared by every state of the table.
+    arrivals: dict[tuple[int, int], tuple[int, Fraction]] = {}
     actions: dict[InformationState, Action] = {}
-    chances: dict[frozenset, Fraction] = {}
-    decisions: dict[tuple[frozenset, tuple[int, Fraction]], tuple[Action, Fraction, bool]] = {}
+    chances: dict[frozenset, int] = {}
+    decisions: dict[tuple[frozenset, tuple[int, int]], tuple[Action, int, bool]] = {}
 
     def decide(
         state: InformationState,
         seen: frozenset,
-        branch: list[tuple[Scenario, Fraction]],
-    ) -> tuple[Action, Fraction]:
-        """Action and value at ``state``, whose rejected arrivals form the
-        set ``seen``; descends into the ordered subtree after a reject
-        whenever rejecting is allowed, so every history in it is recorded."""
-        key = (seen, state.current)
+        pair: tuple[int, int],
+        branch: list[tuple[Scenario, int]],
+    ) -> tuple[Action, int]:
+        """Action and scaled value at ``state``, whose rejected arrivals
+        form the set ``seen`` and whose current arrival is ``pair``, both
+        as (candidate, value id) pairs; descends into the ordered subtree
+        after a reject whenever rejecting is allowed, so every history in
+        it is recorded."""
+        key = (seen, pair)
         known = decisions.get(key)
         if known is not None:
             action, value, descend = known
             if descend:
-                chance(state.arrivals(), branch)
+                chance(state.arrivals(), seen | {pair}, branch)
             return action, value
         allowed = consistent_actions(prediction, state) if constrained else BOTH_ACTIONS
         descend = False
-        if len(state.observed) + 1 == n:
-            reject_value = Fraction(0)
+        depth = len(state.observed)
+        if depth + 1 == n:
+            reject_value = 0
         elif Action.REJECT in allowed:
             descend = True
-            reject_value = chance(state.arrivals(), branch)
+            reject_value = chance(state.arrivals(), seen | {pair}, branch)
         else:
             reject_value = None
-        total_mass = sum(mass for _, mass in branch)
-        offered = state.current[1]
         accept_value = (
-            sum((mass * offered / scenario_max(scenario) for scenario, mass in branch),
-                Fraction(0))
-            / total_mass
+            factorials[n - depth - 1]
+            * scaled_values[pair[1]]
+            * sum(weight for _, weight in branch)
         )
         if Action.ACCEPT in allowed and (
             reject_value is None or accept_value >= reject_value
@@ -374,40 +442,38 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
             action, value = Action.ACCEPT, accept_value
         else:
             action = Action.REJECT
-            value = reject_value if reject_value is not None else Fraction(0)
+            value = reject_value if reject_value is not None else 0
         decisions[key] = (action, value, descend)
         return action, value
 
     def chance(
         observed: tuple[tuple[int, Fraction], ...],
-        branch: list[tuple[Scenario, Fraction]],
-    ) -> Fraction:
-        """Value once ``observed`` has been rejected; records the action
-        of every ordered state that follows."""
-        seen = frozenset(observed)
+        seen: frozenset,
+        branch: list[tuple[Scenario, int]],
+    ) -> int:
+        """Scaled value once ``observed`` (the set ``seen``) has been
+        rejected, the sum of its children's; records the action of every
+        ordered state that follows."""
         known = chances.get(seen)
-        if known is None:
-            total_mass = sum(mass for _, mass in branch)
-            share = Fraction(1, n - len(observed))
-        acc = Fraction(0)
+        acc = 0
         for j, value, sub in _branches(n, observed, branch):
-            state = InformationState(observed, (j, value))
-            action, state_value = decide(state, seen, sub)
+            pair = (j, row_value_ids[sub[0][0].id][j - 1])
+            state = InformationState(observed, arrivals.setdefault(pair, (j, value)))
+            action, state_value = decide(state, seen, pair, sub)
             actions[state] = action
-            if known is None:
-                sub_mass = sum(mass for _, mass in sub)
-                acc += share * (sub_mass / total_mass) * state_value
+            acc += state_value
         if known is None:
             chances[seen] = known = acc
         return known
 
     try:
-        optimum = chance((), support)
+        scaled_optimum = chance((), frozenset(), rows)
     finally:
         # decide and chance refer to each other, so without this the
         # tables would live on until the cycle collector runs.
         chances.clear()
         decisions.clear()
+    optimum = Fraction(scaled_optimum, math.factorial(n) * value_scale * weight_scale)
     policy = Policy(actions)
     evaluation = evaluate_policy(policy, family)
     if evaluation.optimum != optimum:
@@ -468,17 +534,27 @@ def _exact_ratios(
 ) -> tuple[Fraction, dict[int, Fraction]]:
     """Mixture expected ratio of a decision rule and its conditional
     expected ratio on each row of positive probability, over all n!
-    arrival orders of every row."""
+    arrival orders of every row.
+
+    A row's conditional ratio is its accepted values summed over the
+    orders, divided once by its maximum times the number of orders."""
     support = _checked_family(family)
     orders = list(itertools.permutations(range(1, family.n + 1)))
     mixture = Fraction(0)
     per_row: dict[int, Fraction] = {}
     for scenario, probability in support:
-        tally = _tally(decide, scenario, orders).items()
-        per_row[scenario.id] = conditional = sum(
-            (count * competitive_ratio(accepted, scenario) for accepted, count in tally),
-            Fraction(0),
-        ) / len(orders)
+        accepted_total = Fraction(0)
+        for accepted, count in _tally(decide, scenario, orders).items():
+            if accepted is None:
+                continue
+            if accepted not in scenario.values:
+                raise ValueError(
+                    f"accepted value {accepted} is not a value of scenario {scenario.id}"
+                )
+            accepted_total += count * accepted
+        per_row[scenario.id] = conditional = accepted_total / (
+            scenario_max(scenario) * len(orders)
+        )
         mixture += probability * conditional
     return mixture, per_row
 

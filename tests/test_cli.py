@@ -375,18 +375,87 @@ def test_main_entry(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["alpha"]["exact"] == "18/25"
 
 
-def test_python_dash_m_runs_the_cli():
+def run_package(args, tmp_path, optimize=False):
+    """Run ``python [-O] args`` in ``tmp_path`` with the package importable."""
     package_root = str(Path(secretary_lab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (package_root, env.get("PYTHONPATH")))
     )
-    result = subprocess.run(
-        [sys.executable, "-m", "secretary_lab", "--help"],
+    env.pop("PYTHONOPTIMIZE", None)
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, *args],
         capture_output=True,
         text=True,
         env=env,
-        timeout=60,
+        cwd=tmp_path,
+        timeout=120,
     )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    result = run_package(["-m", "secretary_lab", "--help"], tmp_path)
     assert result.returncode == 0
     assert "usage: secretary-lab" in result.stdout
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_eval_mc_refuses_a_seed_out_of_range(tmp_path, capsys, seed):
+    family_path = gen_family(tmp_path)
+    argv = ["eval", "--family", str(family_path), "--alg", "dynkin", "--mc", "--seed", seed]
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: seed must be in [0, 2^128), got {seed}"]
+
+
+def test_cli_prints_the_same_bytes_under_python_dash_o(tmp_path):
+    # Every cross-check raises rather than asserts, so -O changes nothing.
+    commands = (
+        ["verify", "--preset", "paper-19-20"],
+        ["solve", "--eps", "1/10", "--s", "5", "--k", "4", "--n", "4",
+         "--policy-out", "policy.json"],
+    )
+    for command in commands:
+        runs = []
+        for optimize in (False, True):
+            result = run_package(["-m", "secretary_lab", *command], tmp_path, optimize)
+            assert result.returncode == 0, result.stderr
+            policy = tmp_path / "policy.json"
+            runs.append((result.stdout, policy.read_bytes() if policy.exists() else None))
+            policy.unlink(missing_ok=True)
+        assert runs[0] == runs[1]
+        assert runs[0][0]
+        assert (runs[0][1] is not None) == ("--policy-out" in command)
+
+
+SKEWED_SELF_CHECK = """
+import sys
+from fractions import Fraction
+import secretary_lab.policy as policy
+from secretary_lab import ConstructionParams, build_hard_family
+
+assert False, "asserts must be stripped"
+evaluate = policy.evaluate_policy
+
+def skewed(table, family):
+    report = evaluate(table, family)
+    report.optimum += Fraction(1, 10**9)
+    return report
+
+policy.evaluate_policy = skewed
+family = build_hard_family(ConstructionParams(Fraction(1, 10), Fraction(5), 4))
+try:
+    policy.solve_optimal(family, constrained=True)
+except RuntimeError as err:
+    print(err)
+    sys.exit(0)
+sys.exit(3)
+"""
+
+
+def test_solver_self_check_raises_under_python_dash_o(tmp_path):
+    result = run_package(["-c", SKEWED_SELF_CHECK], tmp_path, optimize=True)
+    assert result.returncode == 0, result.stderr
+    assert "disagree" in result.stdout

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secretary_lab import (
@@ -504,3 +504,84 @@ def test_solver_brute_force_and_evaluation_agree(family):
 def test_solver_matches_closed_form_on_hard_families(eps, s, k, n):
     family = build_hard_family(ConstructionParams(eps, Fraction(s), k, n=n))
     assert solve_optimal(family, constrained=True).optimum == oracle_optimum(eps, s, k)
+
+
+# ---------------------------------------------------------------------------
+# The integer scale of the induction: weights p_r / max_r over their common
+# denominator and values over theirs, one division per solve.
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@example(eps=Fraction(1, 10), s=Fraction(5, 4), k=4, n=3)
+@example(eps=Fraction(1, 10), s=Fraction(7, 3), k=6, n=5)
+@given(
+    eps=st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=1000).filter(
+        lambda eps: eps > 0
+    ),
+    s=st.fractions(min_value=1, max_value=80, max_denominator=20).filter(lambda s: s > 1),
+    k=st.sampled_from((4, 6)),
+    n=st.integers(3, 5),
+)
+def test_solver_matches_closed_form_at_rational_s(eps, s, k, n):
+    family = build_hard_family(ConstructionParams(eps, s, k, n=n))
+    assert solve_optimal(family, constrained=True).optimum == oracle_optimum(eps, s, k)
+
+
+# Values whose denominators are pairwise coprime, so the value scale is
+# their product; ties across rows still occur.
+COPRIME_VALUES = st.sampled_from((Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)))
+
+
+@st.composite
+def coprime_families(draw) -> PriorFamily:
+    """Families with n <= 3, three rows with probabilities a/7, b/11 and
+    the rest (denominator 77), and one extra row of mass zero."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    first = Fraction(draw(st.integers(1, 3)), 7)
+    second = Fraction(draw(st.integers(1, 4)), 11)
+    probabilities = (first, second, 1 - first - second, Fraction(0))
+    order = draw(st.permutations(range(4)))
+    scenarios = tuple(
+        Scenario(row, tuple(draw(COPRIME_VALUES) for _ in range(n)))
+        for row in range(1, 5)
+    )
+    return PriorFamily(
+        n=n,
+        scenarios=scenarios,
+        probabilities=tuple(probabilities[i] for i in order),
+        prediction_id=draw(st.integers(1, 4)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(coprime_families())
+def test_scaled_induction_agrees_on_coprime_denominators(family):
+    for constrained in (True, False):
+        solved = solve_optimal(family, constrained=constrained)
+        assert brute_force_optimum(family, constrained=constrained) == solved.optimum
+        evaluated = evaluate_policy(solved.policy, family)
+        assert (evaluated.optimum, evaluated.per_row) == (solved.optimum, solved.per_row)
+
+
+def test_policy_text_does_not_depend_on_shared_arrivals(anchor_family):
+    # A solved table shares one tuple per distinct arrival; a table that
+    # holds a fresh copy of every arrival must write the same text, and
+    # loading it shares the arrivals again.
+    solved = solve_optimal(anchor_family, constrained=False).policy
+
+    def fresh(arrival):
+        return (arrival[0], Fraction(arrival[1].numerator, arrival[1].denominator))
+
+    copied = Policy(
+        {
+            InformationState(tuple(map(fresh, key.observed)), fresh(key.current)): action
+            for key, action in solved.actions.items()
+        }
+    )
+    assert copied.to_json() == solved.to_json()
+    loaded = Policy.from_dict(copied.to_dict())
+    assert loaded == solved
+    for policy in (solved, loaded):
+        arrivals = [arrival for key in policy.actions for arrival in key.arrivals()]
+        assert len({id(arrival) for arrival in arrivals}) == len(set(arrivals))
