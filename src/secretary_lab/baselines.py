@@ -41,6 +41,7 @@ from .policy import (
     Policy,
     SolveReport,
     _exact_ratios,
+    _simulate,
     _tally,
     evaluate_policy,
     reachable_states,
@@ -143,13 +144,7 @@ def run_algorithm(
     alg: OnlineAlgorithm, scenario: Scenario, order: Sequence[int]
 ) -> Fraction | None:
     """Accepted value when the algorithm faces one arrival order."""
-    history: History = ()
-    for index in order:
-        arrival = (index, scenario.value_at(index))
-        if alg.decide(history, arrival) is Action.ACCEPT:
-            return arrival[1]
-        history += (arrival,)
-    return None
+    return _simulate(alg.decide, scenario, order)
 
 
 def exact_expected_ratio(alg: OnlineAlgorithm, family: PriorFamily) -> Fraction:

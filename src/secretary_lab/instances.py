@@ -256,10 +256,6 @@ def _field(entry: dict, key: str, kind: type, where: str):
     return _shaped(entry[key], kind, f"{key!r} of {where}")
 
 
-def dump_family(family: PriorFamily, path: str | Path) -> None:
-    Path(path).write_text(render_family_json(family), encoding="utf-8")
-
-
 def render_family_json(family: PriorFamily) -> str:
     return json.dumps(family_to_dict(family), indent=2, sort_keys=False) + "\n"
 

@@ -11,9 +11,10 @@ A policy is a table keyed on full observation histories, the arrivals in
 the order they came.  The values behind it depend only on which arrivals
 have been seen, not on their order: the posterior, the accept value, the
 consistency constraint and the value after a reject are all functions of
-the set of arrivals.  Backward induction therefore computes each value
-once per set of arrivals, with exact posterior weights, and copies the
-decision to every ordered history that reaches that set.  An optional
+the set of arrivals.  Backward induction therefore runs once per set of
+arrivals, with exact posterior weights, and memoises each set's value and
+its decisions; one walk over that memo then copies each decision to every
+ordered history that reaches its set.  An optional
 hard constraint restricts actions so that the resulting policy is
 guaranteed to pick a maximum-value candidate whenever the announced
 predictions are exactly correct, for every arrival order.
@@ -207,7 +208,7 @@ class Policy:
 
     def to_json(self) -> str:
         """The policy file's text: sorted states, two-space indent."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def dump(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -338,8 +339,10 @@ def _branches(
     value j takes in ``branch``, in first-seen row order, where ``sub``
     holds the rows of ``branch`` that show that value.
 
-    This order fixes the state order of reachable_states, and with it
-    random_policy per seed and the traversal of every solver walk.
+    The steps depend only on which arrivals ``observed`` holds, not on
+    their order, so the solver takes them once per set of arrivals.  This
+    order fixes the state order of reachable_states, and with it
+    random_policy per seed and the order of the solver's memo.
     """
     arrived = {i for i, _ in observed}
     for j in range(1, n + 1):
@@ -356,12 +359,12 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     """Exact optimal deterministic policy by backward induction, optionally
     restricted to the consistency constraint.
 
-    The induction runs once per set of arrivals: the value after a set of
-    rejections is memoised on that set, and the decision at a state on
-    the set plus the current arrival.  One depth-first walk over the
-    history tree visits every ordered history the induction enters and
-    copies the decision of its set to it, so the policy table is keyed
-    on ordered histories.
+    Two passes share one memo, keyed on the set of rejected arrivals.  The
+    induction visits each set once: for each next arrival it keeps the
+    better allowed action and, where rejecting is allowed, the set after
+    a reject.  The table walk then follows the memo from the empty
+    history and writes each action to every ordered history that reaches
+    its set, so the policy table is keyed on ordered histories.
 
     Values are integers on one scale.  Row r weighs W_r = L * p_r / max_r
     and value v counts v * V, where L and V are the least common multiples
@@ -400,79 +403,72 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     # One tuple per distinct arrival, shared by every state of the table.
     arrivals: dict[tuple[int, int], tuple[int, Fraction]] = {}
     actions: dict[InformationState, Action] = {}
-    chances: dict[frozenset, int] = {}
-    decisions: dict[tuple[frozenset, tuple[int, int]], tuple[Action, int, bool]] = {}
+    # Per set of rejected arrivals: its scaled value and, per next
+    # arrival, (arrival, action, set after a reject or None).
+    steps: dict[frozenset, tuple[int, list]] = {}
 
-    def decide(
-        state: InformationState,
-        seen: frozenset,
-        pair: tuple[int, int],
-        branch: list[tuple[Scenario, int]],
-    ) -> tuple[Action, int]:
-        """Action and scaled value at ``state``, whose rejected arrivals
-        form the set ``seen`` and whose current arrival is ``pair``, both
-        as (candidate, value id) pairs; descends into the ordered subtree
-        after a reject whenever rejecting is allowed, so every history in
-        it is recorded."""
-        key = (seen, pair)
-        known = decisions.get(key)
-        if known is not None:
-            action, value, descend = known
-            if descend:
-                chance(state.arrivals(), seen | {pair}, branch)
-            return action, value
-        allowed = consistent_actions(prediction, state) if constrained else BOTH_ACTIONS
-        descend = False
-        depth = len(state.observed)
-        if depth + 1 == n:
-            reject_value = 0
-        elif Action.REJECT in allowed:
-            descend = True
-            reject_value = chance(state.arrivals(), seen | {pair}, branch)
-        else:
-            reject_value = None
-        accept_value = (
-            factorials[n - depth - 1]
-            * scaled_values[pair[1]]
-            * sum(weight for _, weight in branch)
-        )
-        if Action.ACCEPT in allowed and (
-            reject_value is None or accept_value >= reject_value
-        ):
-            action, value = Action.ACCEPT, accept_value
-        else:
-            action = Action.REJECT
-            value = reject_value if reject_value is not None else 0
-        decisions[key] = (action, value, descend)
-        return action, value
-
-    def chance(
+    def induct(
         observed: tuple[tuple[int, Fraction], ...],
         seen: frozenset,
         branch: list[tuple[Scenario, int]],
     ) -> int:
-        """Scaled value once ``observed`` (the set ``seen``) has been
-        rejected, the sum of its children's; records the action of every
-        ordered state that follows."""
-        known = chances.get(seen)
-        acc = 0
+        """Scaled value once ``observed``, the set ``seen`` of (candidate,
+        value id) pairs, has been rejected; ``branch`` holds the rows it
+        leaves possible."""
+        known = steps.get(seen)
+        if known is not None:
+            return known[0]
+        depth = len(seen)
+        total = 0
+        children = []
         for j, value, sub in _branches(n, observed, branch):
             pair = (j, row_value_ids[sub[0][0].id][j - 1])
-            state = InformationState(observed, arrivals.setdefault(pair, (j, value)))
-            action, state_value = decide(state, seen, pair, sub)
+            arrival = arrivals.setdefault(pair, (j, value))
+            allowed = (
+                consistent_actions(prediction, InformationState(observed, arrival))
+                if constrained
+                else BOTH_ACTIONS
+            )
+            after = None
+            if depth + 1 == n:
+                reject_value = 0
+            elif Action.REJECT in allowed:
+                after = seen | {pair}
+                reject_value = induct(observed + (arrival,), after, sub)
+            else:
+                reject_value = None
+            accept_value = (
+                factorials[n - depth - 1]
+                * scaled_values[pair[1]]
+                * sum(weight for _, weight in sub)
+            )
+            if Action.ACCEPT in allowed and (
+                reject_value is None or accept_value >= reject_value
+            ):
+                action, state_value = Action.ACCEPT, accept_value
+            else:
+                action, state_value = Action.REJECT, reject_value or 0
+            children.append((arrival, action, after))
+            total += state_value
+        steps[seen] = (total, children)
+        return total
+
+    def record(observed: tuple[tuple[int, Fraction], ...], seen: frozenset) -> None:
+        """Write the action of every ordered history that follows
+        ``observed``, the set ``seen``, into the table."""
+        for arrival, action, after in steps[seen][1]:
+            state = InformationState(observed, arrival)
+            if after is not None:
+                record(state.arrivals(), after)
             actions[state] = action
-            acc += state_value
-        if known is None:
-            chances[seen] = known = acc
-        return known
 
     try:
-        scaled_optimum = chance((), frozenset(), rows)
+        scaled_optimum = induct((), frozenset(), rows)
+        record((), frozenset())
     finally:
-        # decide and chance refer to each other, so without this the
-        # tables would live on until the cycle collector runs.
-        chances.clear()
-        decisions.clear()
+        # induct and record refer to themselves, so without this the memo
+        # would live on until the cycle collector runs.
+        steps.clear()
     optimum = Fraction(scaled_optimum, math.factorial(n) * value_scale * weight_scale)
     policy = Policy(actions)
     evaluation = evaluate_policy(policy, family)
@@ -496,14 +492,13 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 def _simulate(
-    policy: Policy, scenario: Scenario, order: tuple[int, ...]
+    decide: DecideFn, scenario: Scenario, order: Sequence[int]
 ) -> Fraction | None:
-    """Run the policy on one arrival order; returns the accepted value."""
-    observed: tuple[tuple[int, Fraction], ...] = ()
+    """Run a decision rule on one arrival order; returns the accepted value."""
+    observed: History = ()
     for index in order:
         arrival = (index, scenario.value_at(index))
-        state = InformationState(observed, arrival)
-        if policy.action_for(state) is Action.ACCEPT:
+        if decide(observed, arrival) is Action.ACCEPT:
             return arrival[1]
         observed += (arrival,)
     return None
@@ -692,7 +687,7 @@ def brute_force_optimum(
             contribution = Fraction(0)
             for scenario, mass in sub:
                 for order in subtree_orders:
-                    accepted = _simulate(policy, scenario, order)
+                    accepted = _simulate(policy.decide, scenario, order)
                     contribution += (
                         mass * order_weight * competitive_ratio(accepted, scenario)
                     )

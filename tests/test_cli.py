@@ -410,6 +410,20 @@ def test_eval_mc_refuses_a_seed_out_of_range(tmp_path, capsys, seed):
     assert captured.err.splitlines() == [f"error: seed must be in [0, 2^128), got {seed}"]
 
 
+def test_eval_mc_reports_an_allocation_failure_as_one_line(tmp_path, capsys):
+    # 10^15 trials need 8 PB for the row draws alone, beyond any 47-bit
+    # address space, so the allocation fails at once.
+    family_path = gen_family(tmp_path)
+    argv = ["eval", "--family", str(family_path), "--alg", "dynkin", "--mc",
+            "--trials", str(10**15)]
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: out of memory")
+
+
 def test_cli_prints_the_same_bytes_under_python_dash_o(tmp_path):
     # Every cross-check raises rather than asserts, so -O changes nothing.
     commands = (

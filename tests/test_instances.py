@@ -11,7 +11,6 @@ from secretary_lab import (
     Scenario,
     UndefinedErrorMeasureError,
     competitive_ratio,
-    dump_family,
     load_family,
     prediction_error,
     render_family_json,
@@ -205,7 +204,7 @@ def test_family_accessors():
 def test_family_json_round_trip(tmp_path):
     family = _small_family(base=S)
     path = tmp_path / "family.json"
-    dump_family(family, path)
+    path.write_text(render_family_json(family), encoding="utf-8")
     loaded = load_family(path)
     assert loaded == family
 
@@ -227,7 +226,7 @@ def test_family_json_without_base(tmp_path):
     assert "base_s" not in payload
     assert payload["scenarios"][1]["values"] == ["5", "25", "125"]
     path = tmp_path / "plain.json"
-    dump_family(family, path)
+    path.write_text(render_family_json(family), encoding="utf-8")
     assert load_family(path) == family
 
 

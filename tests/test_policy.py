@@ -224,6 +224,27 @@ def test_solved_policy_covers_every_reachable_state(anchor_family):
     assert set(constrained.policy.actions) <= set(unconstrained.policy.actions)
 
 
+@pytest.mark.parametrize("constrained", (True, False))
+def test_solver_branches_once_per_set_of_arrivals(monkeypatch, constrained):
+    # The induction depends on the set of rejected arrivals only, so it
+    # takes the chance step once per set, not once per ordered history.
+    import secretary_lab.policy as policy_module
+
+    calls = []
+    branches = policy_module._branches
+
+    def counted(n, observed, branch):
+        calls.append(observed)
+        return branches(n, observed, branch)
+
+    monkeypatch.setattr(policy_module, "_branches", counted)
+    family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=5))
+    report = solve_optimal(family, constrained=constrained)
+    sets = {frozenset(state.observed) for state in report.policy.actions}
+    assert len(calls) == len(sets)
+    assert len(sets) < len(report.policy)
+
+
 def test_report_to_dict(anchor_family):
     payload = solve_optimal(anchor_family, constrained=True).to_dict(digits=6)
     assert payload["optimum"] == {"exact": "1703/3125", "decimal": "0.544960"}
@@ -354,7 +375,7 @@ def enumerated_evaluation(policy, family):
         if probability == 0:
             continue
         row_total = sum(
-            (competitive_ratio(_simulate(policy, scenario, order), scenario)
+            (competitive_ratio(_simulate(policy.decide, scenario, order), scenario)
              for order in orders),
             Fraction(0),
         )
@@ -427,7 +448,7 @@ def enumerated_consistency(policy, prediction):
     prediction row, each of which must accept a maximum value."""
     best = scenario_max(prediction)
     orders = itertools.permutations(range(1, len(prediction.values) + 1))
-    return all(_simulate(policy, prediction, order) == best for order in orders)
+    return all(_simulate(policy.decide, prediction, order) == best for order in orders)
 
 
 @pytest.mark.parametrize("n", (4, 5))

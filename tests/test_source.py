@@ -1,6 +1,8 @@
 """Guards on the package source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import secretary_lab
@@ -20,3 +22,25 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_every_traced_name_resolves():
+    # The benchmark's traced run rebinds functions by qualified name; a
+    # renamed or deleted function would break it, so check the names here.
+    # Loading the tracer module only reads it: nothing is installed.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [*tracer.SPANS, *tracer.COUNTED, *tracer.TAKES_ALGORITHM]
+    assert len(names) > 1
+    missing = []
+    for qualname in names:
+        module_name, _, attr = qualname.partition(".")
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+        if "." in attr:
+            class_name, attr = attr.split(".")
+            owner = vars(owner).get(class_name)
+        if owner is None or attr not in vars(owner):
+            missing.append(qualname)
+    assert missing == []
