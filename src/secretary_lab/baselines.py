@@ -14,7 +14,6 @@ batch runner when the rule has one) where n! is out of reach.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections import Counter
@@ -200,17 +199,50 @@ class MonteCarloEstimate:
         }
 
 
-# Each trial owns a counter block: trial i uses the 256-bit Philox counter
-# starting at i * 2^128, leaving 2^128 draws of in-trial headroom, so the
-# streams never overlap and trial order or parallel scheduling cannot
-# change any draw.
-_TRIAL_STRIDE = 1 << 128
+# Each trial owns a counter block: trial i draws from the 256-bit Philox
+# counter starting at i * 2^128, leaving 2^128 draws of in-trial headroom,
+# so the streams never overlap and trial order or chunking cannot change
+# any draw.  One generator serves every trial: before each trial
+# _draw_trials sets its counter to words [0, 0, i mod 2^64, i >> 64] and
+# empties its buffers, the state a fresh Philox(key=seed,
+# counter=i * 2^128) starts in.
+_WORD = 1 << 64
 # The seed is the Philox key, a 128-bit unsigned integer.
 _SEED_LIMIT = 1 << 128
+# Generator.random() returns m / 2^53 for an integer 0 <= m < 2^53.
+_UNIFORM_SCALE = 1 << 53
 
 
-def _trial_generator(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=trial * _TRIAL_STRIDE))
+def _draw_trials(
+    seed: int, first: int, orders: np.ndarray, row_draws: np.ndarray | None
+) -> None:
+    """Fill ``orders[t]`` with the 0-based arrival order of trial
+    ``first + t`` and, when ``row_draws`` (int64) is given,
+    ``row_draws[t]`` with the m of its row uniform m / 2^53, drawn first
+    from the trial's counter block."""
+    bit_generator = np.random.Philox(key=seed)
+    rng = np.random.Generator(bit_generator)
+    # A fresh state: counter 0, buffer_pos 4, has_uint32 0, uinteger 0.
+    state = bit_generator.state
+    counter = state["state"]["counter"]
+    orders[:] = np.arange(orders.shape[1])
+    for offset, order in enumerate(orders):
+        counter[3], counter[2] = divmod(first + offset, _WORD)
+        bit_generator.state = state
+        if row_draws is not None:
+            row_draws[offset] = rng.random() * _UNIFORM_SCALE
+        # the same draws as permutation(n), which shuffles a fresh arange(n)
+        rng.shuffle(order)
+
+
+def _pick_rows(cumulative: Sequence[Fraction], row_draws: np.ndarray) -> np.ndarray:
+    """``bisect_right(cumulative, m / 2^53)`` for every m in ``row_draws``,
+    in integers: m / 2^53 reaches c exactly when m >= ceil(c * 2^53)."""
+    thresholds = np.array(
+        [-(-c.numerator * _UNIFORM_SCALE // c.denominator) for c in cumulative],
+        dtype=np.int64,
+    )
+    return np.searchsorted(thresholds, row_draws, side="right")
 
 
 def monte_carlo_estimate(
@@ -224,9 +256,12 @@ def monte_carlo_estimate(
 
     metric "ratio" is the competitive ratio of the accepted value;
     "success" is the indicator of having accepted a maximum-value
-    candidate.  Row selection compares a uniform draw against exact
-    cumulative probabilities, and the totals are accumulated in exact
-    arithmetic, so results are reproducible across platforms.
+    candidate.  Trial i draws from its own Philox counter block
+    (``_draw_trials``): a row uniform when the family has more than one
+    row, then the arrival order.  The row uniform, exactly m / 2^53, is
+    compared in integers against the exact cumulative probabilities
+    (``_pick_rows``), and the totals are accumulated in exact arithmetic,
+    so results are reproducible across platforms.
 
     The outcome of a trial depends only on its row and the accepted
     value, so each row's trials are tallied by accepted value
@@ -241,26 +276,20 @@ def monte_carlo_estimate(
     if metric not in ("ratio", "success"):
         raise ParameterError(f"metric must be 'ratio' or 'success', got {metric!r}")
     scenarios = [(s, p) for s, p in family.items() if p > 0]
-    cumulative = list(itertools.accumulate(p for _, p in scenarios))
-    n = family.n
-    multi_row = len(scenarios) > 1
 
-    # Draw all randomness first, one substream per trial: an optional row
-    # uniform (exact bisection of the cumulative probabilities, strictly
-    # rising without zero-mass rows), then the arrival order.
-    rows = np.zeros(trials, dtype=np.int64)
-    orders = np.empty((trials, n), dtype=np.int64)
-    for trial in range(trials):
-        rng = _trial_generator(seed, trial)
-        if multi_row:
-            u = Fraction(float(rng.random()))
-            rows[trial] = bisect.bisect_right(cumulative, u)
-        orders[trial] = rng.permutation(n)
+    # Draw all randomness first, into buffers allocated before the first
+    # draw: per trial an optional row uniform, then the arrival order.
+    orders = np.empty((trials, family.n), dtype=np.int64)
+    rows = np.empty(trials, dtype=np.int64) if len(scenarios) > 1 else None
+    _draw_trials(seed, 0, orders, rows)
+    if rows is not None:
+        # The cumulative probabilities rise strictly without zero-mass rows.
+        rows = _pick_rows(list(itertools.accumulate(p for _, p in scenarios)), rows)
 
     total = Fraction(0)
     total_sq = Fraction(0)
     for row, (scenario, _) in enumerate(scenarios):
-        block = orders[rows == row]
+        block = orders if rows is None else orders[rows == row]
         if block.shape[0] == 0:
             continue
         for accepted, count in _acceptance_counts(alg, block, scenario).items():
@@ -289,8 +318,14 @@ def _acceptance_counts(
     """How many orders of ``block`` (rows of 0-based arrival orders) end
     with each accepted value (``None``: nothing accepted)."""
     if alg.run_batch is not None:
-        accepted = alg.run_batch(block, scenario).tolist()
-        return Counter(None if c < 0 else scenario.values[c] for c in accepted)
+        # Count candidate indices, then merge candidates of equal value:
+        # bin 0 counts "nothing accepted" (-1), bin c + 1 candidate c.
+        counts = np.bincount(alg.run_batch(block, scenario) + 1).tolist()
+        tally: Counter[Fraction | None] = Counter()
+        for index, count in enumerate(counts, start=-1):
+            if count:
+                tally[None if index < 0 else scenario.values[index]] += count
+        return tally
     return _tally(alg.decide, scenario, (block + 1).tolist())
 
 

@@ -84,11 +84,26 @@ def _params_from_args(args: argparse.Namespace) -> ConstructionParams:
     if args.eps is None or args.s is None or args.k is None:
         raise ParameterError("--eps, --s and --k are all required here")
     return ConstructionParams(
-        mix_eps=parse_value(args.eps),
-        s=parse_value(args.s),
+        mix_eps=_flag_value("--eps", args.eps),
+        s=_flag_value("--s", args.s),
         k=args.k,
         n=getattr(args, "n", 3),
     )
+
+
+def _flag_value(flag: str, text: str) -> Fraction:
+    """parse_value, with a bad value reported under its flag."""
+    try:
+        return parse_value(text)
+    except ValueError as exc:
+        raise ParameterError(f"{flag}: {exc}") from None
+
+
+def _flag_int(flag: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"{flag}: not an integer: {text!r}") from None
 
 
 def _family_from_args(args: argparse.Namespace) -> PriorFamily:
@@ -185,9 +200,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    eps_values = [parse_value(item) for item in args.eps.split(",")]
-    s_values = [parse_value(item) for item in args.s.split(",")]
-    k_values = [int(item) for item in args.k.split(",")]
+    eps_values = [_flag_value("--eps", item) for item in args.eps.split(",")]
+    s_values = [_flag_value("--s", item) for item in args.s.split(",")]
+    k_values = [_flag_int("--k", item) for item in args.k.split(",")]
     points = len(eps_values) * len(s_values) * len(k_values)
     if points > args.max_points:
         raise ParameterError(

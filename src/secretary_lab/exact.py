@@ -43,7 +43,7 @@ def parse_value(text: str, base: Fraction | None = None) -> Fraction:
             raise ValueError(f"power form {text!r} needs a family base")
         if base == 0:
             raise ValueError(f"power form {text!r} needs a nonzero family base")
-        exponent = int(text[2:])
+        exponent = _integer(text[2:], text)
         base = Fraction(base)
         size = max(base.numerator.bit_length(), base.denominator.bit_length())
         if abs(exponent) * size > MAX_POWER_BITS:
@@ -53,11 +53,19 @@ def parse_value(text: str, base: Fraction | None = None) -> Fraction:
         return base ** exponent
     if "/" in text:
         num_text, den_text = text.split("/", 1)
-        denominator = int(den_text)
+        denominator = _integer(den_text, text)
         if denominator == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num_text), denominator)
-    return Fraction(int(text))
+        return Fraction(_integer(num_text, text), denominator)
+    return Fraction(_integer(text, text))
+
+
+def _integer(part: str, text: str) -> int:
+    """``int(part)``; a bad part is an error that quotes the whole value."""
+    try:
+        return int(part)
+    except ValueError:
+        raise ValueError(f"not a value: {text!r} (use p, p/q or s^e)") from None
 
 
 def format_value(x: Fraction) -> str:

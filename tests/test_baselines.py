@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -31,6 +32,7 @@ from secretary_lab import (
     prediction_argmax_policy,
     run_algorithm,
 )
+from secretary_lab.baselines import _draw_trials, _pick_rows
 
 F = Fraction
 
@@ -297,6 +299,50 @@ def test_monte_carlo_row_draws_are_pinned():
         "/3552713678800500929355621337890625000000000000000000000000000000000000000000000000000000"
     )
     assert estimate.std_error == 0.011020884573593156
+
+
+@pytest.mark.parametrize("seed", [0, 2**128 - 1], ids=["seed-0", "seed-max"])
+@pytest.mark.parametrize("first", [0, 2**64 - 1], ids=["from-0", "from-2^64-1"])
+@pytest.mark.parametrize(
+    "n, with_uniform", [(100, False), (3, True)], ids=["single-row", "multi-row"]
+)
+def test_monte_carlo_draws_match_a_fresh_generator_per_trial(seed, first, n, with_uniform):
+    # The reference builds trial t's substream from scratch; from
+    # first = 2^64 - 1 the second trial carries into counter word 3.
+    trials = 40
+    orders = np.empty((trials, n), dtype=np.int64)
+    row_draws = np.empty(trials, dtype=np.int64) if with_uniform else None
+    _draw_trials(seed, first, orders, row_draws)
+    for t in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=(first + t) * 2**128))
+        if with_uniform:
+            assert F(int(row_draws[t]), 2**53) == F(rng.random())
+        assert orders[t].tolist() == rng.permutation(n).tolist()
+
+
+@pytest.mark.parametrize(
+    "probabilities",
+    [
+        (F(1, 2), F(1, 4), F(1, 4)),
+        build_hard_family(ConstructionParams(F(1, 10), F(50), 50, n=3)).probabilities,
+    ],
+    ids=["dyadic", "99-row"],
+)
+def test_row_picks_match_bisection_at_every_boundary(probabilities):
+    # Generator.random() returns m / 2^53; try m on and either side of
+    # every cumulative boundary.  Dyadic boundaries are hit exactly.
+    scale = 2**53
+    cumulative = list(itertools.accumulate(p for p in probabilities if p > 0))
+    numerators = sorted({
+        m
+        for c in cumulative
+        for t in (math.ceil(c * scale),)
+        for m in (t - 1, t, t + 1)
+        if 0 <= m < scale
+    })
+    assert _pick_rows(cumulative, np.array(numerators)).tolist() == [
+        bisect.bisect_right(cumulative, F(m, scale)) for m in numerators
+    ]
 
 
 def test_monte_carlo_single_trial(anchor_family):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -246,6 +247,55 @@ def test_eval_mc_reruns_identically(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["estimate"]["trials"] == 500
+
+
+def test_eval_mc_bytes_are_pinned(tmp_path, capsys):
+    # SHA-256 of the stdout, recorded before the draws were made cheaper.
+    family_path = tmp_path / "family20.json"
+    assert run_command(["gen", "--eps", "1/10", "--s", "5", "--k", "4", "--n", "20",
+                        "-o", str(family_path)]) == 0
+    small_path = tmp_path / "family4.json"
+    policy_path = tmp_path / "policy4.json"
+    assert run_command(["gen", "--eps", "1/10", "--s", "5", "--k", "4", "--n", "4",
+                        "-o", str(small_path)]) == 0
+    assert run_command(["solve", "--family", str(small_path),
+                        "--policy-out", str(policy_path)]) == 0
+    capsys.readouterr()
+    runs = (
+        (["--family", str(family_path), "--alg", "dynkin", "--seed", "0"],
+         "6c5902a38b8efdfc9310d8e6816c2abd0beea371ed110af5919c180487c33f1e"),
+        (["--family", str(small_path), "--alg", f"policy:{policy_path}", "--seed", "3"],
+         "9b1193461c24490f440bc04d0ce8615db894fc4d8c7df0a83d65123b9c7019bb"),
+    )
+    for argv, digest in runs:
+        assert run_command(["eval", *argv, "--mc", "--trials", "2000"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "--eps", "1/10", "--s", "5/x", "--k", "4"],
+         "error: --s: not a value: '5/x' (use p, p/q or s^e)"),
+        (["bounds", "--eps", "1.5", "--s", "5", "--k", "4"],
+         "error: --eps: not a value: '1.5' (use p, p/q or s^e)"),
+        (["sweep", "--eps", "1/10", "--s", "5", "--k", "4,,6"],
+         "error: --k: not an integer: ''"),
+        (["sweep", "--eps", "1/10", "--s", "5,s^2", "--k", "4"],
+         "error: --s: power form 's^2' needs a family base"),
+    ],
+    ids=["bounds-s", "bounds-eps", "sweep-k", "sweep-s"],
+)
+def test_bad_value_is_one_error_naming_flag_and_item(tmp_path, capsys, argv, message):
+    out = tmp_path / "sweep.csv"
+    if argv[0] == "sweep":
+        argv = argv + ["-o", str(out)]
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+    assert not out.exists()
 
 
 def test_bounds_payload(capsys):
