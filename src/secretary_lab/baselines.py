@@ -42,7 +42,7 @@ from .policy import (
     _exact_ratios,
     _simulate,
     _tally,
-    evaluate_policy,
+    reachable_state_count,
     reachable_states,
 )
 
@@ -163,8 +163,10 @@ def algorithm_to_policy(alg: OnlineAlgorithm, family: PriorFamily) -> Policy:
 
 
 def evaluate_algorithm(alg: OnlineAlgorithm, family: PriorFamily) -> SolveReport:
-    """Per-row evaluation of a streaming rule via its induced state policy."""
-    return evaluate_policy(algorithm_to_policy(alg, family), family)
+    """Exact per-row evaluation of a streaming rule by the tally of
+    evaluate_policy, building no table (the report's policy is None)."""
+    optimum, per_row = _exact_ratios(alg.decide, family)
+    return SolveReport(optimum, None, per_row, reachable_state_count(family))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ never leaves a partial artifact.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -36,7 +37,7 @@ from .construction import (
 )
 from .errors import ParameterError, SecretaryLabError
 from .exact import compare_to_inv_e, decimal_str, format_value, parse_value
-from .instances import PriorFamily, load_family, render_family_json
+from .instances import PriorFamily, load_family, render_family_json, require_valid_family
 from .policy import Policy, evaluate_policy, solve_optimal
 
 SWEEP_FIELDS = (
@@ -55,20 +56,22 @@ SWEEP_FIELDS = (
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
+    """Write via a temp file beside ``path``; a failure names ``path``."""
     target = Path(path)
-    directory = target.parent if str(target.parent) else Path(".")
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(directory), prefix=f".{target.name}.", suffix=".tmp"
-    )
+    tmp_name = None
     try:
+        fd, tmp_name = tempfile.mkstemp(
+            dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
+        )
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp_name is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_name)
+        if isinstance(exc, OSError) and exc.strerror:
+            raise OSError(exc.errno, exc.strerror, str(target)) from None
         raise
 
 
@@ -141,13 +144,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.metric == "success" and not args.mc:
         args.usage_error("argument --metric: success is only estimated with --mc")
     family = load_family(args.family)
+    # pred-argmax reads the prediction row while it is built
+    require_valid_family(family)
     selector = args.alg
+    policy = None
     if selector == "dynkin":
         algorithm = dynkin_policy(family.n)
-        policy = None
     elif selector == "pred-argmax":
         algorithm = prediction_argmax_policy(family.prediction().values)
-        policy = None
     elif selector.startswith("policy:"):
         policy = Policy.load(selector.removeprefix("policy:"))
         algorithm = OnlineAlgorithm(name="policy", decide=policy.decide)

@@ -77,27 +77,13 @@ DecideFn = Callable[[History, Arrival], Action]
 @dataclass(frozen=True)
 class InformationState:
     """Ordered record of rejected arrivals plus the arrival awaiting a
-    decision; candidate indices are 1-based and distinct."""
+    decision; candidate indices are 1-based and distinct.  Each arrival is
+    an (int, Fraction) tuple, kept as given."""
 
     observed: tuple[tuple[int, Fraction], ...]
     current: tuple[int, Fraction]
 
     def __post_init__(self) -> None:
-        # The solver and the evaluator build hundreds of thousands of
-        # states from arrivals that are already (int, Fraction) tuples;
-        # keeping them lets the states of a policy table share one copy.
-        if type(self.observed) is not tuple or not all(
-            map(_is_arrival, self.observed)
-        ):
-            object.__setattr__(
-                self,
-                "observed",
-                tuple((int(i), Fraction(v)) for i, v in self.observed),
-            )
-        if not _is_arrival(self.current):
-            object.__setattr__(
-                self, "current", (int(self.current[0]), Fraction(self.current[1]))
-            )
         indices = [i for i, _ in self.observed] + [self.current[0]]
         if len(set(indices)) != len(indices):
             raise ValueError(f"duplicate candidate indices in state: {indices}")
@@ -105,9 +91,6 @@ class InformationState:
     def arrivals(self) -> tuple[tuple[int, Fraction], ...]:
         """All arrivals in order, the current one last."""
         return self.observed + (self.current,)
-
-    def arrived_indices(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.arrivals())
 
     def serialize(self, render_arrival: Callable[[Arrival], str] | None = None) -> str:
         """The state as text, each arrival rendered by ``render_arrival``
@@ -120,20 +103,12 @@ class InformationState:
         cls, text: str, parse_arrival: Callable[[str], Arrival] | None = None
     ) -> "InformationState":
         """The inverse of ``serialize``, each arrival parsed by
-        ``parse_arrival`` (default ``_parse_arrival``)."""
+        ``parse_arrival`` (default ``_parse_arrival``, which refuses any
+        text that ``serialize`` would not write)."""
         parse = parse_arrival or _parse_arrival
         prefix, _, current_text = text.partition("|current=")
-        observed = tuple(parse(item) for item in prefix.split(",") if item)
+        observed = tuple(map(parse, prefix.split(","))) if prefix else ()
         return cls(observed=observed, current=parse(current_text))
-
-
-def _is_arrival(item) -> bool:
-    return (
-        type(item) is tuple
-        and len(item) == 2
-        and type(item[0]) is int
-        and type(item[1]) is Fraction
-    )
 
 
 def _render_arrival(arrival: Arrival) -> str:
@@ -142,10 +117,17 @@ def _render_arrival(arrival: Arrival) -> str:
     return f"({index}:{format_value(value)})"
 
 
-def _parse_arrival(item: str) -> tuple[int, Fraction]:
-    inner = item.strip().strip("()")
-    index_text, _, value_text = inner.partition(":")
-    return int(index_text), parse_value(value_text)
+def _parse_arrival(item: str) -> Arrival:
+    """The inverse of ``_render_arrival``; other text for the same arrival,
+    such as "(1:10/2)" for "(1:5)", is refused, so a state has one key."""
+    index_text, _, value_text = item[1:-1].partition(":")
+    try:
+        arrival = (int(index_text), parse_value(value_text))
+        if _render_arrival(arrival) == item:
+            return arrival
+    except ValueError:
+        pass
+    raise ValueError(f"not an arrival: {item!r} (write (i:v), v in lowest terms)")
 
 
 class Policy:
@@ -196,8 +178,8 @@ class Policy:
                 "policy must be a JSON object mapping states to actions, "
                 f"not {type(payload).__name__}"
             )
-        # Each distinct arrival text is parsed once, and its states share
-        # the one tuple, as in a solved table.
+        # Each distinct arrival text is parsed and checked once, and its
+        # states share the one tuple, as in a solved table.
         parse = functools.cache(_parse_arrival)
         return cls(
             {
@@ -221,13 +203,20 @@ class Policy:
 @dataclass
 class SolveReport:
     """Solver or evaluator output: mixture optimum, per-row conditional
-    expected ratios, and the worst row (the robustness certificate)."""
+    expected ratios and the policy table with its size (policy None, for a
+    rule scored without a table, with the size its table would have)."""
 
     optimum: Fraction
-    policy: Policy
+    policy: Policy | None
     per_row: dict[int, Fraction]
-    worst_row: tuple[int, Fraction]
+    policy_states: int
     constrained: bool | None = None
+
+    @property
+    def worst_row(self) -> tuple[int, Fraction]:
+        """The robustness certificate: the row of least ratio, lowest id on a tie."""
+        worst_id = min(self.per_row, key=lambda row_id: (self.per_row[row_id], row_id))
+        return worst_id, self.per_row[worst_id]
 
     def to_dict(self, digits: int = 12) -> dict:
         return {
@@ -241,7 +230,7 @@ class SolveReport:
                 "ratio": render_number(self.worst_row[1], digits),
             },
             "constrained": self.constrained,
-            "policy_states": len(self.policy),
+            "policy_states": self.policy_states,
         }
 
 
@@ -296,17 +285,13 @@ def consistent_actions(
         return BOTH_ACTIONS
     best = scenario_max(prediction)
     accept_ok = prediction.value_at(state.current[0]) == best
-    arrived = state.arrived_indices()
-    future = [j for j in range(1, len(prediction.values) + 1) if j not in arrived]
-    reject_ok = any(prediction.value_at(j) == best for j in future)
-    if not accept_ok and not reject_ok:
+    arrived = {i for i, _ in arrivals}
+    reject_ok = any(
+        v == best for j, v in enumerate(prediction.values, 1) if j not in arrived
+    )
+    if accept_ok == reject_ok:
         return BOTH_ACTIONS
-    allowed = set()
-    if accept_ok:
-        allowed.add(Action.ACCEPT)
-    if reject_ok:
-        allowed.add(Action.REJECT)
-    return frozenset(allowed)
+    return frozenset((Action.ACCEPT if accept_ok else Action.REJECT,))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +466,7 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
         optimum=optimum,
         policy=policy,
         per_row=evaluation.per_row,
-        worst_row=evaluation.worst_row,
+        policy_states=len(policy),
         constrained=constrained,
     )
 
@@ -514,13 +499,8 @@ def evaluate_policy(policy: Policy, family: PriorFamily) -> SolveReport:
     validate_family rejects.
     """
     mixture, per_row = _exact_ratios(policy.decide, family)
-    worst_id = min(per_row, key=lambda row_id: (per_row[row_id], row_id))
     return SolveReport(
-        optimum=mixture,
-        policy=policy,
-        per_row=per_row,
-        worst_row=(worst_id, per_row[worst_id]),
-        constrained=None,
+        optimum=mixture, policy=policy, per_row=per_row, policy_states=len(policy)
     )
 
 
@@ -613,6 +593,19 @@ def reachable_states(family: PriorFamily) -> list[InformationState]:
 
     walk((), support)
     return states
+
+
+def reachable_state_count(family: PriorFamily) -> int:
+    """``len(reachable_states(family))`` without building a state: a set
+    of arrivals that some row of positive probability shows is reached in
+    every order, so the count sums |S|! over the nonempty such sets S."""
+    support = _checked_family(family)
+    count = 0
+    for size in range(1, family.n + 1):
+        for columns in itertools.combinations(range(family.n), size):
+            shown = {tuple(scenario.values[c] for c in columns) for scenario, _ in support}
+            count += len(shown) * math.factorial(size)
+    return count
 
 
 def random_policy(

@@ -32,6 +32,8 @@ from secretary_lab import (
     prediction_argmax_policy,
     run_algorithm,
 )
+import secretary_lab.baselines as baselines_module
+import secretary_lab.policy as policy_module
 from secretary_lab.baselines import _draw_trials, _pick_rows
 
 F = Fraction
@@ -182,6 +184,27 @@ def test_exact_ratio_two_routes_agree(anchor_family):
         direct = exact_expected_ratio(alg, anchor_family)
         via_policy = evaluate_algorithm(alg, anchor_family).optimum
         assert direct == via_policy
+
+
+@pytest.mark.parametrize("n", (3, 5))
+def test_evaluate_algorithm_builds_no_table(monkeypatch, n):
+    # The report matches the one read off the rule's table, yet no table
+    # is built: tabulating would call reachable_states.
+    family = build_hard_family(ConstructionParams(F(1, 10), F(5), 4, n=n))
+    rules = (dynkin_policy(n), prediction_argmax_policy(family.prediction().values))
+    tabulated = [evaluate_policy(algorithm_to_policy(alg, family), family) for alg in rules]
+
+    def refuse(*args):
+        raise AssertionError("the rule was tabulated")
+
+    monkeypatch.setattr(policy_module, "reachable_states", refuse)
+    monkeypatch.setattr(baselines_module, "reachable_states", refuse)
+    monkeypatch.setattr(baselines_module, "algorithm_to_policy", refuse)
+    for alg, expected in zip(rules, tabulated):
+        report = evaluate_algorithm(alg, family)
+        assert report.policy is None
+        assert report.policy_states == len(expected.policy)
+        assert report.to_dict() == expected.to_dict()
 
 
 def enumerated_ratio(alg: OnlineAlgorithm, family: PriorFamily) -> Fraction:

@@ -131,6 +131,8 @@ MASS_117_20_FAMILY = _one_row_family(probability="117/20")
 
 # Accepts the first arrival of the two-candidate family.
 ACCEPT_FIRST_POLICY = {"|current=(1:2)": "accept", "|current=(2:1)": "accept"}
+# Its prediction_id names no row.
+NO_PREDICTION_ROW_FAMILY = {**_one_row_family(), "prediction_id": 7}
 
 
 MALFORMED_INPUTS = {
@@ -148,6 +150,20 @@ MALFORMED_INPUTS = {
     "short-row-under-mc": ("mc", SHORT_ROW_FAMILY),
     "mass-117-over-20-under-mc": ("mc", MASS_117_20_FAMILY),
     "mass-117-over-20-under-policy": ("eval-policy", MASS_117_20_FAMILY),
+    "policy-arrival-unclosed": ("policy", {"|current=(1:5": "accept"}),
+    "policy-duplicate-index": ("policy", {"(1:5)|current=(1:5)": "accept"}),
+    "prediction-row-missing": ("family", NO_PREDICTION_ROW_FAMILY),
+    "prediction-row-missing-under-pred-argmax": ("pred-argmax", NO_PREDICTION_ROW_FAMILY),
+}
+# The whole error line, where it is pinned.
+MALFORMED_MESSAGES = {
+    "policy-arrival-unclosed":
+        "error: not an arrival: '(1:5' (write (i:v), v in lowest terms)",
+    "policy-duplicate-index": "error: duplicate candidate indices in state: [1, 1]",
+    "prediction-row-missing":
+        "error: invalid prior family: prediction_id 7 refers to no scenario",
+    "prediction-row-missing-under-pred-argmax":
+        "error: invalid prior family: prediction_id 7 refers to no scenario",
 }
 
 
@@ -164,6 +180,8 @@ def test_malformed_input_file_is_one_error_line(tmp_path, capsys, name):
         policy_path = tmp_path / "policy.json"
         policy_path.write_text(json.dumps(ACCEPT_FIRST_POLICY), encoding="utf-8")
         argv = ["eval", "--family", str(path), "--alg", f"policy:{policy_path}"]
+    elif kind == "pred-argmax":
+        argv = ["eval", "--family", str(path), "--alg", "pred-argmax"]
     else:
         argv = ["eval", "--family", str(gen_family(tmp_path)), "--alg", f"policy:{path}"]
     assert run_command(argv) == 1
@@ -172,6 +190,7 @@ def test_malformed_input_file_is_one_error_line(tmp_path, capsys, name):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error:")
+    assert lines[0] == MALFORMED_MESSAGES.get(name, lines[0])
 
 
 def test_solve_unconstrained(tmp_path, capsys):
@@ -271,6 +290,31 @@ def test_eval_mc_bytes_are_pinned(tmp_path, capsys):
         assert run_command(["eval", *argv, "--mc", "--trials", "2000"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of exact eval stdout on the k = 4 hard family, recorded while
+# eval still scored a rule by tabulating it over every reachable state.
+EVAL_EXACT_DIGESTS = {
+    ("dynkin", 3): "597ff1de614a0387bee71b5dbb7e25f868df0c062daa8064009723f3fb99dd89",
+    ("pred-argmax", 3): "f89f0d1197920d678015a840e824984faf8c7edf378c2f6d3fab6be0b7925c81",
+    ("dynkin", 4): "e9ee2395deec329913e6a5fe6ceb578d789be3fa7b9003fa61245a05bf4fa3cf",
+    ("pred-argmax", 4): "793d116f4347ea7a39d265193e6e92181baad49f1436357f3983fdd213bbbca9",
+    ("dynkin", 5): "d7a5f020795d8e6035b59e7538bb4f7d771f32d88a626689319eae50c058d42b",
+    ("pred-argmax", 5): "fc183f2f3fe5c00bd4b3f7dce928811108773784b72f1ecc2d6d5d55e880529c",
+    ("dynkin", 6): "fefa1f7381e4478c2132f1a639fd7547376fdf7dcd50f626ec266fe9d107903b",
+    ("pred-argmax", 6): "fa92c50f09d84ddf2df6f83ca16a08cb672c22233667fd1fe01d5c86aebc83cb",
+}
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_eval_exact_bytes_are_pinned(tmp_path, capsys, n):
+    family_path = tmp_path / "family.json"
+    assert run_command(["gen", "--eps", "1/10", "--s", "5", "--k", "4", "--n", str(n),
+                        "-o", str(family_path)]) == 0
+    for alg in ("dynkin", "pred-argmax"):
+        assert run_command(["eval", "--family", str(family_path), "--alg", alg]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == EVAL_EXACT_DIGESTS[alg, n]
 
 
 @pytest.mark.parametrize(
@@ -412,7 +456,10 @@ def test_write_failure_exits_one(tmp_path, capsys):
         run_command(["gen", "--eps", "1/10", "--s", "5", "--k", "4", "-o", str(missing_dir)])
         == 1
     )
-    assert "error:" in capsys.readouterr().err
+    # The error names the -o path, not the temp file written first.
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {str(missing_dir)!r}\n"
+    )
 
 
 def test_main_entry(monkeypatch, capsys):
@@ -442,6 +489,35 @@ def run_package(args, tmp_path, optimize=False):
         cwd=tmp_path,
         timeout=120,
     )
+
+
+DEMO_DIR = Path(__file__).resolve().parents[1] / "demos"
+# SHA-256 of each demo's stdout.
+DEMO_DIGESTS = {
+    "01_hard_family_table.py":
+        "cd31b5a54af2aad26ae056d94f7ec62bf168bb01504a9b150592fbfa536930fe",
+    "02_solve_and_inspect.py":
+        "fbf9493d20afe30a42dac36ab7fe58b0c7922a349924967bdda4ecc53f546fd3",
+    "03_certified_bounds.py":
+        "d408033cefbc224cf1b7f150f92826a74a0264842a54f95e23ae43035c20f5f5",
+    "04_verify_presets.py":
+        "a132914cef50f5a5848d2a61152724449f2088fae5403b6ea9219b1041a4ee7c",
+    "05_baselines_and_monte_carlo.py":
+        "8263187e09e37386d19478211592877543033489f236a90b8fad306e851a31c7",
+    "06_sweep_toward_one_third.py":
+        "4f1cf8a108bef8771d83ab46d83ac821a5f92a9f755d165d32b89d9dbea24998",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(path.name for path in DEMO_DIR.glob("*.py")) == sorted(DEMO_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_DIGESTS))
+def test_demo_prints_what_it_printed(tmp_path, name):
+    result = run_package([str(DEMO_DIR / name)], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == DEMO_DIGESTS[name]
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

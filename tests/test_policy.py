@@ -32,7 +32,7 @@ from secretary_lab import (
     scenario_max,
     solve_optimal,
 )
-from secretary_lab.policy import _simulate, _tally
+from secretary_lab.policy import _simulate, _tally, reachable_state_count
 
 S = Fraction(5)
 BOTH = frozenset({Action.ACCEPT, Action.REJECT})
@@ -79,6 +79,32 @@ def test_policy_round_trip(tmp_path):
     policy.dump(path)
     assert Policy.load(path) == policy
     assert len(policy) == 2
+
+
+@pytest.mark.parametrize(
+    "key",
+    (
+        "|current=(1:5",
+        "|current=(1:10/2)",
+        "|current=(1:05)",
+        "|current= (1:5)",
+        "|current=(+1:5)",
+        ",(2:1)|current=(1:5)",
+        "(2:1),|current=(1:5)",
+        "(2:1)",
+    ),
+)
+def test_policy_keys_must_be_the_serialized_text(key):
+    # Each of these names the state "(2:1)|current=(1:5)" or
+    # "|current=(1:5)" in some other text; accepting them would let two
+    # keys load as one state, the last in the file winning.
+    with pytest.raises(ValueError, match="not an arrival"):
+        Policy.from_dict({key: "accept"})
+    with pytest.raises(ValueError, match="not an arrival"):
+        Policy.from_dict({"|current=(1:5)": "reject", key: "accept"})
+    assert Policy.from_dict({"|current=(1:5)": "accept"}) == Policy(
+        {state([], (1, S)): Action.ACCEPT}
+    )
 
 
 def test_missing_state_error_names_the_state():
@@ -222,6 +248,15 @@ def test_solved_policy_covers_every_reachable_state(anchor_family):
     assert set(unconstrained.policy.actions) == set(reachable_states(anchor_family))
     constrained = solve_optimal(anchor_family, constrained=True)
     assert set(constrained.policy.actions) <= set(unconstrained.policy.actions)
+
+
+@pytest.mark.parametrize(
+    "k, n, states",
+    ((4, 4, 380), (4, 5, 1_989), (6, 6, 18_788), (50, 5, 26_001), (4, 7, 87_419)),
+)
+def test_reachable_state_count_needs_no_states(k, n, states):
+    family = build_hard_family(ConstructionParams(Fraction(1, 10), S, k, n=n))
+    assert reachable_state_count(family) == states == len(reachable_states(family))
 
 
 @pytest.mark.parametrize("constrained", (True, False))
@@ -583,6 +618,12 @@ def test_scaled_induction_agrees_on_coprime_denominators(family):
         assert brute_force_optimum(family, constrained=constrained) == solved.optimum
         evaluated = evaluate_policy(solved.policy, family)
         assert (evaluated.optimum, evaluated.per_row) == (solved.optimum, solved.per_row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coprime_families())
+def test_reachable_state_count_on_coprime_families(family):
+    assert reachable_state_count(family) == len(reachable_states(family))
 
 
 def test_policy_text_does_not_depend_on_shared_arrivals(anchor_family):
