@@ -40,7 +40,6 @@ from .policy import (
     Policy,
     SolveReport,
     _exact_ratios,
-    _simulate,
     _tally,
     reachable_state_count,
     reachable_states,
@@ -137,13 +136,6 @@ def prediction_argmax_policy(predictions: Sequence[Fraction]) -> OnlineAlgorithm
         return np.where(hits.any(axis=1), accepted, -1)
 
     return OnlineAlgorithm(name="pred-argmax", decide=decide, run_batch=run_batch)
-
-
-def run_algorithm(
-    alg: OnlineAlgorithm, scenario: Scenario, order: Sequence[int]
-) -> Fraction | None:
-    """Accepted value when the algorithm faces one arrival order."""
-    return _simulate(alg.decide, scenario, order)
 
 
 def exact_expected_ratio(alg: OnlineAlgorithm, family: PriorFamily) -> Fraction:

@@ -4,11 +4,13 @@ The quantities live in one chain: the exact constrained optimum (a
 closed form summing the per-row values an optimal constrained policy
 attains), a displayed upper bound obtained by relaxing the forced-accept
 case, and alpha, a further relaxation that is transparent in the
-parameters.  beta is the budget (3/2)(1/e - 1/3): whenever
-mix_eps + (1 - mix_eps)(1/s + 1/(k-1)) stays below beta, alpha, and with
-it every constrained policy, falls below 1/e.  verify_theorem recomputes
-the chain, solves the family by backward induction, and reports whether
-the two routes agree and on which side of 1/e the optimum lands.
+parameters.  beta is the budget (3/2)(1/e - 1/3).  Since
+1/e = 1/3 + (2/3) beta, alpha falls below 1/e exactly when
+mix_eps + (1 - mix_eps)(1/s + 1/(k-1)) stays below beta, and then so
+does every constrained policy.  verify_theorem recomputes the chain, solves
+the family by backward induction, reports whether the two routes agree
+and on which side of 1/e the optimum lands, and decides the budget
+verdict by the certified comparison of alpha with 1/e.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .exact import (
     format_value,
     inv_e_enclosure,
     parse_value,
-    refine_until_decisive,
     render_enclosure,
     render_number,
 )
@@ -74,7 +75,7 @@ def beta_bounds(
     return _refine(attempt, digits, lambda: "beta enclosure of the requested width")
 
 
-def threshold_value(mix_eps: Fraction, digits: int | None = None) -> Enclosure:
+def threshold_value(mix_eps: Fraction) -> Enclosure:
     """Certified enclosure of (beta - mix_eps)/(1 - mix_eps), the room
     left for 1/s + 1/(k-1) after spending mix_eps of the budget.
 
@@ -103,7 +104,7 @@ def threshold_value(mix_eps: Fraction, digits: int | None = None) -> Enclosure:
             )
         return None
 
-    return _refine(attempt, digits, lambda: f"threshold at mix_eps = {format_value(eps)}")
+    return _refine(attempt, None, lambda: f"threshold at mix_eps = {format_value(eps)}")
 
 
 def ub_display(mix_eps: Fraction, s: Fraction, k: int) -> Fraction:
@@ -259,43 +260,6 @@ class TheoremReport(BoundChain):
             },
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TheoremReport":
-        def num(entry: dict) -> Fraction:
-            return parse_value(entry["exact"])
-
-        def interval(entry: dict | None) -> Enclosure | None:
-            if entry is None:
-                return None
-            return Enclosure(
-                lower=num(entry["lower"]),
-                upper=num(entry["upper"]),
-                digits=int(entry["digits"]),
-            )
-
-        params = payload["params"]
-        return cls(
-            params=ConstructionParams(
-                mix_eps=parse_value(params["mix_eps"]),
-                s=parse_value(params["s"]),
-                k=int(params["k"]),
-                n=int(params["n"]),
-            ),
-            preset=payload["preset"],
-            alpha=num(payload["alpha"]),
-            beta_enclosure=interval(payload["beta_enclosure"]),
-            threshold=interval(payload["threshold"]),
-            ub_display=num(payload["ub_display"]),
-            oracle_optimum=num(payload["oracle_optimum"]),
-            dp_optimum=num(payload["dp_optimum"]),
-            verdict_vs_inv_e=Comparison(payload["verdict_vs_inv_e"]),
-            preset_inequality_holds=bool(payload["preset_inequality_holds"]),
-            worst_row=(
-                int(payload["worst_row"]["id"]),
-                num(payload["worst_row"]["ratio"]),
-            ),
-        )
-
 
 def verify_theorem(
     preset: str | None = None,
@@ -305,8 +269,11 @@ def verify_theorem(
     and check it against every closed form.
 
     preset_inequality_holds records whether 1/s + 1/(k-1) fits inside the
-    remaining budget (beta - mix_eps)/(1 - mix_eps), decided through
-    refined enclosures, never through floats.
+    remaining budget (beta - mix_eps)/(1 - mix_eps).  Since 1 - mix_eps > 0
+    and 1/e = 1/3 + (2/3) beta, that is the inequality alpha < 1/e, decided
+    by the certified comparison of alpha with 1/e, never through floats;
+    with no budget left (mix_eps >= beta) alpha exceeds 1/e and the
+    verdict is False.
     """
     if (preset is None) == (params is None):
         raise ParameterError("give exactly one of preset or params")
@@ -320,22 +287,12 @@ def verify_theorem(
             "backward induction and closed form disagree: "
             f"{format_value(solved.optimum)} vs {format_value(chain.oracle_optimum)}"
         )
-    target = 1 / params.s + Fraction(1, params.k - 1)
-    if chain.threshold is None:
-        holds = False
-    else:
-        verdict = refine_until_decisive(
-            lambda d: threshold_value(params.mix_eps, digits=d),
-            target,
-            start_digits=chain.threshold.digits,
-        )
-        holds = verdict is Comparison.LESS
     return TheoremReport(
         **vars(chain),
         params=params,
         preset=preset,
         dp_optimum=solved.optimum,
         verdict_vs_inv_e=compare_to_inv_e(solved.optimum),
-        preset_inequality_holds=holds,
+        preset_inequality_holds=compare_to_inv_e(chain.alpha) is Comparison.LESS,
         worst_row=solved.worst_row,
     )

@@ -2,10 +2,11 @@
 print bounds, verify the full chain, and sweep parameter grids.
 
 Every subcommand is reproducible: identical inputs (including seeds)
-produce byte-identical output files.  Files are written atomically
-(temp file in the target directory, then rename), so an interrupted run
-never leaves a partial artifact.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+produce byte-identical output files.  Regular files are written
+atomically (temp file beside the file a path resolves to, then rename),
+so an interrupted run never leaves a partial artifact; a FIFO or device
+given as the output is written in place.  Exit codes: 0 success,
+1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -56,13 +58,27 @@ SWEEP_FIELDS = (
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
-    """Write via a temp file beside ``path``; a failure names ``path``."""
-    target = Path(path)
+    """Write via a temp file beside the file ``path`` resolves to, which
+    then replaces it with the mode ``open(path, "w")`` would leave; a FIFO,
+    device or other non-regular file is written in place.  A failure
+    names ``path``."""
     tmp_name = None
     try:
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = stat.S_IFREG | (0o666 & ~umask)
+        if not stat.S_ISREG(mode):
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            return
+        target = Path(os.path.realpath(path))
         fd, tmp_name = tempfile.mkstemp(
             dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
         )
+        os.fchmod(fd, stat.S_IMODE(mode))
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp_name, target)
@@ -71,7 +87,7 @@ def _atomic_write(path: str | Path, text: str) -> None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp_name)
         if isinstance(exc, OSError) and exc.strerror:
-            raise OSError(exc.errno, exc.strerror, str(target)) from None
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -239,15 +255,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     "ub_display_decimal": decimal_str(display, args.digits),
                     "dp_optimum_exact": format_value(solved.optimum),
                     "dp_optimum_decimal": decimal_str(solved.optimum, args.digits),
-                    "vs_inv_e": _vs_inv_e(solved.optimum),
+                    "vs_inv_e": compare_to_inv_e(solved.optimum).value,
                 }
                 writer.writerow({f: row[f] for f in fields})
     _atomic_write(args.output, buffer.getvalue())
     return 0
-
-
-def _vs_inv_e(x: Fraction) -> str:
-    return compare_to_inv_e(x).value
 
 
 # ---------------------------------------------------------------------------

@@ -266,20 +266,16 @@ def refine_until_decisive(
     return _refine(attempt, start_digits, lambda: f"comparison of {x}", max_digits)
 
 
-def compare_to_inv_e(
-    x: Fraction,
-    start_digits: int | None = None,
-    max_digits: int = MAX_DIGITS,
-) -> Comparison:
+def compare_to_inv_e(x: Fraction) -> Comparison:
     """Decisive comparison of an exact rational against 1/e.
 
     Always returns LESS or GREATER: equality is impossible and the
     enclosure is refined automatically until one side is certified.
     """
-    return refine_until_decisive(inv_e_enclosure, Fraction(x), start_digits, max_digits)
+    return refine_until_decisive(inv_e_enclosure, Fraction(x))
 
 
-def floor_n_over_e(n: int, start_digits: int | None = None) -> int:
+def floor_n_over_e(n: int) -> int:
     """floor(n/e), certified through the e enclosure.
 
     n/e is irrational for every positive integer n, so refinement always
@@ -294,4 +290,4 @@ def floor_n_over_e(n: int, start_digits: int | None = None) -> int:
         high = (Fraction(n) / outer.lower).__floor__()
         return low if low == high else None
 
-    return _refine(attempt, start_digits, lambda: f"floor({n}/e)")
+    return _refine(attempt, None, lambda: f"floor({n}/e)")

