@@ -12,18 +12,20 @@ the order they came.  The values behind it depend only on which arrivals
 have been seen, not on their order: the posterior, the accept value, the
 consistency constraint and the value after a reject are all functions of
 the set of arrivals.  Backward induction therefore runs once per set of
-arrivals, with exact posterior weights, and memoises each set's value and
-its decisions; one walk over that memo then copies each decision to every
-ordered history that reaches its set.  An optional
-hard constraint restricts actions so that the resulting policy is
-guaranteed to pick a maximum-value candidate whenever the announced
-predictions are exactly correct, for every arrival order.
+arrivals, with exact posterior weights, on integer value ids, and
+memoises each set's value and its decisions.  An optional hard
+constraint restricts actions so that the resulting policy is guaranteed
+to pick a maximum-value candidate whenever the announced predictions are
+exactly correct, for every arrival order.
 
 The induction is exact without Fraction arithmetic: it holds every value
 as a Python integer on one scale fixed per family (row weights p_r / max_r
 over their common denominator L, candidate values over theirs, V) and
-divides once per solve, by n! * V * L.  Policy evaluation, the
-independent check on it, uses plain Fractions.
+divides once per solve, by n! * V * L.  Its self-check is an exact
+forward count over sets of arrivals, in plain Fractions, that scores the
+memo's decisions on every row.  The ordered table is rendered from the
+memo only when a caller reads it; policy evaluation over every arrival
+order scores any table, a rendered one included.
 """
 
 from __future__ import annotations
@@ -200,15 +202,24 @@ class Policy:
 
 @dataclass
 class SolveReport:
-    """Solver or evaluator output: mixture optimum, per-row conditional
-    expected ratios and the policy table with its size (policy None, for a
-    rule scored without a table, with the size its table would have)."""
+    """Solver or evaluator output: mixture optimum, the rule scored,
+    per-row conditional expected ratios and the size of the rule's policy
+    table.  The rule is a policy table, a solver's set rule, or None for a
+    rule scored without a table (with the size its table would have)."""
 
     optimum: Fraction
-    policy: Policy | None
+    rule: Policy | _SetRule | None
     per_row: dict[int, Fraction]
     policy_states: int
     constrained: bool | None = None
+
+    @property
+    def policy(self) -> Policy | None:
+        """The policy table.  A solver's table is rendered from its set
+        rule the first time it is read, and then replaces the rule."""
+        if isinstance(self.rule, _SetRule):
+            self.rule = self.rule.table()
+        return self.rule
 
     @property
     def worst_row(self) -> tuple[int, Fraction]:
@@ -323,9 +334,9 @@ def _branches(
     holds the rows of ``branch`` that show that value.
 
     The steps depend only on which arrivals ``observed`` holds, not on
-    their order, so the solver takes them once per set of arrivals.  This
-    order fixes the state order of reachable_states, and with it
-    random_policy per seed and the order of the solver's memo.
+    their order.  This order fixes the state order of reachable_states,
+    and with it random_policy per seed; the solver's chance step,
+    ``_split``, takes the same order on value ids.
     """
     arrived = {i for i, _ in observed}
     for j in range(1, n + 1):
@@ -338,16 +349,160 @@ def _branches(
             yield j, value, sub
 
 
+# A row of the induction: its value id in each 0-based column, and its
+# integer weight.
+IdRow = tuple[tuple[int, ...], int]
+
+
+def _split(n: int, arrived: int, rows: list[IdRow]):
+    """``_branches`` on value ids: the chance step once the columns in the
+    bitmask ``arrived`` have arrived.  Yields ``(j, value id, sub)`` for
+    each 0-based column j not in ``arrived``, in ascending order, and each
+    value id j takes in ``rows``, in first-seen row order, where ``sub``
+    holds the rows that show it."""
+    for j in range(n):
+        if arrived >> j & 1:
+            continue
+        groups: dict[int, list[IdRow]] = {}
+        for row in rows:
+            groups.setdefault(row[0][j], []).append(row)
+        for value_id, sub in groups.items():
+            yield j, value_id, sub
+
+
+# A set of arrivals, each a (0-based column, value id) pair.
+IdSet = frozenset[tuple[int, int]]
+# Per next arrival of a set: the action and the set after a reject, None
+# where a reject is not allowed or ends the sequence.
+Children = dict[tuple[int, int], tuple[Action, IdSet | None]]
+
+
+@dataclass(frozen=True)
+class _SetRule:
+    """A solved rule on sets of arrivals, as plain data.
+
+    ``steps`` maps each set of rejected arrivals that the induction
+    visited to the set's scaled value and its ``Children``, in the chance
+    step's order.  A set's entry is made after those of all its
+    after-sets, so in reverse order each set precedes its after-sets."""
+
+    n: int
+    values: tuple[Fraction, ...]  # by value id
+    steps: dict[IdSet, tuple[int, Children]]
+
+    def table(self) -> Policy:
+        """The policy table: each set's actions, copied to every ordered
+        history that reaches the set, with one tuple per distinct arrival."""
+        policy = Policy()
+        self._record((), frozenset(), {}, policy.actions)
+        return policy
+
+    def _record(
+        self,
+        observed: History,
+        seen: IdSet,
+        arrivals: dict[tuple[int, int], Arrival],
+        actions: dict[InformationState, Action],
+    ) -> None:
+        """Write the action of every ordered history that follows
+        ``observed``, the set ``seen``, into ``actions``."""
+        for pair, (action, after) in self.steps[seen][1].items():
+            arrival = arrivals.get(pair)
+            if arrival is None:
+                arrival = arrivals[pair] = (pair[0] + 1, self.values[pair[1]])
+            state = InformationState(observed, arrival)
+            if after is not None:
+                self._record(state.arrivals(), after, arrivals, actions)
+            actions[state] = action
+
+    def state_count(self) -> int:
+        """The size of ``table()``, counted on the sets: H(S) ordered
+        histories of a set S reach the table, H(empty set) = 1, and each
+        next arrival whose reject is allowed passes H(S) on to its
+        after-set; the table holds H(S) histories per next arrival of S."""
+        reaching = {frozenset(): 1}
+        count = 0
+        for seen in reversed(self.steps):
+            histories = reaching[seen]
+            children = self.steps[seen][1]
+            count += histories * len(children)
+            for _, after in children.values():
+                if after is not None:
+                    reaching[after] = reaching.get(after, 0) + histories
+        return count
+
+
+class _SetInduction:
+    """Backward induction over sets of rejected arrivals, on value ids
+    and integers (see solve_optimal); ``steps`` becomes a _SetRule's."""
+
+    def __init__(
+        self,
+        n: int,
+        scaled_values: list[int],
+        prediction_ids: list[int],
+        best_columns: int,
+    ):
+        self.n = n
+        self.scaled_values = scaled_values
+        self.prediction_ids = prediction_ids
+        self.best_columns = best_columns
+        self.tails = [math.factorial(n - depth - 1) for depth in range(n)]
+        self.steps: dict[IdSet, tuple[int, Children]] = {}
+
+    def value(self, seen: IdSet, arrived: int, on_path: bool, rows: list[IdRow]) -> int:
+        """Scaled value once the set ``seen`` has been rejected: its columns
+        are the bitmask ``arrived``, ``on_path`` says that every arrival
+        in it shows its predicted value (always False unconstrained), and
+        ``rows`` are the rows it leaves possible."""
+        known = self.steps.get(seen)
+        if known is not None:
+            return known[0]
+        depth = arrived.bit_count()
+        tail = self.tails[depth]
+        total = 0
+        children: Children = {}
+        for j, value_id, sub in _split(self.n, arrived, rows):
+            # consistent_actions: on the prediction path, accept only a
+            # predicted maximum and reject only while one is still to come.
+            on = on_path and self.prediction_ids[j] == value_id
+            accept_ok = reject_ok = True
+            if on:
+                accept_ok = bool(self.best_columns >> j & 1)
+                reject_ok = bool(self.best_columns & ~(arrived | 1 << j))
+                if accept_ok == reject_ok:
+                    accept_ok = reject_ok = True
+            after = None
+            if depth + 1 == self.n:
+                reject_value = 0
+            elif reject_ok:
+                after = seen | {(j, value_id)}
+                reject_value = self.value(after, arrived | 1 << j, on, sub)
+            else:
+                reject_value = None
+            accept_value = tail * self.scaled_values[value_id] * sum(w for _, w in sub)
+            if accept_ok and (reject_value is None or accept_value >= reject_value):
+                action, state_value = Action.ACCEPT, accept_value
+            else:
+                action, state_value = Action.REJECT, reject_value or 0
+            children[j, value_id] = (action, after)
+            total += state_value
+        self.steps[seen] = (total, children)
+        return total
+
+
 def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     """Exact optimal deterministic policy by backward induction, optionally
     restricted to the consistency constraint.
 
-    Two passes share one memo, keyed on the set of rejected arrivals.  The
-    induction visits each set once: for each next arrival it keeps the
-    better allowed action and, where rejecting is allowed, the set after
-    a reject.  The table walk then follows the memo from the empty
-    history and writes each action to every ordered history that reaches
-    its set, so the policy table is keyed on ordered histories.
+    The induction runs once per set of rejected arrivals, on integer value
+    ids: each supported row is a tuple of value ids with an integer
+    weight, a set is keyed by its (column, value id) arrivals, and the
+    constraint is an on-path flag passed down with the bitmask of columns
+    where the prediction attains its maximum, so no Fraction is compared
+    or hashed and no InformationState is built inside it.  Each set keeps
+    its value and, per next arrival, the better allowed action and, where
+    rejecting is allowed, the set after a reject.
 
     Values are integers on one scale.  Row r weighs W_r = L * p_r / max_r
     and value v counts v * V, where L and V are the least common multiples
@@ -359,7 +514,14 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     probability mass times (n - d - 1)! * V * L, a positive factor shared
     by both actions at a state, so every comparison, ties included, is
     the one on true values; the optimum is the root's integer divided by
-    n! * V * L.  It is checked against evaluate_policy.
+    n! * V * L.
+
+    The self-check, ``_forward_ratios``, scores the memo's decisions by an
+    exact forward count over sets in Fractions from the family; its
+    per-row ratios are the report's, and their mixture must equal the
+    optimum.  The report's policy table, keyed on ordered histories, is
+    rendered from the memo the first time it is read, and
+    ``policy_states`` is its size, counted on the memo.
 
     Ties between equal-valued actions resolve toward accepting, so the
     returned policy is a deterministic function of the family alone.
@@ -369,104 +531,86 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     n = family.n
     weights = [probability / scenario_max(scenario) for scenario, probability in support]
     weight_scale = math.lcm(*(w.denominator for w in weights))  # L
+    values = tuple(dict.fromkeys(v for scenario, _ in support for v in scenario.values))
+    value_scale = math.lcm(*(v.denominator for v in values))  # V
+    value_ids = {v: vid for vid, v in enumerate(values)}
     rows = [
-        (scenario, w.numerator * (weight_scale // w.denominator))
+        (
+            tuple(value_ids[v] for v in scenario.values),
+            w.numerator * (weight_scale // w.denominator),
+        )
         for (scenario, _), w in zip(support, weights)
     ]
-    values = list(dict.fromkeys(v for scenario, _ in support for v in scenario.values))
-    value_scale = math.lcm(*(v.denominator for v in values))  # V
-    scaled_values = [v.numerator * (value_scale // v.denominator) for v in values]
-    value_ids = {v: vid for vid, v in enumerate(values)}
-    # Each row's value ids by 0-based column, so that no memo key hashes
-    # a Fraction: a key names an arrival by its (candidate, value id) pair.
-    row_value_ids = {
-        scenario.id: [value_ids[v] for v in scenario.values] for scenario, _ in support
-    }
-    factorials = [math.factorial(m) for m in range(n)]
-    # One tuple per distinct arrival, shared by every state of the table.
-    arrivals: dict[tuple[int, int], tuple[int, Fraction]] = {}
-    actions: dict[InformationState, Action] = {}
-    # Per set of rejected arrivals: its scaled value and, per next
-    # arrival, (arrival, action, set after a reject or None).
-    steps: dict[frozenset, tuple[int, list]] = {}
-
-    def induct(
-        observed: tuple[tuple[int, Fraction], ...],
-        seen: frozenset,
-        branch: list[tuple[Scenario, int]],
-    ) -> int:
-        """Scaled value once ``observed``, the set ``seen`` of (candidate,
-        value id) pairs, has been rejected; ``branch`` holds the rows it
-        leaves possible."""
-        known = steps.get(seen)
-        if known is not None:
-            return known[0]
-        depth = len(seen)
-        total = 0
-        children = []
-        for j, value, sub in _branches(n, observed, branch):
-            pair = (j, row_value_ids[sub[0][0].id][j - 1])
-            arrival = arrivals.setdefault(pair, (j, value))
-            allowed = (
-                consistent_actions(prediction, InformationState(observed, arrival))
-                if constrained
-                else BOTH_ACTIONS
-            )
-            after = None
-            if depth + 1 == n:
-                reject_value = 0
-            elif Action.REJECT in allowed:
-                after = seen | {pair}
-                reject_value = induct(observed + (arrival,), after, sub)
-            else:
-                reject_value = None
-            accept_value = (
-                factorials[n - depth - 1]
-                * scaled_values[pair[1]]
-                * sum(weight for _, weight in sub)
-            )
-            if Action.ACCEPT in allowed and (
-                reject_value is None or accept_value >= reject_value
-            ):
-                action, state_value = Action.ACCEPT, accept_value
-            else:
-                action, state_value = Action.REJECT, reject_value or 0
-            children.append((arrival, action, after))
-            total += state_value
-        steps[seen] = (total, children)
-        return total
-
-    def record(observed: tuple[tuple[int, Fraction], ...], seen: frozenset) -> None:
-        """Write the action of every ordered history that follows
-        ``observed``, the set ``seen``, into the table."""
-        for arrival, action, after in steps[seen][1]:
-            state = InformationState(observed, arrival)
-            if after is not None:
-                record(state.arrivals(), after)
-            actions[state] = action
-
-    try:
-        scaled_optimum = induct((), frozenset(), rows)
-        record((), frozenset())
-    finally:
-        # induct and record refer to themselves, so without this the memo
-        # would live on until the cycle collector runs.
-        steps.clear()
+    best = scenario_max(prediction)
+    induction = _SetInduction(
+        n,
+        scaled_values=[v.numerator * (value_scale // v.denominator) for v in values],
+        # -1 where no supported row shows the predicted value
+        prediction_ids=[value_ids.get(v, -1) for v in prediction.values],
+        best_columns=sum(1 << j for j, v in enumerate(prediction.values) if v == best),
+    )
+    scaled_optimum = induction.value(frozenset(), 0, constrained, rows)
     optimum = Fraction(scaled_optimum, math.factorial(n) * value_scale * weight_scale)
-    policy = Policy(actions)
-    evaluation = evaluate_policy(policy, family)
-    if evaluation.optimum != optimum:
+    rule = _SetRule(n, values, induction.steps)
+    mixture, per_row = _forward_ratios(rule, support)
+    if mixture != optimum:
         raise RuntimeError(
-            "backward induction and policy evaluation disagree: "
-            f"{format_value(optimum)} vs {format_value(evaluation.optimum)}"
+            "backward induction and the forward count disagree: "
+            f"{format_value(optimum)} vs {format_value(mixture)}"
         )
     return SolveReport(
         optimum=optimum,
-        policy=policy,
-        per_row=evaluation.per_row,
-        policy_states=len(policy),
+        rule=rule,
+        per_row=per_row,
+        policy_states=rule.state_count(),
         constrained=constrained,
     )
+
+
+def _forward_ratios(
+    rule: _SetRule, support: list[tuple[Scenario, Fraction]]
+) -> tuple[Fraction, dict[int, Fraction]]:
+    """Mixture expected ratio of a set rule and its conditional expected
+    ratio on each supported row, by an exact forward count over sets of
+    columns that reads only the rule's decisions.
+
+    For a row, N(S) counts the orders of the set S in which every arrival
+    was rejected: N(empty set) = 1, and for each column x not in S the
+    rule accepts x, which ends N(S) * (n - |S| - 1)! orders with the row's
+    value at x, or rejects it, which adds N(S) to N(S + x).  A set is
+    visited after all its subsets, as a bitmask after every smaller one.
+    The row's ratio is its accepted total over max_r * n!, in Fractions."""
+    n = rule.n
+    value_ids = {v: vid for vid, v in enumerate(rule.values)}
+    tails = [math.factorial(n - size - 1) for size in range(n)]
+    orders = math.factorial(n)
+    mixture = Fraction(0)
+    per_row: dict[int, Fraction] = {}
+    for scenario, probability in support:
+        ids = [value_ids[v] for v in scenario.values]
+        rejected = [0] * (1 << n)  # N(S), S a bitmask of columns
+        rejected[0] = 1
+        accepted = [0] * n  # orders that accept each column
+        for columns in range((1 << n) - 1):  # the full set decides nothing
+            count = rejected[columns]
+            if not count:
+                continue
+            seen = frozenset((x, ids[x]) for x in range(n) if columns >> x & 1)
+            children = rule.steps[seen][1]
+            tail = tails[columns.bit_count()]
+            for x in range(n):
+                if columns >> x & 1:
+                    continue
+                if children[x, ids[x]][0] is Action.ACCEPT:
+                    accepted[x] += count * tail
+                else:
+                    rejected[columns | 1 << x] += count
+        total = sum(
+            (count * value for count, value in zip(accepted, scenario.values)), Fraction(0)
+        )
+        per_row[scenario.id] = conditional = total / (scenario_max(scenario) * orders)
+        mixture += probability * conditional
+    return mixture, per_row
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +642,7 @@ def evaluate_policy(policy: Policy, family: PriorFamily) -> SolveReport:
     """
     mixture, per_row = _exact_ratios(policy.decide, family)
     return SolveReport(
-        optimum=mixture, policy=policy, per_row=per_row, policy_states=len(policy)
+        optimum=mixture, rule=policy, per_row=per_row, policy_states=len(policy)
     )
 
 

@@ -414,6 +414,61 @@ def test_verify_bytes_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
 
 
+# SHA-256 of solve stdout (no --policy-out) on the eps = 1/10, s = 5 hard
+# family, recorded while every solve still wrote and scored its table.
+SOLVE_DIGESTS = {
+    ("--k", "4", "--n", "3"):
+        "905f4107bd12e4a5ad85f1c98f36f5c330dd8230175e862448616d0d39e167a3",
+    ("--k", "4", "--n", "4"):
+        "7dbb164a4d83f95b6087ea7c90d1419c3cf4bd0e350f4706b9c6b929c470ea88",
+    ("--k", "4", "--n", "5"):
+        "3b2ec4e4b72ec4d4dfebb68f353a461484b5d92606ebf3650e6f895cf8068efd",
+    ("--k", "4", "--n", "6"):
+        "42a2ddcc984bd94ab084da316a60ab5f384a6e454f17c52a49859fb49b33e88b",
+    ("--k", "4", "--n", "7"):
+        "cdf850df7d006b028486eaa25357c237519319e5d877a1c7fede609d4fd5e561",
+    ("--k", "4", "--n", "5", "--unconstrained"):
+        "6f5119b1289b21e4e1a40e38008479928113de72ee57efbf0d25bc19653b080c",
+    ("--k", "400", "--n", "3"):
+        "ce62a7eaec20efb34e756571ab93ea51fdbbb1900c1be5d9c15bc6c40867a5e3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SOLVE_DIGESTS), ids=" ".join)
+def test_solve_bytes_are_pinned(capsys, argv):
+    assert run_command(["solve", "--eps", "1/10", "--s", "5", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_DIGESTS[argv]
+
+
+def test_sweep_csv_bytes_are_pinned(tmp_path):
+    # The README grid, recorded while every solve still wrote its table.
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--eps", "1/100,1/10", "--s", "50,400", "--k", "50,400", "-o", str(out)]
+    assert run_command(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "eaa7927947aa31f8f39a4c04a196b8c1cbde6f9620d9d5abeac344b508a3fa25"
+    )
+
+
+def test_verify_and_sweep_build_no_table(tmp_path, capsys, monkeypatch):
+    # Neither command reads a policy table, so neither may build one or
+    # any information state.
+    from secretary_lab import InformationState, verify_theorem
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    monkeypatch.setattr(Policy, "__init__", refuse)
+    monkeypatch.setattr(InformationState, "__post_init__", refuse)
+    report = verify_theorem(preset="one-third-plus")
+    assert report.dp_optimum == report.oracle_optimum
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--eps", "1/10", "--s", "5,19", "--k", "4,6", "--n", "4", "-o", str(out)]
+    assert run_command(argv) == 0, capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 5
+
+
 def test_verify_rejects_mixed_sources(capsys):
     assert (
         run_command(
@@ -641,22 +696,27 @@ def test_eval_mc_reports_an_allocation_failure_as_one_line(tmp_path, capsys):
 
 def test_cli_prints_the_same_bytes_under_python_dash_o(tmp_path):
     # Every cross-check raises rather than asserts, so -O changes nothing.
+    # Each command writes to stdout or to out.csv, and some to policy.json.
     commands = (
         ["verify", "--preset", "paper-19-20"],
         ["solve", "--eps", "1/10", "--s", "5", "--k", "4", "--n", "4",
          "--policy-out", "policy.json"],
+        ["solve", "--eps", "1/10", "--s", "5", "--k", "4", "--n", "5"],
+        ["sweep", "--eps", "1/10", "--s", "5,19", "--k", "4,6", "-o", "out.csv"],
     )
+    files = (tmp_path / "policy.json", tmp_path / "out.csv")
     for command in commands:
         runs = []
         for optimize in (False, True):
             result = run_package(["-m", "secretary_lab", *command], tmp_path, optimize)
             assert result.returncode == 0, result.stderr
-            policy = tmp_path / "policy.json"
-            runs.append((result.stdout, policy.read_bytes() if policy.exists() else None))
-            policy.unlink(missing_ok=True)
+            runs.append((result.stdout, *(f.read_bytes() if f.exists() else None for f in files)))
+            for f in files:
+                f.unlink(missing_ok=True)
         assert runs[0] == runs[1]
-        assert runs[0][0]
-        assert (runs[0][1] is not None) == ("--policy-out" in command)
+        stdout, policy, csv_bytes = runs[0]
+        assert (policy is not None) == ("--policy-out" in command)
+        assert bool(stdout) == (csv_bytes is None) == (command[0] != "sweep")
 
 
 SKEWED_SELF_CHECK = """
@@ -666,14 +726,13 @@ import secretary_lab.policy as policy
 from secretary_lab import ConstructionParams, build_hard_family
 
 assert False, "asserts must be stripped"
-evaluate = policy.evaluate_policy
+forward = policy._forward_ratios
 
-def skewed(table, family):
-    report = evaluate(table, family)
-    report.optimum += Fraction(1, 10**9)
-    return report
+def skewed(rule, support):
+    mixture, per_row = forward(rule, support)
+    return mixture + Fraction(1, 10**9), per_row
 
-policy.evaluate_policy = skewed
+policy._forward_ratios = skewed
 family = build_hard_family(ConstructionParams(Fraction(1, 10), Fraction(5), 4))
 try:
     policy.solve_optimal(family, constrained=True)

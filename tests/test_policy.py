@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -266,13 +267,13 @@ def test_solver_branches_once_per_set_of_arrivals(monkeypatch, constrained):
     import secretary_lab.policy as policy_module
 
     calls = []
-    branches = policy_module._branches
+    split = policy_module._split
 
-    def counted(n, observed, branch):
-        calls.append(observed)
-        return branches(n, observed, branch)
+    def counted(n, arrived, rows):
+        calls.append(arrived)
+        return split(n, arrived, rows)
 
-    monkeypatch.setattr(policy_module, "_branches", counted)
+    monkeypatch.setattr(policy_module, "_split", counted)
     family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=5))
     report = solve_optimal(family, constrained=constrained)
     sets = {frozenset(state.observed) for state in report.policy.actions}
@@ -288,19 +289,33 @@ def test_report_to_dict(anchor_family):
 
 
 def test_solver_self_check_raises_on_disagreement(monkeypatch, anchor_family):
-    # The induction-versus-evaluation check must survive python -O.
+    # The induction-versus-forward-count check must survive python -O.
     import secretary_lab.policy as policy_module
 
-    evaluate = policy_module.evaluate_policy
+    forward = policy_module._forward_ratios
 
-    def skewed(policy, family):
-        report = evaluate(policy, family)
-        report.optimum += Fraction(1, 10**9)
-        return report
+    def skewed(rule, support):
+        mixture, per_row = forward(rule, support)
+        return mixture + Fraction(1, 10**9), per_row
 
-    monkeypatch.setattr(policy_module, "evaluate_policy", skewed)
+    monkeypatch.setattr(policy_module, "_forward_ratios", skewed)
     with pytest.raises(RuntimeError, match="disagree"):
         solve_optimal(anchor_family, constrained=True)
+
+
+def test_solve_leaves_no_reference_cycle():
+    # The memo and the rendered table are freed by reference counting as
+    # soon as the report goes, not at a later collector pass.
+    family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=6))
+    gc.collect()
+    gc.disable()
+    try:
+        report = solve_optimal(family, constrained=True)
+        assert len(report.policy) == report.policy_states
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_single_candidate_family():
@@ -539,6 +554,7 @@ def test_solver_brute_force_and_evaluation_agree(family):
     for constrained in (True, False):
         solved = solve_optimal(family, constrained=constrained)
         assert brute_force_optimum(family, constrained=constrained) == solved.optimum
+        assert solved.policy_states == len(solved.policy)
         evaluated = evaluate_policy(solved.policy, family)
         assert evaluated.optimum == solved.optimum
         assert evaluated.per_row == solved.per_row
@@ -616,6 +632,7 @@ def test_scaled_induction_agrees_on_coprime_denominators(family):
     for constrained in (True, False):
         solved = solve_optimal(family, constrained=constrained)
         assert brute_force_optimum(family, constrained=constrained) == solved.optimum
+        assert solved.policy_states == len(solved.policy)
         evaluated = evaluate_policy(solved.policy, family)
         assert (evaluated.optimum, evaluated.per_row) == (solved.optimum, solved.per_row)
 
