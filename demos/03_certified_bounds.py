@@ -30,7 +30,7 @@ print(f"  alpha          {decimal_str(alpha, 10)}")
 print(f"  chain strict:  {exact < display < alpha}")
 print()
 
-beta = beta_bounds(max_width=Fraction(1, 10**12))
+beta = beta_bounds()
 print("budget beta = (3/2)(1/e - 1/3), enclosed to width 1e-12:")
 print(f"  [{decimal_str(beta.lower, 14)}, {decimal_str(beta.upper, 14)}]")
 print()

@@ -56,23 +56,15 @@ def alpha_value(mix_eps: Fraction, s: Fraction, k: int) -> Fraction:
     )
 
 
-def beta_bounds(
-    max_width: Fraction | None = None, digits: int | None = None
-) -> Enclosure:
-    """Certified rational enclosure of beta = (3/2)(1/e - 1/3)."""
-
-    def attempt(level: int) -> Enclosure | None:
-        inv = inv_e_enclosure(level)
-        enclosure = Enclosure(
-            lower=Fraction(3, 2) * inv.lower - Fraction(1, 2),
-            upper=Fraction(3, 2) * inv.upper - Fraction(1, 2),
-            digits=inv.digits,
-        )
-        if max_width is None or enclosure.width <= max_width:
-            return enclosure
-        return None
-
-    return _refine(attempt, digits, lambda: "beta enclosure of the requested width")
+def beta_bounds(digits: int | None = None) -> Enclosure:
+    """Certified rational enclosure of beta = (3/2)(1/e - 1/3), from the
+    1/e enclosure at ``digits`` (default ``DEFAULT_DIGITS``)."""
+    inv = inv_e_enclosure(digits)
+    return Enclosure(
+        lower=Fraction(3, 2) * inv.lower - Fraction(1, 2),
+        upper=Fraction(3, 2) * inv.upper - Fraction(1, 2),
+        digits=inv.digits,
+    )
 
 
 def threshold_value(mix_eps: Fraction) -> Enclosure:

@@ -42,6 +42,10 @@ from .exact import compare_to_inv_e, decimal_str, format_value, parse_value
 from .instances import PriorFamily, load_family, render_family_json, require_valid_family
 from .policy import Policy, evaluate_policy, solve_optimal
 
+# The interpreter's default limit on int-to-str conversion: a decimal
+# rendering with more fractional digits fails.
+MAX_DIGITS_FLAG = 4300
+
 SWEEP_FIELDS = (
     "eps",
     "s",
@@ -123,6 +127,19 @@ def _flag_int(flag: str, text: str) -> int:
         return int(text)
     except ValueError:
         raise ParameterError(f"{flag}: not an integer: {text!r}") from None
+
+
+def _digits(text: str) -> int:
+    """The ``--digits`` type: an integer in 0..MAX_DIGITS_FLAG, so a
+    value that no decimal rendering can take is a usage error before any
+    work."""
+    try:
+        digits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= digits <= MAX_DIGITS_FLAG:
+        raise argparse.ArgumentTypeError(f"must be in 0..{MAX_DIGITS_FLAG}, got {digits}")
+    return digits
 
 
 def _family_from_args(args: argparse.Namespace) -> PriorFamily:
@@ -294,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drop the prediction-consistency constraint")
     solve.add_argument("-o", "--output", help="report JSON path (default stdout)")
     solve.add_argument("--policy-out", help="also write the optimal policy table")
-    solve.add_argument("--digits", type=int, default=12)
+    solve.add_argument("--digits", type=_digits, default=12)
     solve.set_defaults(handler=_cmd_solve)
 
     evaluate = sub.add_parser("eval", help="score an algorithm on a family")
@@ -308,20 +325,20 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--seed", type=int, default=0)
     evaluate.add_argument("--metric", choices=("ratio", "success"), default="ratio")
     evaluate.add_argument("-o", "--output", help="output JSON path (default stdout)")
-    evaluate.add_argument("--digits", type=int, default=12)
+    evaluate.add_argument("--digits", type=_digits, default=12)
     evaluate.set_defaults(handler=_cmd_eval, usage_error=evaluate.error)
 
     bounds = sub.add_parser("bounds", help="print the closed-form bound chain")
     _add_param_flags(bounds, with_n=False)
     bounds.add_argument("-o", "--output", help="output JSON path (default stdout)")
-    bounds.add_argument("--digits", type=int, default=12)
+    bounds.add_argument("--digits", type=_digits, default=12)
     bounds.set_defaults(handler=_cmd_bounds)
 
     verify = sub.add_parser("verify", help="full verification run for one parameter point")
     verify.add_argument("--preset", help=f"one of: {', '.join(known_presets())}")
     _add_param_flags(verify)
     verify.add_argument("-o", "--output", help="report JSON path (default stdout)")
-    verify.add_argument("--digits", type=int, default=12)
+    verify.add_argument("--digits", type=_digits, default=12)
     verify.set_defaults(handler=_cmd_verify)
 
     sweep = sub.add_parser("sweep", help="solve a parameter grid into a CSV")
@@ -332,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("-o", "--output", required=True, help="CSV path")
     sweep.add_argument("--fields", help=f"subset of: {','.join(SWEEP_FIELDS)}")
     sweep.add_argument("--max-points", type=int, default=10_000)
-    sweep.add_argument("--digits", type=int, default=12)
+    sweep.add_argument("--digits", type=_digits, default=12)
     sweep.set_defaults(handler=_cmd_sweep)
 
     return parser

@@ -289,18 +289,36 @@ def consistent_actions(
     requirement is already forfeited on this branch (no constrained
     policy reaches it), so the constraint is vacuous there as well.
     """
-    arrivals = state.arrivals()
-    if any(prediction.value_at(i) != v for i, v in arrivals):
+    if any(prediction.value_at(i) != v for i, v in state.arrivals()):
         return BOTH_ACTIONS
-    best = scenario_max(prediction)
-    accept_ok = prediction.value_at(state.current[0]) == best
-    arrived = {i for i, _ in arrivals}
-    reject_ok = any(
-        v == best for j, v in enumerate(prediction.values, 1) if j not in arrived
+    arrived = sum(1 << (i - 1) for i, _ in state.observed)
+    accept_ok, reject_ok = _on_path_actions(
+        _best_columns(prediction), arrived, state.current[0] - 1
     )
-    if accept_ok == reject_ok:
+    if accept_ok and reject_ok:
         return BOTH_ACTIONS
     return frozenset((Action.ACCEPT if accept_ok else Action.REJECT,))
+
+
+def _best_columns(prediction: Scenario) -> int:
+    """Bitmask of the 0-based columns where the prediction attains its
+    maximum."""
+    best = scenario_max(prediction)
+    return sum(1 << j for j, v in enumerate(prediction.values) if v == best)
+
+
+def _on_path_actions(best_columns: int, arrived: int, j: int) -> tuple[bool, bool]:
+    """The constraint on the prediction path, as ``(accept_ok,
+    reject_ok)`` for 0-based column j arriving after the columns in the
+    bitmask ``arrived``, every one of them showing its predicted value:
+    accept only a column in ``best_columns``, reject only while one of
+    them is still to come; where neither is allowed, every predicted
+    maximum was rejected and both are."""
+    accept_ok = bool(best_columns >> j & 1)
+    reject_ok = bool(best_columns & ~(arrived | 1 << j))
+    if accept_ok == reject_ok:
+        return True, True
+    return accept_ok, reject_ok
 
 
 # ---------------------------------------------------------------------------
@@ -323,51 +341,29 @@ def _checked_family(family: PriorFamily) -> list[tuple[Scenario, Fraction]]:
     return support
 
 
-def _branches(
-    n: int,
-    observed: tuple[tuple[int, Fraction], ...],
-    branch: list[tuple[Scenario, Fraction]],
-):
-    """The chance step after ``observed``: yields ``(j, value, sub)`` for
-    each candidate j that has not arrived, in ascending order, and each
-    value j takes in ``branch``, in first-seen row order, where ``sub``
-    holds the rows of ``branch`` that show that value.
-
-    The steps depend only on which arrivals ``observed`` holds, not on
-    their order.  This order fixes the state order of reachable_states,
-    and with it random_policy per seed; the solver's chance step,
-    ``_split``, takes the same order on value ids.
-    """
-    arrived = {i for i, _ in observed}
-    for j in range(1, n + 1):
-        if j in arrived:
-            continue
-        groups: dict[Fraction, list[tuple[Scenario, Fraction]]] = {}
-        for scenario, mass in branch:
-            groups.setdefault(scenario.value_at(j), []).append((scenario, mass))
-        for value, sub in groups.items():
-            yield j, value, sub
-
-
 # A row of the induction: its value id in each 0-based column, and its
 # integer weight.
 IdRow = tuple[tuple[int, ...], int]
 
 
-def _split(n: int, arrived: int, rows: list[IdRow]):
-    """``_branches`` on value ids: the chance step once the columns in the
-    bitmask ``arrived`` have arrived.  Yields ``(j, value id, sub)`` for
-    each 0-based column j not in ``arrived``, in ascending order, and each
-    value id j takes in ``rows``, in first-seen row order, where ``sub``
-    holds the rows that show it."""
+def _split(n: int, arrived: int, rows: list[tuple]):
+    """The chance step once the columns in the bitmask ``arrived`` have
+    arrived.  Each row starts with its values by 0-based column (value ids
+    in the solver, Fractions in reachable_states and brute force).  Yields
+    ``(j, value, sub)`` for each column j not in ``arrived``, in ascending
+    order, and each value j takes in ``rows``, in first-seen row order,
+    where ``sub`` holds the rows that show it.
+
+    This order fixes the state order of reachable_states, and with it
+    random_policy per seed."""
     for j in range(n):
         if arrived >> j & 1:
             continue
-        groups: dict[int, list[IdRow]] = {}
+        groups: dict = {}
         for row in rows:
             groups.setdefault(row[0][j], []).append(row)
-        for value_id, sub in groups.items():
-            yield j, value_id, sub
+        for value, sub in groups.items():
+            yield j, value, sub
 
 
 # A set of arrivals, each a (0-based column, value id) pair.
@@ -463,15 +459,10 @@ class _SetInduction:
         total = 0
         children: Children = {}
         for j, value_id, sub in _split(self.n, arrived, rows):
-            # consistent_actions: on the prediction path, accept only a
-            # predicted maximum and reject only while one is still to come.
             on = on_path and self.prediction_ids[j] == value_id
             accept_ok = reject_ok = True
             if on:
-                accept_ok = bool(self.best_columns >> j & 1)
-                reject_ok = bool(self.best_columns & ~(arrived | 1 << j))
-                if accept_ok == reject_ok:
-                    accept_ok = reject_ok = True
+                accept_ok, reject_ok = _on_path_actions(self.best_columns, arrived, j)
             after = None
             if depth + 1 == self.n:
                 reject_value = 0
@@ -541,13 +532,12 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
         )
         for (scenario, _), w in zip(support, weights)
     ]
-    best = scenario_max(prediction)
     induction = _SetInduction(
         n,
         scaled_values=[v.numerator * (value_scale // v.denominator) for v in values],
         # -1 where no supported row shows the predicted value
         prediction_ids=[value_ids.get(v, -1) for v in prediction.values],
-        best_columns=sum(1 << j for j, v in enumerate(prediction.values) if v == best),
+        best_columns=_best_columns(prediction),
     )
     scaled_optimum = induction.value(frozenset(), 0, constrained, rows)
     optimum = Fraction(scaled_optimum, math.factorial(n) * value_scale * weight_scale)
@@ -653,25 +643,17 @@ def _exact_ratios(
     expected ratio on each row of positive probability, over all n!
     arrival orders of every row.
 
-    A row's conditional ratio is its accepted values summed over the
-    orders, divided once by its maximum times the number of orders."""
+    A row's conditional ratio is the competitive ratio of each value it
+    accepts times the orders that accept it, summed, over the number of
+    orders."""
     support = _checked_family(family)
     orders = list(itertools.permutations(range(1, family.n + 1)))
     mixture = Fraction(0)
     per_row: dict[int, Fraction] = {}
     for scenario, probability in support:
-        accepted_total = Fraction(0)
-        for accepted, count in _tally(decide, scenario, orders).items():
-            if accepted is None:
-                continue
-            if accepted not in scenario.values:
-                raise ValueError(
-                    f"accepted value {accepted} is not a value of scenario {scenario.id}"
-                )
-            accepted_total += count * accepted
-        per_row[scenario.id] = conditional = accepted_total / (
-            scenario_max(scenario) * len(orders)
-        )
+        counts = _tally(decide, scenario, orders)
+        ratios = (count * competitive_ratio(value, scenario) for value, count in counts.items())
+        per_row[scenario.id] = conditional = sum(ratios, Fraction(0)) / len(orders)
         mixture += probability * conditional
     return mixture, per_row
 
@@ -727,13 +709,14 @@ def reachable_states(family: PriorFamily) -> list[InformationState]:
     n = family.n
     states: list[InformationState] = []
 
-    def walk(observed, branch):
-        for j, value, sub in _branches(n, observed, branch):
-            states.append(InformationState(observed, (j, value)))
+    def walk(observed, arrived, rows):
+        for j, value, sub in _split(n, arrived, rows):
+            arrival = (j + 1, value)
+            states.append(InformationState(observed, arrival))
             if len(observed) + 1 < n:
-                walk(observed + ((j, value),), sub)
+                walk(observed + (arrival,), arrived | 1 << j, sub)
 
-    walk((), support)
+    walk((), 0, [(scenario.values,) for scenario, _ in support])
     return states
 
 
@@ -786,7 +769,9 @@ def brute_force_optimum(
     orders = list(itertools.permutations(range(1, n + 1)))
     order_weight = Fraction(1, len(orders))
 
-    def subpolicies(observed, current, branch):
+    def subpolicies(observed, current, arrived, rows):
+        """Every sub-policy from ``current`` on; ``arrived`` is the bitmask
+        of the columns of ``observed`` and ``current``."""
         state = InformationState(observed, current)
         allowed = consistent_actions(prediction, state) if constrained else BOTH_ACTIONS
         results: list[dict[InformationState, Action]] = []
@@ -798,8 +783,8 @@ def brute_force_optimum(
             else:
                 next_observed = observed + (current,)
                 child_lists = [
-                    subpolicies(next_observed, (j, value), sub)
-                    for j, value, sub in _branches(n, next_observed, branch)
+                    subpolicies(next_observed, (j + 1, value), arrived | 1 << j, sub)
+                    for j, value, sub in _split(n, arrived, rows)
                 ]
                 for combo in itertools.product(*child_lists):
                     merged = {state: Action.REJECT}
@@ -814,13 +799,14 @@ def brute_force_optimum(
         return results
 
     total = Fraction(0)
-    for j, value, sub in _branches(n, (), support):
-        subtree_orders = [order for order in orders if order[0] == j]
+    rows = [(scenario.values, scenario, mass) for scenario, mass in support]
+    for j, value, sub in _split(n, 0, rows):
+        subtree_orders = [order for order in orders if order[0] == j + 1]
         best = None
-        for candidate in subpolicies((), (j, value), sub):
+        for candidate in subpolicies((), (j + 1, value), 1 << j, sub):
             policy = Policy(candidate)
             contribution = Fraction(0)
-            for scenario, mass in sub:
+            for _, scenario, mass in sub:
                 for order in subtree_orders:
                     accepted = _simulate(policy.decide, scenario, order)
                     contribution += (

@@ -79,7 +79,7 @@ def test_alpha_monotonicity():
 
 def test_beta_enclosure_brackets_reference():
     reference = beta_reference()
-    enclosure = beta_bounds(max_width=F(1, 10**6))
+    enclosure = beta_bounds()
     assert enclosure.width <= F(1, 10**6)
     assert enclosure.lower <= reference <= enclosure.upper
     assert F(518181, 10**7) < enclosure.lower

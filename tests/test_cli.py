@@ -35,6 +35,46 @@ def test_usage_errors_exit_two():
     assert err.value.code == 2
 
 
+DIGITS_COMMANDS = (
+    ["solve", "--eps", "1/10", "--s", "5", "--k", "4"],
+    ["eval", "--family", "missing.json", "--alg", "dynkin"],
+    ["bounds", "--eps", "1/10", "--s", "5", "--k", "4"],
+    ["verify", "--preset", "paper-19-20"],
+    ["sweep", "--eps", "1/10", "--s", "5", "--k", "4", "-o", "out.csv"],
+)
+
+
+@pytest.mark.parametrize("digits", ("-1", "4301"))
+@pytest.mark.parametrize("command", DIGITS_COMMANDS, ids=lambda command: command[0])
+def test_out_of_range_digits_is_refused_before_any_work(
+    monkeypatch, tmp_path, capsys, command, digits
+):
+    import secretary_lab.bounds
+    import secretary_lab.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_optimal ran")
+
+    monkeypatch.setattr(secretary_lab.cli, "solve_optimal", refuse)
+    monkeypatch.setattr(secretary_lab.bounds, "solve_optimal", refuse)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        run_command([*command, "--digits", digits])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --digits: must be in 0..4300, got {digits}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_digits_up_to_the_int_to_str_limit_render(capsys):
+    argv = ["bounds", "--eps", "1/10", "--s", "5", "--k", "4", "--digits", "4300"]
+    assert run_command(argv) == 0
+    alpha = json.loads(capsys.readouterr().out)["alpha"]
+    assert alpha["exact"] == "18/25"
+    assert alpha["decimal"] == "0." + "72" + "0" * 4298
+
+
 def test_zero_denominator_is_a_domain_error(capsys):
     assert run_command(["bounds", "--eps", "1/0", "--s", "5", "--k", "4"]) == 1
     lines = capsys.readouterr().err.splitlines()
@@ -697,12 +737,18 @@ def test_eval_mc_reports_an_allocation_failure_as_one_line(tmp_path, capsys):
 def test_cli_prints_the_same_bytes_under_python_dash_o(tmp_path):
     # Every cross-check raises rather than asserts, so -O changes nothing.
     # Each command writes to stdout or to out.csv, and some to policy.json.
+    family = gen_family(tmp_path)
+    assert run_command(["solve", "--family", str(family), "--policy-out",
+                        str(tmp_path / "solved.json")]) == 0
     commands = (
         ["verify", "--preset", "paper-19-20"],
         ["solve", "--eps", "1/10", "--s", "5", "--k", "4", "--n", "4",
          "--policy-out", "policy.json"],
         ["solve", "--eps", "1/10", "--s", "5", "--k", "4", "--n", "5"],
         ["sweep", "--eps", "1/10", "--s", "5,19", "--k", "4,6", "-o", "out.csv"],
+        ["eval", "--family", "family.json", "--alg", "dynkin"],
+        ["eval", "--family", "family.json", "--alg", "policy:solved.json"],
+        ["bounds", "--eps", "1/10", "--s", "5", "--k", "4"],
     )
     files = (tmp_path / "policy.json", tmp_path / "out.csv")
     for command in commands:
