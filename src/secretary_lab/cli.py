@@ -130,15 +130,19 @@ def _flag_int(flag: str, text: str) -> int:
 
 
 def _digits(text: str) -> int:
-    """The ``--digits`` type: an integer in 0..MAX_DIGITS_FLAG, so a
+    """The ``--digits`` type: an integer in 0..MAX_DIGITS_FLAG, or up to
+    the interpreter's int-to-str limit where that is set lower, so a
     value that no decimal rendering can take is a usage error before any
     work."""
     try:
         digits = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= digits <= MAX_DIGITS_FLAG:
-        raise argparse.ArgumentTypeError(f"must be in 0..{MAX_DIGITS_FLAG}, got {digits}")
+    # 0, or no such function before Python 3.10.7: no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    cap = min(limit or MAX_DIGITS_FLAG, MAX_DIGITS_FLAG)
+    if not 0 <= digits <= cap:
+        raise argparse.ArgumentTypeError(f"must be in 0..{cap}, got {digits}")
     return digits
 
 
@@ -169,7 +173,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = solve_optimal(family, constrained=not args.unconstrained)
     _emit(report.to_dict(args.digits), args.output)
     if args.policy_out is not None:
-        _atomic_write(args.policy_out, report.policy.to_json())
+        # The solver's set rule writes the file without building the table.
+        _atomic_write(args.policy_out, report.rule.to_json())
     return 0
 
 

@@ -23,9 +23,11 @@ as a Python integer on one scale fixed per family (row weights p_r / max_r
 over their common denominator L, candidate values over theirs, V) and
 divides once per solve, by n! * V * L.  Its self-check is an exact
 forward count over sets of arrivals, in plain Fractions, that scores the
-memo's decisions on every row.  The ordered table is rendered from the
-memo only when a caller reads it; policy evaluation over every arrival
-order scores any table, a rendered one included.
+memo's decisions on every row.  The policy file's text is written from
+the memo directly, each state key built as text, with no ordered table;
+the table is rendered from the memo only when a caller reads
+``SolveReport.policy``.  Policy evaluation over every arrival order
+scores any table, a rendered one included.
 """
 
 from __future__ import annotations
@@ -34,15 +36,15 @@ import bisect
 import enum
 import functools
 import itertools
-import json
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DegenerateInstanceError,
@@ -99,7 +101,7 @@ class InformationState:
         """The state as text, each arrival rendered by ``render_arrival``
         (default ``_render_arrival``)."""
         render = render_arrival or _render_arrival
-        return ",".join(map(render, self.observed)) + "|current=" + render(self.current)
+        return _state_text(map(render, self.observed), render(self.current))
 
     @classmethod
     def parse(
@@ -112,6 +114,11 @@ class InformationState:
         prefix, _, current_text = text.partition("|current=")
         observed = tuple(map(parse, prefix.split(","))) if prefix else ()
         return cls(observed=observed, current=parse(current_text))
+
+
+def _state_text(observed: Iterable[str], current: str) -> str:
+    """A serialized state from its rendered arrivals."""
+    return ",".join(observed) + "|current=" + current
 
 
 def _render_arrival(arrival: Arrival) -> str:
@@ -131,6 +138,18 @@ def _parse_arrival(item: str) -> Arrival:
     except ValueError:
         pass
     raise ValueError(f"not an arrival: {item!r} (write (i:v), v in lowest terms)")
+
+
+def _policy_text(entries: Iterable[tuple[str, str]]) -> str:
+    """A policy file's text from its (state key, action) entries, already
+    sorted: the bytes of ``json.dumps(dict(entries), indent=2)`` and a
+    newline, each string encoded as ``json.dumps`` encodes it, without
+    its pure-Python encoder."""
+    encode = encode_basestring_ascii
+    lines = [f"  {encode(key)}: {encode(action)}" for key, action in entries]
+    if not lines:
+        return "{}\n"
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 class Policy:
@@ -193,7 +212,7 @@ class Policy:
 
     def to_json(self) -> str:
         """The policy file's text: sorted states, two-space indent."""
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return _policy_text(self.to_dict().items())
 
     @classmethod
     def load(cls, path: str | Path) -> "Policy":
@@ -216,7 +235,8 @@ class SolveReport:
     @property
     def policy(self) -> Policy | None:
         """The policy table.  A solver's table is rendered from its set
-        rule the first time it is read, and then replaces the rule."""
+        rule the first time it is read, and then replaces the rule; the
+        set rule writes the policy file without it (``rule.to_json()``)."""
         if isinstance(self.rule, _SetRule):
             self.rule = self.rule.table()
         return self.rule
@@ -389,27 +409,40 @@ class _SetRule:
     def table(self) -> Policy:
         """The policy table: each set's actions, copied to every ordered
         history that reaches the set, with one tuple per distinct arrival."""
-        policy = Policy()
-        self._record((), frozenset(), {}, policy.actions)
-        return policy
+        return Policy(self._histories(lambda arrival: arrival, InformationState))
 
-    def _record(
-        self,
-        observed: History,
-        seen: IdSet,
-        arrivals: dict[tuple[int, int], Arrival],
-        actions: dict[InformationState, Action],
+    def to_json(self) -> str:
+        """The policy file's text, the bytes of ``table().to_json()``,
+        written from the memo: each state key is built as text from the
+        arrivals' texts, and no InformationState or table is built."""
+        entries = self._histories(_render_arrival, _state_text)
+        return _policy_text((key, action.value) for key, action in sorted(entries.items()))
+
+    def _histories(self, arrival: Callable[[Arrival], object], state: Callable) -> dict:
+        """Every ordered history that reaches the table, with its action:
+        each set's actions, copied to every order of the arrivals that
+        reach the set.  Each arrival is made once, as ``arrival((index,
+        value))``, and a history's key is ``state(observed, current)``,
+        ``observed`` being the tuple of the arrivals rejected so far."""
+        made = {
+            (j, value_id): arrival((j + 1, value))
+            for j in range(self.n)
+            for value_id, value in enumerate(self.values)
+        }
+        entries: dict = {}
+        self._walk(entries, made, state, (), frozenset())
+        return entries
+
+    def _walk(
+        self, entries: dict, made: dict, state: Callable, observed: tuple, seen: IdSet
     ) -> None:
-        """Write the action of every ordered history that follows
-        ``observed``, the set ``seen``, into ``actions``."""
+        """Add to ``entries`` every history that follows ``observed``,
+        the set ``seen``."""
         for pair, (action, after) in self.steps[seen][1].items():
-            arrival = arrivals.get(pair)
-            if arrival is None:
-                arrival = arrivals[pair] = (pair[0] + 1, self.values[pair[1]])
-            state = InformationState(observed, arrival)
+            current = made[pair]
             if after is not None:
-                self._record(state.arrivals(), after, arrivals, actions)
-            actions[state] = action
+                self._walk(entries, made, state, observed + (current,), after)
+            entries[state(observed, current)] = action
 
     def state_count(self) -> int:
         """The size of ``table()``, counted on the sets: H(S) ordered

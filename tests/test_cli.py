@@ -75,6 +75,21 @@ def test_digits_up_to_the_int_to_str_limit_render(capsys):
     assert alpha["decimal"] == "0." + "72" + "0" * 4298
 
 
+def test_digits_above_a_lowered_int_to_str_limit_is_a_usage_error(tmp_path, monkeypatch):
+    # Where the interpreter's int-to-str limit is set below 4300, --digits
+    # is capped at it: a larger value is refused when it is parsed, not
+    # once verify has solved the family and fails to render.
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+    argv = ["-m", "secretary_lab", "verify", "--preset", "paper-19-20", "--digits"]
+    refused = run_package([*argv, "1000"], tmp_path)
+    assert refused.returncode == 2
+    assert refused.stdout == ""
+    assert "argument --digits: must be in 0..640, got 1000" in refused.stderr
+    rendered = run_package([*argv, "640"], tmp_path)
+    assert rendered.returncode == 0, rendered.stderr
+    assert len(json.loads(rendered.stdout)["alpha"]["decimal"]) == len("0.") + 640
+
+
 def test_zero_denominator_is_a_domain_error(capsys):
     assert run_command(["bounds", "--eps", "1/0", "--s", "5", "--k", "4"]) == 1
     lines = capsys.readouterr().err.splitlines()
@@ -479,6 +494,42 @@ def test_solve_bytes_are_pinned(capsys, argv):
     assert run_command(["solve", "--eps", "1/10", "--s", "5", *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_DIGESTS[argv]
+
+
+# SHA-256 of the --policy-out file on the eps = 1/10, s = 5, k = 4 hard
+# family, recorded while the file was written from the rendered table.
+POLICY_FILE_DIGESTS = {
+    ("--n", "6"): "cff4b4a53f8fff2c083c89b2918565259293c0123b21a4e90a33d31ce16ddbc3",
+    ("--n", "5", "--unconstrained"):
+        "82b325b65b7a48ddb5f3ea40cf30274c180a9b79627955992ff6617ed134aff3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(POLICY_FILE_DIGESTS), ids=" ".join)
+def test_solve_policy_file_bytes_are_pinned(tmp_path, argv):
+    out = tmp_path / "policy.json"
+    command = ["solve", "--eps", "1/10", "--s", "5", "--k", "4", *argv]
+    assert run_command([*command, "--policy-out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == POLICY_FILE_DIGESTS[argv]
+
+
+def test_solve_policy_out_builds_no_table(tmp_path, capsys, monkeypatch):
+    # The file is written from the solver's memo: neither the table nor
+    # any information state is built, and the bytes are those of a run
+    # free to build them.
+    from secretary_lab import InformationState
+    from secretary_lab.policy import _SetRule
+
+    command = ["solve", "--eps", "1/10", "--s", "5", "--k", "4", "--n", "5", "--policy-out"]
+    assert run_command([*command, str(tmp_path / "free.json")]) == 0
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built a table")
+
+    monkeypatch.setattr(_SetRule, "table", refuse)
+    monkeypatch.setattr(InformationState, "__init__", refuse)
+    assert run_command([*command, str(tmp_path / "memo.json")]) == 0, capsys.readouterr().err
+    assert (tmp_path / "memo.json").read_bytes() == (tmp_path / "free.json").read_bytes()
 
 
 def test_sweep_csv_bytes_are_pinned(tmp_path):

@@ -80,6 +80,9 @@ def test_policy_round_trip(tmp_path):
     path.write_text(policy.to_json(), encoding="utf-8")
     assert Policy.load(path) == policy
     assert len(policy) == 2
+    # The file is what json.dumps writes, the empty table included.
+    for table in (policy, Policy()):
+        assert table.to_json() == json.dumps(table.to_dict(), indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -234,11 +237,14 @@ POLICY_SIZES = {(4, 5, True): 1293, (4, 5, False): 1989, (6, 4, True): 395, (6, 
 @pytest.mark.parametrize("k, n, constrained", sorted(POLICY_DIGESTS))
 def test_policy_table_is_byte_identical(k, n, constrained):
     family = build_hard_family(ConstructionParams(Fraction(1, 10), S, k, n=n))
-    policy = solve_optimal(family, constrained=constrained).policy
+    report = solve_optimal(family, constrained=constrained)
+    # The set rule writes the file from its memo, before any table exists.
+    written = report.rule.to_json()
+    policy = report.policy
     text = json.dumps(policy.to_dict(), indent=2, sort_keys=True) + "\n"
-    assert text == policy.to_json()
+    assert text == policy.to_json() == written
     assert len(policy) == POLICY_SIZES[k, n, constrained]
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(written.encode("utf-8")).hexdigest()
     assert digest == POLICY_DIGESTS[k, n, constrained]
 
 
@@ -592,7 +598,9 @@ def test_solver_brute_force_and_evaluation_agree(family):
     for constrained in (True, False):
         solved = solve_optimal(family, constrained=constrained)
         assert brute_force_optimum(family, constrained=constrained) == solved.optimum
+        written = solved.rule.to_json()
         assert solved.policy_states == len(solved.policy)
+        assert written == solved.policy.to_json()
         if constrained and family.probability_of(family.prediction_id) > 0:
             assert is_consistent(solved.policy, family.prediction())
         evaluated = evaluate_policy(solved.policy, family)
@@ -672,7 +680,9 @@ def test_scaled_induction_agrees_on_coprime_denominators(family):
     for constrained in (True, False):
         solved = solve_optimal(family, constrained=constrained)
         assert brute_force_optimum(family, constrained=constrained) == solved.optimum
+        written = solved.rule.to_json()
         assert solved.policy_states == len(solved.policy)
+        assert written == solved.policy.to_json()
         if constrained and family.probability_of(family.prediction_id) > 0:
             assert is_consistent(solved.policy, family.prediction())
         evaluated = evaluate_policy(solved.policy, family)
