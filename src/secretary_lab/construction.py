@@ -73,15 +73,20 @@ def row_exponents(row: int, k: int) -> tuple[int, int]:
 
 
 def build_hard_family(params: ConstructionParams) -> PriorFamily:
-    """Deterministically build the hard family for the given parameters."""
-    s, k, n = params.s, params.k, params.n
-    padding = (Fraction(1),) * (n - 3)
-    scenarios = [Scenario(id=1, values=(s, Fraction(1), Fraction(1)) + padding)]
+    """Deterministically build the hard family for the given parameters.
+
+    Each power s^e is computed once, and every row that shows it holds
+    that one object, as every tail row holds one probability."""
+    k, n = params.k, params.n
+    power = [params.s ** e for e in range(k + 2)]  # s^0 .. s^(k+1)
+    one, s = power[0], power[1]
+    padding = (one,) * (n - 3)
+    scenarios = [Scenario(id=1, values=(s, one, one) + padding)]
     probabilities = [params.mix_eps]
     tail_probability = (1 - params.mix_eps) / (2 * k - 2)
     for row in range(2, 2 * k):
         e2, e3 = row_exponents(row, k)
-        scenarios.append(Scenario(id=row, values=(s, s ** e2, s ** e3) + padding))
+        scenarios.append(Scenario(id=row, values=(s, power[e2], power[e3]) + padding))
         probabilities.append(tail_probability)
     return PriorFamily(
         n=n,

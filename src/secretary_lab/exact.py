@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,38 +41,61 @@ def parse_value(text: str, base: Fraction | None = None) -> Fraction:
     text = text.strip()
     if text.startswith("s^"):
         if base is None:
-            raise ValueError(f"power form {text!r} needs a family base")
+            raise ValueError(f"power form {_quoted(text)} needs a family base")
         if base == 0:
-            raise ValueError(f"power form {text!r} needs a nonzero family base")
+            raise ValueError(f"power form {_quoted(text)} needs a nonzero family base")
         exponent = _integer(text[2:], text)
         base = Fraction(base)
         size = max(base.numerator.bit_length(), base.denominator.bit_length())
         if abs(exponent) * size > MAX_POWER_BITS:
             raise ValueError(
-                f"power form {text!r} would exceed {MAX_POWER_BITS} bits"
+                f"power form {_quoted(text)} would exceed {MAX_POWER_BITS} bits"
             )
         return base ** exponent
     if "/" in text:
         num_text, den_text = text.split("/", 1)
         denominator = _integer(den_text, text)
         if denominator == 0:
-            raise ValueError(f"zero denominator in {text!r}")
+            raise ValueError(f"zero denominator in {_quoted(text)}")
         return Fraction(_integer(num_text, text), denominator)
     return Fraction(_integer(text, text))
 
 
 def _integer(part: str, text: str) -> int:
-    """``int(part)``; a bad part is an error that quotes the whole value."""
+    """``int(part)``; a bad part is an error that quotes the value, and a
+    part with more digits than the interpreter's int-to-str limit is an
+    error that names the limit."""
     try:
         return int(part)
     except ValueError:
-        raise ValueError(f"not a value: {text!r} (use p, p/q or s^e)") from None
+        # 0, or no such function before Python 3.10.7: no limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        digits = sum(c.isdigit() for c in part)
+        if limit and digits > limit:
+            raise ValueError(
+                f"{_quoted(text)} has an integer of {digits} digits, more than "
+                f"the interpreter's int-to-str limit of {limit} (PYTHONINTMAXSTRDIGITS)"
+            ) from None
+        raise ValueError(f"not a value: {_quoted(text)} (use p, p/q or s^e)") from None
+
+
+def _quoted(text: str, width: int = 24) -> str:
+    """``repr(text)``, cut to its first ``width`` characters and its length
+    when it is longer, so that an error about a long value stays short."""
+    if len(text) <= width:
+        return repr(text)
+    return f"{text[:width]!r}... ({len(text)} characters)"
+
+
+def as_fraction(x) -> Fraction:
+    """``x`` itself when its type is exactly Fraction (``Fraction(x)``
+    would copy it), else ``Fraction(x)``."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def format_value(x: Fraction) -> str:
     """Render ``x`` in the grammar: "p" for integers, else "p/q"."""
-    if type(x) is not Fraction:  # Fraction(x) would copy x
-        x = Fraction(x)
+    x = as_fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -10,12 +10,13 @@ are 1-based throughout the public API.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import DegenerateInstanceError, InvalidFamilyError, UndefinedErrorMeasureError
-from .exact import format_value, format_value_with_base, parse_value
+from .exact import as_fraction, format_value, format_value_with_base, parse_value
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,9 @@ class Scenario:
             raise ValueError("scenario id must be a positive integer")
         if not self.values:
             raise ValueError("scenario needs at least one value")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-        if any(v < 0 for v in self.values):
+        # A Fraction is kept, not copied: rows of a family share their values.
+        object.__setattr__(self, "values", tuple(map(as_fraction, self.values)))
+        if any(v.numerator < 0 for v in self.values):  # the sign is the numerator's
             raise ValueError("scenario values must be >= 0")
 
     def value_at(self, index: int) -> Fraction:
@@ -65,10 +67,10 @@ class PriorFamily:
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(
-            self, "probabilities", tuple(Fraction(p) for p in self.probabilities)
+            self, "probabilities", tuple(map(as_fraction, self.probabilities))
         )
         if self.base is not None:
-            object.__setattr__(self, "base", Fraction(self.base))
+            object.__setattr__(self, "base", as_fraction(self.base))
         if len(self.scenarios) != len(self.probabilities):
             raise ValueError("scenarios and probabilities must have equal length")
         if not self.scenarios:
@@ -166,7 +168,10 @@ def validate_family(family: PriorFamily) -> ValidationReport:
     for scenario, probability in family.items():
         if probability < 0:
             violations.append(f"scenario {scenario.id} has negative probability {probability}")
-    mass = sum(family.probabilities, Fraction(0))
+    # Summed once per distinct probability: a family's rows mostly share one.
+    mass = sum(
+        (p * count for p, count in Counter(family.probabilities).items()), Fraction(0)
+    )
     if mass != 1:
         violations.append(f"mass != 1 (probabilities sum to {mass})")
     if family.prediction_id not in ids:

@@ -22,8 +22,9 @@ The induction is exact without Fraction arithmetic: it holds every value
 as a Python integer on one scale fixed per family (row weights p_r / max_r
 over their common denominator L, candidate values over theirs, V) and
 divides once per solve, by n! * V * L.  Its self-check is an exact
-forward count over sets of arrivals, in plain Fractions, that scores the
-memo's decisions on every row.  The policy file's text is written from
+forward count over sets of arrivals that scores the memo's decisions on
+every row, on integers of its own value scale, with one Fraction per row
+for the row's ratio.  The policy file's text is written from
 the memo directly, each state key built as text, with no ordered table;
 the table is rendered from the memo only when a caller reads
 ``SolveReport.policy``.  Policy evaluation over every arrival order
@@ -352,9 +353,10 @@ def _checked_family(family: PriorFamily) -> list[tuple[Scenario, Fraction]]:
             f"n = {family.n} too large for exact enumeration (max {MAX_ENUMERATION_N}); "
             "use monte_carlo_estimate beyond that"
         )
-    support = [(s, p) for s, p in family.items() if p > 0]
+    # validated: no probability and no value is negative
+    support = [(s, p) for s, p in family.items() if p]
     for scenario, _ in support:
-        if scenario_max(scenario) == 0:
+        if not any(scenario.values):
             raise DegenerateInstanceError(
                 f"scenario {scenario.id} has positive probability but no positive value"
             )
@@ -362,8 +364,8 @@ def _checked_family(family: PriorFamily) -> list[tuple[Scenario, Fraction]]:
 
 
 # A row of the induction: its value id in each 0-based column, and its
-# integer weight.
-IdRow = tuple[tuple[int, ...], int]
+# integer weight times the scaled value in each column.
+IdRow = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _split(n: int, arrived: int, rows: list[tuple]):
@@ -465,15 +467,8 @@ class _SetInduction:
     """Backward induction over sets of rejected arrivals, on value ids
     and integers (see solve_optimal); ``steps`` becomes a _SetRule's."""
 
-    def __init__(
-        self,
-        n: int,
-        scaled_values: list[int],
-        prediction_ids: list[int],
-        best_columns: int,
-    ):
+    def __init__(self, n: int, prediction_ids: list[int], best_columns: int):
         self.n = n
-        self.scaled_values = scaled_values
         self.prediction_ids = prediction_ids
         self.best_columns = best_columns
         self.tails = [math.factorial(n - depth - 1) for depth in range(n)]
@@ -504,7 +499,7 @@ class _SetInduction:
                 reject_value = self.value(after, arrived | 1 << j, on, sub)
             else:
                 reject_value = None
-            accept_value = tail * self.scaled_values[value_id] * sum(w for _, w in sub)
+            accept_value = tail * sum(row[1][j] for row in sub)
             if accept_ok and (reject_value is None or accept_value >= reject_value):
                 action, state_value = Action.ACCEPT, accept_value
             else:
@@ -530,18 +525,21 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
 
     Values are integers on one scale.  Row r weighs W_r = L * p_r / max_r
     and value v counts v * V, where L and V are the least common multiples
-    of the denominators of the p_r / max_r and of the values.  At a state
-    with d rejected arrivals the accept value is
-    (n - d - 1)! * v * V * (sum of W_r over the rows still possible), a
-    chance node is the plain sum of its child states, and rejecting the
-    last arrival is worth 0.  Each is the true value times the rows'
+    of the denominators of the p_r / max_r and of the values; each value
+    is mapped to its id, and each row's maximum found, once per row, and
+    each row carries its products W_r * v * V by column.  At a state with
+    d rejected arrivals the accept value of v in column j is
+    (n - d - 1)! * (sum of W_r * v * V over the rows still possible, read
+    off their column j), a chance node is the plain sum of its child
+    states, and rejecting the last arrival is worth 0.  Each is the true value times the rows'
     probability mass times (n - d - 1)! * V * L, a positive factor shared
     by both actions at a state, so every comparison, ties included, is
     the one on true values; the optimum is the root's integer divided by
     n! * V * L.
 
     The self-check, ``_forward_ratios``, scores the memo's decisions by an
-    exact forward count over sets in Fractions from the family; its
+    exact forward count over sets, on the family's values and its own
+    integer scale, sharing no scale or state with the induction; its
     per-row ratios are the report's, and their mixture must equal the
     optimum.  The report's policy table, keyed on ordered histories, is
     rendered from the memo the first time it is read, and
@@ -553,21 +551,26 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     support = _checked_family(family)
     prediction = family.prediction()
     n = family.n
-    weights = [probability / scenario_max(scenario) for scenario, probability in support]
-    weight_scale = math.lcm(*(w.denominator for w in weights))  # L
-    values = tuple(dict.fromkeys(v for scenario, _ in support for v in scenario.values))
-    value_scale = math.lcm(*(v.denominator for v in values))  # V
-    value_ids = {v: vid for vid, v in enumerate(values)}
-    rows = [
-        (
-            tuple(value_ids[v] for v in scenario.values),
-            w.numerator * (weight_scale // w.denominator),
-        )
-        for (scenario, _), w in zip(support, weights)
+    value_ids: dict[Fraction, int] = {}  # in first-seen order
+    id_rows = [
+        tuple(value_ids.setdefault(v, len(value_ids)) for v in scenario.values)
+        for scenario, _ in support
     ]
+    values = tuple(value_ids)
+    value_scale = math.lcm(*(v.denominator for v in values))  # V
+    scaled = [v.numerator * (value_scale // v.denominator) for v in values]
+    # p_r / max_r, with max_r * V the row's largest scaled value
+    weights = [
+        Fraction(p.numerator * value_scale, p.denominator * max(scaled[i] for i in ids))
+        for ids, (_, p) in zip(id_rows, support)
+    ]
+    weight_scale = math.lcm(*(w.denominator for w in weights))  # L
+    rows = []
+    for ids, w in zip(id_rows, weights):
+        weight = w.numerator * (weight_scale // w.denominator)  # W_r
+        rows.append((ids, tuple(weight * scaled[i] for i in ids)))
     induction = _SetInduction(
         n,
-        scaled_values=[v.numerator * (value_scale // v.denominator) for v in values],
         # -1 where no supported row shows the predicted value
         prediction_ids=[value_ids.get(v, -1) for v in prediction.values],
         best_columns=_best_columns(prediction),
@@ -602,12 +605,17 @@ def _forward_ratios(
     rule accepts x, which ends N(S) * (n - |S| - 1)! orders with the row's
     value at x, or rejects it, which adds N(S) to N(S + x).  A set is
     visited after all its subsets, as a bitmask after every smaller one.
-    The row's ratio is its accepted total over max_r * n!, in Fractions."""
+    The row's ratio is its accepted total over max_r * n!, both counted on
+    one integer value scale (the values over their common denominator), so
+    each row makes one Fraction; the mixture weighs each distinct
+    probability once, by the sum of its rows' ratios."""
     n = rule.n
     value_ids = {v: vid for vid, v in enumerate(rule.values)}
+    scale = math.lcm(*(v.denominator for v in rule.values))
+    scaled = [v.numerator * (scale // v.denominator) for v in rule.values]
     tails = [math.factorial(n - size - 1) for size in range(n)]
     orders = math.factorial(n)
-    mixture = Fraction(0)
+    by_probability: dict[Fraction, list[Fraction]] = {}
     per_row: dict[int, Fraction] = {}
     for scenario, probability in support:
         ids = [value_ids[v] for v in scenario.values]
@@ -628,11 +636,13 @@ def _forward_ratios(
                     accepted[x] += count * tail
                 else:
                     rejected[columns | 1 << x] += count
-        total = sum(
-            (count * value for count, value in zip(accepted, scenario.values)), Fraction(0)
-        )
-        per_row[scenario.id] = conditional = total / (scenario_max(scenario) * orders)
-        mixture += probability * conditional
+        total = sum(count * scaled[i] for count, i in zip(accepted, ids))
+        top = max(scaled[i] for i in ids)
+        per_row[scenario.id] = conditional = Fraction(total, top * orders)
+        by_probability.setdefault(probability, []).append(conditional)
+    mixture = sum(
+        (p * sum(ratios, Fraction(0)) for p, ratios in by_probability.items()), Fraction(0)
+    )
     return mixture, per_row
 
 

@@ -90,6 +90,26 @@ def test_digits_above_a_lowered_int_to_str_limit_is_a_usage_error(tmp_path, monk
     assert len(json.loads(rendered.stdout)["alpha"]["decimal"]) == len("0.") + 640
 
 
+def test_value_beyond_a_lowered_int_to_str_limit_names_the_limit(tmp_path, monkeypatch):
+    # A value whose integers have more digits than the interpreter's limit
+    # is refused in one short line that names the limit, not as a value
+    # outside the grammar quoting all of its text.
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+    eps = "3" * 2149 + "/" + "7" * 2150
+    result = run_package(
+        ["-m", "secretary_lab", "verify", "--eps", eps, "--s", "76", "--k", "78"], tmp_path
+    )
+    assert result.returncode in (1, 2)
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: --eps: '3333")
+    assert "(4300 characters)" in lines[0]
+    assert "2150 digits" in lines[0]
+    assert "int-to-str limit of 640" in lines[0]
+    assert len(lines[0]) < 200
+
+
 def test_zero_denominator_is_a_domain_error(capsys):
     assert run_command(["bounds", "--eps", "1/0", "--s", "5", "--k", "4"]) == 1
     lines = capsys.readouterr().err.splitlines()
@@ -117,6 +137,38 @@ def test_gen_render_markdown(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "| row | X_1 | X_2 | X_3 | probability |" in out
     assert "| 1 | s | 1 | 1 | 1/10 |" in out
+
+
+# SHA-256 of the family file and of stdout, recorded before each power
+# of s was built once and shared across rows.
+GEN_DIGESTS = {
+    ("--eps", "1/10", "--s", "5", "--k", "4", "--n", "5", "--render", "md"): (
+        "dbf40cfdc93f54c32025118e1360d0b2e50dbe0485aa65d98994b6b0968cba90",
+        "f45c497608befa55b8fa369015d2c13510a290d346b33f2e147eb30cbcdf43a7",
+    ),
+    ("--eps", "1/10", "--s", "5", "--k", "4", "--n", "5", "--render", "csv"): (
+        "dbf40cfdc93f54c32025118e1360d0b2e50dbe0485aa65d98994b6b0968cba90",
+        "39bec9c786e66cfd7a5f3cf8842a42fc471e6e442f0883bac577e43ee4b3b179",
+    ),
+    ("--eps", "1/100", "--s", "400", "--k", "400"): (
+        "e244e0dc475be52e84ef13a348d2ab99c24d1c640a6b646fe1a76072fb806592",
+        hashlib.sha256(b"").hexdigest(),
+    ),
+    ("--eps", "1/10", "--s", "7/2", "--k", "6", "--n", "5"): (
+        "cff838acc1cf0b09b14d71ee3cb12ab2b5c43a54b8fc22475cbfa1a4203af898",
+        hashlib.sha256(b"").hexdigest(),
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GEN_DIGESTS), ids=" ".join)
+def test_gen_bytes_are_pinned(tmp_path, capsys, argv):
+    path = tmp_path / "family.json"
+    assert run_command(["gen", *argv, "-o", str(path)]) == 0
+    out = capsys.readouterr().out
+    digests = (hashlib.sha256(path.read_bytes()).hexdigest(),
+               hashlib.sha256(out.encode()).hexdigest())
+    assert digests == GEN_DIGESTS[argv]
 
 
 def test_gen_bad_params_exit_one(tmp_path, capsys):
@@ -793,6 +845,8 @@ def test_cli_prints_the_same_bytes_under_python_dash_o(tmp_path):
                         str(tmp_path / "solved.json")]) == 0
     commands = (
         ["verify", "--preset", "paper-19-20"],
+        # k = 400: the self-check on thousand-digit values
+        ["verify", "--preset", "one-third-plus"],
         ["solve", "--eps", "1/10", "--s", "5", "--k", "4", "--n", "4",
          "--policy-out", "policy.json"],
         ["solve", "--eps", "1/10", "--s", "5", "--k", "4", "--n", "5"],

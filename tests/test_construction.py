@@ -140,6 +140,17 @@ def test_family_padding_beyond_three():
         assert wide.values[:3] == narrow.values
 
 
+def test_rows_share_each_power_of_s():
+    # Each s^e is built once and held by every row that shows it.
+    family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 40, n=4))
+    powers = {}
+    for scenario in family.scenarios:
+        for v in scenario.values:
+            assert powers.setdefault(v, v) is v
+    assert len(powers) == 42  # s^0, s^1, ..., s^(k + 1)
+    assert len(set(map(id, family.probabilities[1:]))) == 1
+
+
 def test_x1_constant_and_mass(anchor_family):
     for scenario in anchor_family.scenarios:
         assert scenario.value_at(1) == S

@@ -38,6 +38,19 @@ def test_scenario_validation():
         Scenario(id=1, values=(Fraction(-1),))
 
 
+def test_scenario_keeps_a_fraction_and_converts_other_values():
+    # A Fraction is held as passed, so rows built from one value share it;
+    # an int or a string is still converted, and a negative still refused.
+    power = S**400
+    row = Scenario(id=1, values=(power, 3, "7/2"))
+    assert row.values[0] is power
+    assert row.values[1:] == (Fraction(3), Fraction(7, 2))
+    assert all(type(v) is Fraction for v in row.values)
+    for negative in (Fraction(-1, 2), -1, "-1/2"):
+        with pytest.raises(ValueError, match=">= 0"):
+            Scenario(id=1, values=(power, negative))
+
+
 def test_value_at_is_one_based():
     row = _row(2, S, S**2, S**3)
     assert row.value_at(1) == S
@@ -150,6 +163,25 @@ def test_validate_family_bad_mass():
     assert not report.valid
     assert any("mass != 1" in v for v in report.violations)
     assert any("99/100" in v for v in report.violations)
+
+
+def test_validate_family_sums_long_probabilities_exactly():
+    # As at the certify edge point: one mixture probability of about 2000
+    # digits and 154 equal tail probabilities.  Mass short of 1 by
+    # 10^-2000 is reported, with the exact sum.
+    eps = Fraction(10**1999 + 1, 7 * 10**1999 + 3)
+    tail = (1 - eps) / 154
+    rows = (_row(1, S, 1, 1),) + tuple(_row(i, S, S**2, S**3) for i in range(2, 156))
+
+    def family(first):
+        return _small_family(scenarios=rows, probabilities=(first,) + (tail,) * 154)
+
+    assert validate_family(family(eps)).valid
+    short = validate_family(family(eps - Fraction(1, 10**2000)))
+    assert not short.valid
+    assert short.violations == (
+        f"mass != 1 (probabilities sum to {1 - Fraction(1, 10**2000)})",
+    )
 
 
 def test_validate_family_duplicate_ids():
