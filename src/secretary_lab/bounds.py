@@ -34,7 +34,7 @@ from .exact import (
     render_enclosure,
     render_number,
 )
-from .policy import solve_optimal
+from .policy import require_enumerable, solve_optimal
 
 
 def alpha_value(mix_eps: Fraction, s: Fraction, k: int) -> Fraction:
@@ -96,7 +96,7 @@ def threshold_value(mix_eps: Fraction) -> Enclosure:
             )
         return None
 
-    return _refine(attempt, None, lambda: f"threshold at mix_eps = {format_value(eps)}")
+    return _refine(attempt, lambda: f"threshold at mix_eps = {format_value(eps)}")
 
 
 def ub_display(mix_eps: Fraction, s: Fraction, k: int) -> Fraction:
@@ -271,6 +271,7 @@ def verify_theorem(
         raise ParameterError("give exactly one of preset or params")
     if preset is not None:
         params = load_preset(preset)
+    require_enumerable(params.n)
     family = build_hard_family(params)
     solved = solve_optimal(family, constrained=True)
     chain = bound_chain(params)

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import stat
@@ -40,7 +41,7 @@ from .construction import (
 from .errors import ParameterError, SecretaryLabError
 from .exact import compare_to_inv_e, decimal_str, format_value, parse_value
 from .instances import PriorFamily, load_family, render_family_json, require_valid_family
-from .policy import Policy, evaluate_policy, solve_optimal
+from .policy import Policy, evaluate_policy, require_enumerable, solve_optimal
 
 # The interpreter's default limit on int-to-str conversion: a decimal
 # rendering with more fractional digits fails.
@@ -106,12 +107,19 @@ def _emit(payload: dict, output: str | None) -> None:
 def _params_from_args(args: argparse.Namespace) -> ConstructionParams:
     if args.eps is None or args.s is None or args.k is None:
         raise ParameterError("--eps, --s and --k are all required here")
+    n = getattr(args, "n", None)
     return ConstructionParams(
         mix_eps=_flag_value("--eps", args.eps),
         s=_flag_value("--s", args.s),
         k=args.k,
-        n=getattr(args, "n", 3),
+        n=3 if n is None else n,
     )
+
+
+def _refuse_mixed_source(args: argparse.Namespace, source: str) -> None:
+    """Refuse a parameter flag beside ``source``, which fixes them all."""
+    if any(getattr(args, flag) is not None for flag in ("eps", "s", "k", "n")):
+        raise ParameterError(f"give either {source} or --eps/--s/--k/--n, not both")
 
 
 def _flag_value(flag: str, text: str) -> Fraction:
@@ -148,10 +156,11 @@ def _digits(text: str) -> int:
 
 def _family_from_args(args: argparse.Namespace) -> PriorFamily:
     if args.family is not None:
-        if args.eps is not None or args.s is not None or args.k is not None:
-            raise ParameterError("give either --family or --eps/--s/--k, not both")
+        _refuse_mixed_source(args, "--family")
         return load_family(args.family)
-    return build_hard_family(_params_from_args(args))
+    params = _params_from_args(args)
+    require_enumerable(params.n)
+    return build_hard_family(params)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +182,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = solve_optimal(family, constrained=not args.unconstrained)
     _emit(report.to_dict(args.digits), args.output)
     if args.policy_out is not None:
-        # The solver's set rule writes the file without building the table.
         _atomic_write(args.policy_out, report.rule.to_json())
     return 0
 
@@ -232,8 +240,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.preset is not None:
-        if args.eps is not None or args.s is not None or args.k is not None:
-            raise ParameterError("give either --preset or --eps/--s/--k, not both")
+        _refuse_mixed_source(args, "--preset")
         report = verify_theorem(preset=args.preset)
     else:
         report = verify_theorem(params=_params_from_args(args))
@@ -256,30 +263,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ParameterError(
             f"unknown sweep fields {unknown}; choose from {', '.join(SWEEP_FIELDS)}"
         )
+    # every point is checked before the first solve
+    grid = [
+        ConstructionParams(mix_eps=eps, s=s, k=k, n=args.n)
+        for eps, s, k in itertools.product(eps_values, s_values, k_values)
+    ]
+    require_enumerable(args.n)
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(fields), lineterminator="\n")
     writer.writeheader()
-    for eps in eps_values:
-        for s in s_values:
-            for k in k_values:
-                params = ConstructionParams(mix_eps=eps, s=s, k=k, n=args.n)
-                alpha = alpha_value(eps, s, k)
-                display = ub_display(eps, s, k)
-                solved = solve_optimal(build_hard_family(params), constrained=True)
-                row = {
-                    "eps": format_value(eps),
-                    "s": format_value(s),
-                    "k": str(k),
-                    "row_count": str(params.row_count),
-                    "alpha_exact": format_value(alpha),
-                    "alpha_decimal": decimal_str(alpha, args.digits),
-                    "ub_display_exact": format_value(display),
-                    "ub_display_decimal": decimal_str(display, args.digits),
-                    "dp_optimum_exact": format_value(solved.optimum),
-                    "dp_optimum_decimal": decimal_str(solved.optimum, args.digits),
-                    "vs_inv_e": compare_to_inv_e(solved.optimum).value,
-                }
-                writer.writerow({f: row[f] for f in fields})
+    for params in grid:
+        eps, s, k = params.mix_eps, params.s, params.k
+        alpha = alpha_value(eps, s, k)
+        display = ub_display(eps, s, k)
+        solved = solve_optimal(build_hard_family(params), constrained=True)
+        row = {
+            "eps": format_value(eps),
+            "s": format_value(s),
+            "k": str(k),
+            "row_count": str(params.row_count),
+            "alpha_exact": format_value(alpha),
+            "alpha_decimal": decimal_str(alpha, args.digits),
+            "ub_display_exact": format_value(display),
+            "ub_display_decimal": decimal_str(display, args.digits),
+            "dp_optimum_exact": format_value(solved.optimum),
+            "dp_optimum_decimal": decimal_str(solved.optimum, args.digits),
+            "vs_inv_e": compare_to_inv_e(solved.optimum).value,
+        }
+        writer.writerow({f: row[f] for f in fields})
     _atomic_write(args.output, buffer.getvalue())
     return 0
 
@@ -293,7 +304,8 @@ def _add_param_flags(parser: argparse.ArgumentParser, with_n: bool = True) -> No
     parser.add_argument("--s", help="value scale, e.g. 5 or 19")
     parser.add_argument("--k", type=int, help="construction size (even, >= 4)")
     if with_n:
-        parser.add_argument("--n", type=int, default=3, help="number of candidates (default 3)")
+        # no default here: a preset or family file also sets n
+        parser.add_argument("--n", type=int, help="number of candidates (default 3)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -249,37 +249,31 @@ def inv_e_enclosure(digits: int | None = None) -> Enclosure:
     )
 
 
-def _refine(attempt, start_digits: int | None, what, max_digits: int = MAX_DIGITS):
+def _refine(attempt, what):
     """Return the first non-None ``attempt(digits)``, starting at
-    ``start_digits`` (default: ``DEFAULT_DIGITS``) and doubling the
-    precision up to ``max_digits``.
+    ``DEFAULT_DIGITS`` and doubling the precision up to ``MAX_DIGITS``.
 
     Every enclosure records the level it was built at, so the levels
     tried here are part of the reports.  Raises PrecisionExhaustedError
-    once the attempt at ``max_digits`` also fails; ``what()`` names the
+    once the attempt at ``MAX_DIGITS`` also fails; ``what()`` names the
     undecided quantity, built only then because operands can run to
     thousands of digits.
     """
-    digits = start_digits if start_digits is not None else DEFAULT_DIGITS
+    digits = DEFAULT_DIGITS
     while True:
         result = attempt(digits)
         if result is not None:
             return result
-        if digits >= max_digits:
+        if digits >= MAX_DIGITS:
             raise PrecisionExhaustedError(f"{what()} undecided at {digits} digits")
-        digits = min(2 * digits, max_digits)
+        digits = min(2 * digits, MAX_DIGITS)
 
 
-def refine_until_decisive(
-    produce,
-    x: Fraction,
-    start_digits: int | None = None,
-    max_digits: int = MAX_DIGITS,
-) -> Comparison:
+def refine_until_decisive(produce, x: Fraction) -> Comparison:
     """Compare ``x`` to the constant enclosed by ``produce(digits)``,
     doubling the precision until the comparison resolves.
 
-    Raises PrecisionExhaustedError past ``max_digits``; for a rational x
+    Raises PrecisionExhaustedError past ``MAX_DIGITS``; for a rational x
     and an irrational constant that can only happen with a too-small cap.
     """
 
@@ -287,7 +281,7 @@ def refine_until_decisive(
         verdict = produce(digits).compare(x)
         return None if verdict is Comparison.INDETERMINATE else verdict
 
-    return _refine(attempt, start_digits, lambda: f"comparison of {x}", max_digits)
+    return _refine(attempt, lambda: f"comparison of {x}")
 
 
 def compare_to_inv_e(x: Fraction) -> Comparison:
@@ -314,4 +308,4 @@ def floor_n_over_e(n: int) -> int:
         high = (Fraction(n) / outer.lower).__floor__()
         return low if low == high else None
 
-    return _refine(attempt, None, lambda: f"floor({n}/e)")
+    return _refine(attempt, lambda: f"floor({n}/e)")

@@ -24,11 +24,10 @@ over their common denominator L, candidate values over theirs, V) and
 divides once per solve, by n! * V * L.  Its self-check is an exact
 forward count over sets of arrivals that scores the memo's decisions on
 every row, on integers of its own value scale, with one Fraction per row
-for the row's ratio.  The policy file's text is written from
-the memo directly, each state key built as text, with no ordered table;
-the table is rendered from the memo only when a caller reads
-``SolveReport.policy``.  Policy evaluation over every arrival order
-scores any table, a rendered one included.
+for the row's ratio.  The induction also counts the ordered table's
+entries, and the policy file's text is written from the memo, so a solve
+builds no ordered table unless ``SolveReport.policy`` is read.  Policy
+evaluation over every arrival order scores any table.
 """
 
 from __future__ import annotations
@@ -98,11 +97,9 @@ class InformationState:
         """All arrivals in order, the current one last."""
         return self.observed + (self.current,)
 
-    def serialize(self, render_arrival: Callable[[Arrival], str] | None = None) -> str:
-        """The state as text, each arrival rendered by ``render_arrival``
-        (default ``_render_arrival``)."""
-        render = render_arrival or _render_arrival
-        return _state_text(map(render, self.observed), render(self.current))
+    def serialize(self) -> str:
+        """The state as text, each arrival rendered by ``_render_arrival``."""
+        return _state_text(map(_render_arrival, self.observed), _render_arrival(self.current))
 
     @classmethod
     def parse(
@@ -176,22 +173,7 @@ class Policy:
         return isinstance(other, Policy) and self.actions == other.actions
 
     def to_dict(self) -> dict[str, str]:
-        # Solved and loaded tables share one tuple per distinct arrival,
-        # so each is rendered once, found by identity: hashing it would
-        # hash its Fraction.  The states keep every arrival alive during
-        # the call.
-        rendered: dict[int, str] = {}
-
-        def render(arrival: Arrival) -> str:
-            text = rendered.get(id(arrival))
-            if text is None:
-                text = rendered[id(arrival)] = _render_arrival(arrival)
-            return text
-
-        entries = {
-            state.serialize(render): action.value
-            for state, action in self.actions.items()
-        }
+        entries = {state.serialize(): action.value for state, action in self.actions.items()}
         return dict(sorted(entries.items()))
 
     @classmethod
@@ -225,7 +207,8 @@ class SolveReport:
     """Solver or evaluator output: mixture optimum, the rule scored,
     per-row conditional expected ratios and the size of the rule's policy
     table.  The rule is a policy table, a solver's set rule, or None for a
-    rule scored without a table (with the size its table would have)."""
+    rule scored without a table (with the size its table would have); it
+    stays as given, and ``policy`` renders a set rule's table beside it."""
 
     optimum: Fraction
     rule: Policy | _SetRule | None
@@ -233,13 +216,12 @@ class SolveReport:
     policy_states: int
     constrained: bool | None = None
 
-    @property
+    @functools.cached_property
     def policy(self) -> Policy | None:
-        """The policy table.  A solver's table is rendered from its set
-        rule the first time it is read, and then replaces the rule; the
-        set rule writes the policy file without it (``rule.to_json()``)."""
+        """The policy table: the rule itself, or, for a solver's set rule,
+        its table, rendered on first read."""
         if isinstance(self.rule, _SetRule):
-            self.rule = self.rule.table()
+            return self.rule.table()
         return self.rule
 
     @property
@@ -346,13 +328,19 @@ def _on_path_actions(best_columns: int, arrived: int, j: int) -> tuple[bool, boo
 # Backward induction.
 # ---------------------------------------------------------------------------
 
-def _checked_family(family: PriorFamily) -> list[tuple[Scenario, Fraction]]:
-    require_valid_family(family)
-    if family.n > MAX_ENUMERATION_N:
+def require_enumerable(n: int) -> None:
+    """Refuse a family of n candidates beyond MAX_ENUMERATION_N; called
+    before such a family is built, where n is known first."""
+    if n > MAX_ENUMERATION_N:
         raise EnumerationGuardError(
-            f"n = {family.n} too large for exact enumeration (max {MAX_ENUMERATION_N}); "
+            f"n = {n} too large for exact enumeration (max {MAX_ENUMERATION_N}); "
             "use monte_carlo_estimate beyond that"
         )
+
+
+def _checked_family(family: PriorFamily) -> list[tuple[Scenario, Fraction]]:
+    require_valid_family(family)
+    require_enumerable(family.n)
     # validated: no probability and no value is negative
     support = [(s, p) for s, p in family.items() if p]
     for scenario, _ in support:
@@ -393,6 +381,8 @@ IdSet = frozenset[tuple[int, int]]
 # Per next arrival of a set: the action and the set after a reject, None
 # where a reject is not allowed or ends the sequence.
 Children = dict[tuple[int, int], tuple[Action, IdSet | None]]
+# A memo entry: scaled value, children, and table entries at and below.
+Step = tuple[int, Children, int]
 
 
 @dataclass(frozen=True)
@@ -400,13 +390,13 @@ class _SetRule:
     """A solved rule on sets of arrivals, as plain data.
 
     ``steps`` maps each set of rejected arrivals that the induction
-    visited to the set's scaled value and its ``Children``, in the chance
-    step's order.  A set's entry is made after those of all its
-    after-sets, so in reverse order each set precedes its after-sets."""
+    visited to the set's scaled value, its ``Children``, in the chance
+    step's order, and the number of table entries at and below one
+    history that reaches the set."""
 
     n: int
     values: tuple[Fraction, ...]  # by value id
-    steps: dict[IdSet, tuple[int, Children]]
+    steps: dict[IdSet, Step]
 
     def table(self) -> Policy:
         """The policy table: each set's actions, copied to every ordered
@@ -446,22 +436,6 @@ class _SetRule:
                 self._walk(entries, made, state, observed + (current,), after)
             entries[state(observed, current)] = action
 
-    def state_count(self) -> int:
-        """The size of ``table()``, counted on the sets: H(S) ordered
-        histories of a set S reach the table, H(empty set) = 1, and each
-        next arrival whose reject is allowed passes H(S) on to its
-        after-set; the table holds H(S) histories per next arrival of S."""
-        reaching = {frozenset(): 1}
-        count = 0
-        for seen in reversed(self.steps):
-            histories = reaching[seen]
-            children = self.steps[seen][1]
-            count += histories * len(children)
-            for _, after in children.values():
-                if after is not None:
-                    reaching[after] = reaching.get(after, 0) + histories
-        return count
-
 
 class _SetInduction:
     """Backward induction over sets of rejected arrivals, on value ids
@@ -472,20 +446,24 @@ class _SetInduction:
         self.prediction_ids = prediction_ids
         self.best_columns = best_columns
         self.tails = [math.factorial(n - depth - 1) for depth in range(n)]
-        self.steps: dict[IdSet, tuple[int, Children]] = {}
+        self.steps: dict[IdSet, Step] = {}
 
-    def value(self, seen: IdSet, arrived: int, on_path: bool, rows: list[IdRow]) -> int:
-        """Scaled value once the set ``seen`` has been rejected: its columns
-        are the bitmask ``arrived``, ``on_path`` says that every arrival
-        in it shows its predicted value (always False unconstrained), and
-        ``rows`` are the rows it leaves possible."""
+    def step(self, seen: IdSet, arrived: int, on_path: bool, rows: list[IdRow]) -> Step:
+        """The memo entry of the set ``seen`` of rejected arrivals: its
+        columns are the bitmask ``arrived``, ``on_path`` says that every
+        arrival in it shows its predicted value (always False
+        unconstrained), and ``rows`` are the rows it leaves possible.
+        Every history that reaches a set has the same subtree, so the
+        set's table entries are one per next arrival plus those of each
+        after-set."""
         known = self.steps.get(seen)
         if known is not None:
-            return known[0]
+            return known
         depth = arrived.bit_count()
         tail = self.tails[depth]
         total = 0
         children: Children = {}
+        entries = 0
         for j, value_id, sub in _split(self.n, arrived, rows):
             on = on_path and self.prediction_ids[j] == value_id
             accept_ok = reject_ok = True
@@ -496,7 +474,8 @@ class _SetInduction:
                 reject_value = 0
             elif reject_ok:
                 after = seen | {(j, value_id)}
-                reject_value = self.value(after, arrived | 1 << j, on, sub)
+                reject_value, _, below = self.step(after, arrived | 1 << j, on, sub)
+                entries += below
             else:
                 reject_value = None
             accept_value = tail * sum(row[1][j] for row in sub)
@@ -506,8 +485,8 @@ class _SetInduction:
                 action, state_value = Action.REJECT, reject_value or 0
             children[j, value_id] = (action, after)
             total += state_value
-        self.steps[seen] = (total, children)
-        return total
+        step = self.steps[seen] = (total, children, entries + len(children))
+        return step
 
 
 def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
@@ -541,9 +520,9 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     exact forward count over sets, on the family's values and its own
     integer scale, sharing no scale or state with the induction; its
     per-row ratios are the report's, and their mixture must equal the
-    optimum.  The report's policy table, keyed on ordered histories, is
-    rendered from the memo the first time it is read, and
-    ``policy_states`` is its size, counted on the memo.
+    optimum.  ``policy_states``, the size of the policy table keyed on
+    ordered histories, is counted by the induction; the table itself is
+    rendered from the memo only when ``SolveReport.policy`` is read.
 
     Ties between equal-valued actions resolve toward accepting, so the
     returned policy is a deterministic function of the family alone.
@@ -575,7 +554,7 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
         prediction_ids=[value_ids.get(v, -1) for v in prediction.values],
         best_columns=_best_columns(prediction),
     )
-    scaled_optimum = induction.value(frozenset(), 0, constrained, rows)
+    scaled_optimum, _, policy_states = induction.step(frozenset(), 0, constrained, rows)
     optimum = Fraction(scaled_optimum, math.factorial(n) * value_scale * weight_scale)
     rule = _SetRule(n, values, induction.steps)
     mixture, per_row = _forward_ratios(rule, support)
@@ -588,7 +567,7 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
         optimum=optimum,
         rule=rule,
         per_row=per_row,
-        policy_states=rule.state_count(),
+        policy_states=policy_states,
         constrained=constrained,
     )
 

@@ -334,6 +334,11 @@ def test_solve_requires_one_source(tmp_path, capsys):
         == 1
     )
     assert "error:" in capsys.readouterr().err
+    # the family file fixes n too
+    assert run_command(["solve", "--family", str(family_path), "--n", "7"]) == 1
+    assert capsys.readouterr().err == (
+        "error: give either --family or --eps/--s/--k/--n, not both\n"
+    )
 
 
 def test_eval_exact_dynkin(tmp_path, capsys):
@@ -621,6 +626,43 @@ def test_verify_rejects_mixed_sources(capsys):
     )
     assert run_command(["verify", "--preset", "no-such-preset"]) == 1
     assert "error:" in capsys.readouterr().err
+    # the preset fixes n too
+    assert run_command(["verify", "--preset", "paper-19-20", "--n", "6"]) == 1
+    assert capsys.readouterr().err == (
+        "error: give either --preset or --eps/--s/--k/--n, not both\n"
+    )
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called after a check should have refused")
+
+
+def test_oversized_n_is_refused_before_the_family_is_built(tmp_path, capsys, monkeypatch):
+    import secretary_lab.bounds as bounds
+    import secretary_lab.cli as cli
+
+    monkeypatch.setattr(cli, "build_hard_family", _refuse)
+    monkeypatch.setattr(bounds, "build_hard_family", _refuse)
+    params = ["--eps", "1/10", "--s", "5", "--k", "4", "--n", "9"]
+    out = tmp_path / "sweep.csv"
+    for argv in (["solve", *params], ["verify", *params], ["sweep", *params, "-o", str(out)]):
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: n = 9 too large for exact enumeration (max 8); "
+            "use monte_carlo_estimate beyond that\n"
+        )
+    assert not out.exists()
+
+
+def test_sweep_checks_every_point_before_the_first_solve(tmp_path, capsys, monkeypatch):
+    import secretary_lab.cli as cli
+
+    monkeypatch.setattr(cli, "solve_optimal", _refuse)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--eps", "1/10", "--s", "5", "--k", "50,5", "-o", str(out)]
+    assert run_command(argv) == 1
+    assert capsys.readouterr().err == "error: k must be even, got 5\n"
+    assert not out.exists()
 
 
 def test_sweep_csv(tmp_path):

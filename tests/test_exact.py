@@ -18,6 +18,7 @@ from secretary_lab import (
     parse_value,
     refine_until_decisive,
 )
+from secretary_lab import exact
 from secretary_lab.exact import format_value_with_base
 
 
@@ -157,25 +158,39 @@ def test_compare_to_inv_e_known_sides():
     assert compare_to_inv_e(Fraction(2, 5)) is Comparison.GREATER
 
 
+def _recording(produce, seen):
+    def recorded(digits):
+        seen.append(digits)
+        return produce(digits)
+
+    return recorded
+
+
 def test_compare_refines_from_coarse_start():
-    # 0.36787944 agrees with 1/e to 8 places; a 5-digit start must refine
-    assert refine_until_decisive(
-        inv_e_enclosure, Fraction(36787944, 10**8), start_digits=5
-    ) is Comparison.LESS
+    # x agrees with 1/e to about 80 places, so the 50-digit start must refine
+    seen = []
+    x = inv_e_enclosure(80).lower
+    assert refine_until_decisive(_recording(inv_e_enclosure, seen), x) is Comparison.LESS
+    assert seen == [50, 100]
 
 
-def test_refinement_gives_up_at_cap():
+def test_refinement_gives_up_at_cap(monkeypatch):
+    monkeypatch.setattr(exact, "MAX_DIGITS", 100)
     tight = inv_e_enclosure(400)
     midpoint = (tight.lower + tight.upper) / 2
-    with pytest.raises(PrecisionExhaustedError):
-        refine_until_decisive(inv_e_enclosure, midpoint, start_digits=50, max_digits=100)
+    seen = []
+    with pytest.raises(PrecisionExhaustedError, match="undecided at 100 digits"):
+        refine_until_decisive(_recording(inv_e_enclosure, seen), midpoint)
+    assert seen == [50, 100]
 
 
 def test_refine_until_decisive_on_custom_producer():
-    verdict = refine_until_decisive(e_enclosure, Fraction(27, 10), start_digits=2)
-    assert verdict is Comparison.LESS
-    verdict = refine_until_decisive(e_enclosure, Fraction(2719, 1000), start_digits=2)
-    assert verdict is Comparison.GREATER
+    coarse = e_enclosure(70)
+    seen = []
+    produce = _recording(e_enclosure, seen)
+    assert refine_until_decisive(produce, coarse.lower) is Comparison.LESS
+    assert refine_until_decisive(produce, coarse.upper) is Comparison.GREATER
+    assert seen == [50, 100, 50, 100]
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,24 @@ def test_policy_table_is_byte_identical(k, n, constrained):
     assert digest == POLICY_DIGESTS[k, n, constrained]
 
 
+def test_reading_the_table_leaves_the_memo_to_write_the_file(monkeypatch):
+    # Reading report.policy renders the table but does not replace the
+    # rule, so the file is still written from the memo, not by the table.
+    family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=5))
+    report = solve_optimal(family, constrained=True)
+
+    def refuse(self):
+        raise AssertionError("the table wrote the file")
+
+    monkeypatch.setattr(Policy, "to_dict", refuse)
+    policy = report.policy
+    assert report.policy is policy
+    assert len(policy) == report.policy_states == POLICY_SIZES[4, 5, True]
+    written = report.rule.to_json()
+    digest = hashlib.sha256(written.encode("utf-8")).hexdigest()
+    assert digest == POLICY_DIGESTS[4, 5, True]
+
+
 def test_solved_policy_covers_every_reachable_state(anchor_family):
     # The unconstrained solver visits the whole tree; the constrained one
     # never enters subtrees the constraint prunes, so it covers a subset.
