@@ -43,8 +43,8 @@ from .exact import compare_to_inv_e, decimal_str, format_value, parse_value
 from .instances import PriorFamily, load_family, render_family_json, require_valid_family
 from .policy import Policy, evaluate_policy, require_enumerable, solve_optimal
 
-# The interpreter's default limit on int-to-str conversion: a decimal
-# rendering with more fractional digits fails.
+# The largest --digits, fixed at the interpreter's default int-to-str
+# limit; no rendering depends on the limit in force.
 MAX_DIGITS_FLAG = 4300
 
 SWEEP_FIELDS = (
@@ -138,19 +138,13 @@ def _flag_int(flag: str, text: str) -> int:
 
 
 def _digits(text: str) -> int:
-    """The ``--digits`` type: an integer in 0..MAX_DIGITS_FLAG, or up to
-    the interpreter's int-to-str limit where that is set lower, so a
-    value that no decimal rendering can take is a usage error before any
-    work."""
+    """The ``--digits`` type: an integer in 0..MAX_DIGITS_FLAG, else a usage error."""
     try:
         digits = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    # 0, or no such function before Python 3.10.7: no limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    cap = min(limit or MAX_DIGITS_FLAG, MAX_DIGITS_FLAG)
-    if not 0 <= digits <= cap:
-        raise argparse.ArgumentTypeError(f"must be in 0..{cap}, got {digits}")
+    if not 0 <= digits <= MAX_DIGITS_FLAG:
+        raise argparse.ArgumentTypeError(f"must be in 0..{MAX_DIGITS_FLAG}, got {digits}")
     return digits
 
 
@@ -378,10 +372,7 @@ def run_command(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except SecretaryLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (SecretaryLabError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -40,9 +40,11 @@ class ConstructionParams:
         object.__setattr__(self, "mix_eps", Fraction(self.mix_eps))
         object.__setattr__(self, "s", Fraction(self.s))
         if not 0 < self.mix_eps < 1:
-            raise ParameterError(f"mix_eps must lie strictly in (0, 1), got {self.mix_eps}")
+            raise ParameterError(
+                f"mix_eps must lie strictly in (0, 1), got {format_value(self.mix_eps)}"
+            )
         if self.s <= 1:
-            raise ParameterError(f"s must be > 1, got {self.s}")
+            raise ParameterError(f"s must be > 1, got {format_value(self.s)}")
         if self.k % 2 != 0:
             raise ParameterError(f"k must be even, got {self.k}")
         if self.k < 4:

@@ -5,7 +5,8 @@ All quantities in the pipeline are `fractions.Fraction` instances; floats
 appear only when a report asks for a decimal rendering.  Comparisons
 against e (and 1/e) go through rational enclosures produced from the
 series e = sum 1/i! together with a strict tail bound, refined on demand
-until the comparison is decisive.
+until the comparison is decisive.  Values render at any size: the
+int-to-str limit bounds only the integers ``parse_value`` reads.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -93,12 +95,18 @@ def as_fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def _int_str(n: int) -> str:
+    # The digits of str(n), without the interpreter's int-to-str limit,
+    # which guards only parsing; fractions already imports decimal.
+    return str(Decimal(n))
+
+
 def format_value(x: Fraction) -> str:
-    """Render ``x`` in the grammar: "p" for integers, else "p/q"."""
+    """Render ``x`` in the grammar, at any size: "p" for integers, else "p/q"."""
     x = as_fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 def format_value_with_base(x: Fraction, base: Fraction | None) -> str:
@@ -114,8 +122,6 @@ def format_value_with_base(x: Fraction, base: Fraction | None) -> str:
 
 def _exact_log(x: Fraction, base: Fraction) -> int | None:
     """Integer e with base**e == x exactly, or None."""
-    if x == 1:
-        return 0
     # bit-length estimate keeps this exact without float overflow on huge powers
     log2_base = math.log2(base.numerator) - math.log2(base.denominator)
     if log2_base <= 0:
@@ -136,16 +142,12 @@ def decimal_str(x: Fraction, digits: int = 12) -> str:
     if digits < 0:
         raise ValueError("digits must be >= 0")
     x = Fraction(x)
-    scale = 10 ** digits
-    scaled_num = abs(x.numerator) * scale
-    quotient, remainder = divmod(scaled_num, x.denominator)
+    quotient, remainder = divmod(abs(x.numerator) * 10 ** digits, x.denominator)
     if 2 * remainder >= x.denominator:
         quotient += 1
     sign = "-" if x < 0 and quotient > 0 else ""
-    if digits == 0:
-        return f"{sign}{quotient}"
-    integer_part, frac_part = divmod(quotient, scale)
-    return f"{sign}{integer_part}.{frac_part:0{digits}d}"
+    text = _int_str(quotient).rjust(digits + 1, "0")
+    return sign + (f"{text[:-digits]}.{text[-digits:]}" if digits else text)
 
 
 def render_number(x: Fraction, digits: int) -> dict:
@@ -281,7 +283,7 @@ def refine_until_decisive(produce, x: Fraction) -> Comparison:
         verdict = produce(digits).compare(x)
         return None if verdict is Comparison.INDETERMINATE else verdict
 
-    return _refine(attempt, lambda: f"comparison of {x}")
+    return _refine(attempt, lambda: f"comparison of {format_value(x)}")
 
 
 def compare_to_inv_e(x: Fraction) -> Comparison:

@@ -131,7 +131,8 @@ def competitive_ratio(accepted_value: Fraction | None, scenario: Scenario) -> Fr
     accepted_value = Fraction(accepted_value)
     if accepted_value not in scenario.values:
         raise ValueError(
-            f"accepted value {accepted_value} is not a value of scenario {scenario.id}"
+            f"accepted value {format_value(accepted_value)} is not a value of "
+            f"scenario {scenario.id}"
         )
     return accepted_value / best
 
@@ -167,13 +168,15 @@ def validate_family(family: PriorFamily) -> ValidationReport:
             )
     for scenario, probability in family.items():
         if probability < 0:
-            violations.append(f"scenario {scenario.id} has negative probability {probability}")
+            violations.append(
+                f"scenario {scenario.id} has negative probability {format_value(probability)}"
+            )
     # Summed once per distinct probability: a family's rows mostly share one.
     mass = sum(
         (p * count for p, count in Counter(family.probabilities).items()), Fraction(0)
     )
     if mass != 1:
-        violations.append(f"mass != 1 (probabilities sum to {mass})")
+        violations.append(f"mass != 1 (probabilities sum to {format_value(mass)})")
     if family.prediction_id not in ids:
         violations.append(f"prediction_id {family.prediction_id} refers to no scenario")
     return ValidationReport(valid=not violations, violations=tuple(violations))
@@ -268,9 +271,11 @@ def render_family_json(family: PriorFamily) -> str:
 def read_json(path: str | Path):
     """Parse a JSON file, refusing a key repeated within one object
     (``json.loads`` alone would keep its last copy)."""
-    return json.loads(
-        Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys
-    )
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("the JSON nests too deeply") from None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -5,13 +5,16 @@ import stat
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import secretary_lab
 from secretary_lab import Policy, load_family
+from secretary_lab.bounds import oracle_optimum
 from secretary_lab.cli import main, run_command
+from secretary_lab.exact import format_value
 
 
 def gen_family(tmp_path, name="family.json", eps="1/10", s="5", k="4"):
@@ -75,19 +78,59 @@ def test_digits_up_to_the_int_to_str_limit_render(capsys):
     assert alpha["decimal"] == "0." + "72" + "0" * 4298
 
 
-def test_digits_above_a_lowered_int_to_str_limit_is_a_usage_error(tmp_path, monkeypatch):
-    # Where the interpreter's int-to-str limit is set below 4300, --digits
-    # is capped at it: a larger value is refused when it is parsed, not
-    # once verify has solved the family and fails to render.
+def test_digits_beyond_a_lowered_int_to_str_limit_render(tmp_path, monkeypatch):
+    # The interpreter's int-to-str limit bounds only the integers the
+    # program parses: --digits keeps its range 0..4300 under a lower limit.
     monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
     argv = ["-m", "secretary_lab", "verify", "--preset", "paper-19-20", "--digits"]
-    refused = run_package([*argv, "1000"], tmp_path)
+    rendered = run_package([*argv, "1000"], tmp_path)
+    assert rendered.returncode == 0, rendered.stderr
+    integer_part, decimals = json.loads(rendered.stdout)["alpha"]["decimal"].split(".")
+    assert integer_part == "0"
+    assert len(decimals) == 1000
+    refused = run_package([*argv, "4301"], tmp_path)
     assert refused.returncode == 2
     assert refused.stdout == ""
-    assert "argument --digits: must be in 0..640, got 1000" in refused.stderr
-    rendered = run_package([*argv, "640"], tmp_path)
-    assert rendered.returncode == 0, rendered.stderr
-    assert len(json.loads(rendered.stdout)["alpha"]["decimal"]) == len("0.") + 640
+    assert "argument --digits: must be in 0..4300, got 4301" in refused.stderr
+
+
+def test_verify_bytes_hold_under_a_lowered_int_to_str_limit(tmp_path, monkeypatch):
+    # one-third-plus reports exact values of more than 640 digits
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+    argv = ("--preset", "one-third-plus")
+    result = run_package(["-m", "secretary_lab", "verify", *argv], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == VERIFY_DIGESTS[argv]
+
+
+def test_exact_values_beyond_the_int_to_str_limit_render(capsys):
+    assert run_command(["bounds", "--eps", "1/100", "--s", "400", "--k", "2000"]) == 0
+    rendered = json.loads(capsys.readouterr().out)["oracle_optimum"]["exact"]
+    expected = format_value(oracle_optimum(Fraction(1, 100), Fraction(400), 2000))
+    assert rendered == expected
+    assert max(map(len, expected.split("/"))) > 4300
+
+
+def test_long_mass_is_reported_under_a_lowered_int_to_str_limit(tmp_path, monkeypatch):
+    # Each probability has 400 digits; their sum has more than 640.
+    probabilities = [Fraction(1, 10**399 + 1), Fraction(1, 10**399 + 3)]
+    family = {
+        "n": 2,
+        "scenarios": [
+            {"id": i, "values": ["2", "1"], "probability": format_value(p)}
+            for i, p in enumerate(probabilities, 1)
+        ],
+        "prediction_id": 1,
+    }
+    (tmp_path / "family.json").write_text(json.dumps(family), encoding="utf-8")
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+    result = run_package(["-m", "secretary_lab", "solve", "--family", "family.json"], tmp_path)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: invalid prior family: mass != 1 (probabilities sum to "
+        f"{format_value(sum(probabilities))})"
+    ]
 
 
 def test_value_beyond_a_lowered_int_to_str_limit_names_the_limit(tmp_path, monkeypatch):
@@ -272,6 +315,9 @@ MALFORMED_INPUTS = {
         '{"n": 2, "scenarios": [{"id": 1, "values": ["2", "1"], '
         '"probability": "1/2", "probability": "1"}], "prediction_id": 1}',
     ),
+    # 5,000 nested arrays: deeper than json.loads goes on Python 3.10 to 3.12
+    "family-nested-too-deeply": ("family", "[" * 5000 + "]" * 5000),
+    "policy-nested-too-deeply": ("policy", "[" * 5000 + "]" * 5000),
 }
 # The whole error line, where it is pinned.
 MALFORMED_MESSAGES = {
@@ -284,6 +330,8 @@ MALFORMED_MESSAGES = {
         "error: invalid prior family: prediction_id 7 refers to no scenario",
     "policy-repeated-state": "error: repeated key '|current=(1:2)' in a JSON object",
     "family-repeated-probability": "error: repeated key 'probability' in a JSON object",
+    "family-nested-too-deeply": "error: the JSON nests too deeply",
+    "policy-nested-too-deeply": "error: the JSON nests too deeply",
 }
 
 

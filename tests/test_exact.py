@@ -2,7 +2,7 @@ import decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secretary_lab import (
@@ -111,6 +111,39 @@ def test_decimal_str(x, digits, expected):
 def test_decimal_str_rejects_negative_digits():
     with pytest.raises(ValueError):
         decimal_str(Fraction(1), -1)
+
+
+def _str_renderings(x: Fraction, digits: int) -> tuple[str, str]:
+    """format_value and decimal_str as they were written with str() and
+    format(), which the int-to-str limit bounds."""
+    exact = str(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    scale = 10**digits
+    quotient, remainder = divmod(abs(x.numerator) * scale, x.denominator)
+    if 2 * remainder >= x.denominator:
+        quotient += 1
+    sign = "-" if x < 0 and quotient > 0 else ""
+    if digits == 0:
+        return exact, f"{sign}{quotient}"
+    integer_part, frac_part = divmod(quotient, scale)
+    return exact, f"{sign}{integer_part}.{frac_part:0{digits}d}"
+
+
+# |x| <= 10^600 and at most 1,000 places keep every integer within the limit.
+@settings(max_examples=300, deadline=None)
+@given(
+    numerator=st.integers(-1000, 1000) | st.integers(-(10**600), 10**600),
+    denominator=st.integers(1, 1000) | st.integers(1, 10**600),
+    digits=st.integers(0, 20) | st.integers(0, 1000),
+)
+@example(numerator=0, denominator=1, digits=0)
+@example(numerator=0, denominator=7, digits=3)
+@example(numerator=-5, denominator=2, digits=0)
+@example(numerator=-1, denominator=3, digits=0)
+@example(numerator=-1, denominator=10**6, digits=2)
+@example(numerator=-(10**600), denominator=1, digits=1000)
+def test_renderings_match_the_str_forms(numerator, denominator, digits):
+    x = Fraction(numerator, denominator)
+    assert (format_value(x), decimal_str(x, digits)) == _str_renderings(x, digits)
 
 
 @given(
