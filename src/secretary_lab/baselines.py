@@ -9,7 +9,9 @@ vectorised batch runner that must agree with its decide.  Scores count
 accepted values through one walker, ``policy._tally``, which decides each
 distinct arrival prefix once: exactly over all n! orders of every row, or
 by seeded Monte Carlo over the sampled orders of each row (through the
-batch runner when the rule has one) where n! is out of reach.
+batch runner when the rule has one) where n! is out of reach.  Monte
+Carlo draws and decides its trials in fixed-size chunks, so its memory
+does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -46,9 +48,11 @@ from .policy import (
 )
 
 # A batch runner takes a (trials, n) matrix of 0-based arrival orders for
-# one scenario and returns the 0-based accepted candidate per trial
-# (-1 when nothing is accepted); it must agree with decide on every order.
-BatchFn = Callable[[np.ndarray, Scenario], np.ndarray]
+# one scenario and the scenario's dense value ranks (``_dense_ranks``: an
+# int64 array, equal values sharing a rank), and returns the 0-based
+# accepted candidate per trial (-1 when nothing is accepted); it must
+# agree with decide on every order.  It never sees an exact value.
+BatchFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -89,10 +93,9 @@ def dynkin_policy(n: int) -> OnlineAlgorithm:
             return Action.ACCEPT
         return Action.REJECT
 
-    def run_batch(orders: np.ndarray, scenario: Scenario) -> np.ndarray:
+    def run_batch(orders: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         # Dense ranks order exactly as the exact values do, so the >=
         # comparisons below are free of rounding.
-        ranks = _dense_ranks(scenario.values)
         arrived = ranks[orders]
         trials = orders.shape[0]
         if cutoff > 0:
@@ -122,12 +125,12 @@ def prediction_argmax_policy(predictions: Sequence[Fraction]) -> OnlineAlgorithm
         raise ParameterError("predictions must be non-empty")
     best = max(predicted)
     argmax = frozenset(i for i, v in enumerate(predicted, start=1) if v == best)
+    targets = np.array(sorted(i - 1 for i in argmax), dtype=np.int64)
 
     def decide(history: History, current: Arrival) -> Action:
         return Action.ACCEPT if current[0] in argmax else Action.REJECT
 
-    def run_batch(orders: np.ndarray, scenario: Scenario) -> np.ndarray:
-        targets = np.array(sorted(i - 1 for i in argmax), dtype=np.int64)
+    def run_batch(orders: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         hits = np.isin(orders, targets)
         first = hits.argmax(axis=1)
         accepted = orders[np.arange(orders.shape[0]), first]
@@ -201,6 +204,13 @@ class MonteCarloEstimate:
 # empties its buffers, the state a fresh Philox(key=seed,
 # counter=i * 2^128) starts in.
 _WORD = 1 << 64
+# Trials are drawn and decided in chunks of about CHUNK_ELEMENTS int64
+# order entries (2 MB), max(1, CHUNK_ELEMENTS // n) trials each, so an
+# estimate's memory is flat in its trial count.
+CHUNK_ELEMENTS = 1 << 18
+# The most trials * n one estimate runs, refused before the first draw:
+# about 10^8 trials at n = 100.
+MAX_TRIAL_ELEMENTS = 10**10
 # The seed is the Philox key, a 128-bit unsigned integer.
 _SEED_LIMIT = 1 << 128
 # Generator.random() returns m / 2^53 for an integer 0 <= m < 2^53.
@@ -217,16 +227,24 @@ def _draw_trials(
     bit_generator = np.random.Philox(key=seed)
     rng = np.random.Generator(bit_generator)
     # A fresh state: counter 0, buffer_pos 4, has_uint32 0, uinteger 0.
+    # The setter reads plain lists faster than uint64 arrays.
     state = bit_generator.state
-    counter = state["state"]["counter"]
+    words = state["state"]
+    words["counter"] = counter = words["counter"].tolist()
+    words["key"] = words["key"].tolist()
+    state["buffer"] = state["buffer"].tolist()
+    uniforms = []
     orders[:] = np.arange(orders.shape[1])
     for offset, order in enumerate(orders):
         counter[3], counter[2] = divmod(first + offset, _WORD)
         bit_generator.state = state
         if row_draws is not None:
-            row_draws[offset] = rng.random() * _UNIFORM_SCALE
+            uniforms.append(rng.random())
         # the same draws as permutation(n), which shuffles a fresh arange(n)
         rng.shuffle(order)
+    if row_draws is not None:
+        # scaling by 2^53 is exact
+        row_draws[:] = np.array(uniforms) * _UNIFORM_SCALE
 
 
 def _pick_rows(cumulative: Sequence[Fraction], row_draws: np.ndarray) -> np.ndarray:
@@ -257,10 +275,19 @@ def monte_carlo_estimate(
     (``_pick_rows``), and the totals are accumulated in exact arithmetic,
     so results are reproducible across platforms.
 
+    Trials run in chunks of ``max(1, CHUNK_ELEMENTS // n)``, each drawn
+    into its own buffers, so memory stays flat however many trials run;
+    since every trial keeps its own counter block, no chunk boundary moves
+    a draw.  A run of more than MAX_TRIAL_ELEMENTS trials * n is refused
+    before the first draw.
+
     The outcome of a trial depends only on its row and the accepted
-    value, so each row's trials are tallied by accepted value
-    (``_acceptance_counts``) and each (row, value) outcome is added once,
-    weighted by its count.
+    value, so each row's trials are tallied by accepted value and each
+    (row, value) outcome is added once, weighted by its count.  A batch
+    runner's picks are counted by candidate (bin 0: nothing accepted, bin
+    c + 1: candidate c) across all chunks, and candidates of equal value
+    are merged once at the end; without a batch runner each chunk's
+    orders go through ``_tally`` and the counts are summed.
     """
     require_valid_family(family)
     if trials < 1:
@@ -269,24 +296,49 @@ def monte_carlo_estimate(
         raise ParameterError(f"seed must be in [0, 2^128), got {seed}")
     if metric not in ("ratio", "success"):
         raise ParameterError(f"metric must be 'ratio' or 'success', got {metric!r}")
+    n = family.n
+    if trials * n > MAX_TRIAL_ELEMENTS:
+        raise ParameterError(
+            f"trials * n must be at most {MAX_TRIAL_ELEMENTS}, got {trials} * {n}"
+        )
     scenarios = [(s, p) for s, p in family.items() if p > 0]
+    # The cumulative probabilities rise strictly without zero-mass rows.
+    cumulative = (
+        list(itertools.accumulate(p for _, p in scenarios)) if len(scenarios) > 1 else None
+    )
+    # Each row is set up once per estimate, not once per chunk.
+    if alg.run_batch is not None:
+        ranks = [_dense_ranks(scenario.values) for scenario, _ in scenarios]
+        hits = np.zeros((len(scenarios), n + 1), dtype=np.int64)
+    else:
+        tallies: list[Counter[Fraction | None]] = [Counter() for _ in scenarios]
 
-    # Draw all randomness first, into buffers allocated before the first
-    # draw: per trial an optional row uniform, then the arrival order.
-    orders = np.empty((trials, family.n), dtype=np.int64)
-    rows = np.empty(trials, dtype=np.int64) if len(scenarios) > 1 else None
-    _draw_trials(seed, 0, orders, rows)
-    if rows is not None:
-        # The cumulative probabilities rise strictly without zero-mass rows.
-        rows = _pick_rows(list(itertools.accumulate(p for _, p in scenarios)), rows)
+    chunk = max(1, CHUNK_ELEMENTS // n)
+    for first in range(0, trials, chunk):
+        # per trial an optional row uniform, then the arrival order
+        orders = np.empty((min(chunk, trials - first), n), dtype=np.int64)
+        row_draws = None if cumulative is None else np.empty(len(orders), dtype=np.int64)
+        _draw_trials(seed, first, orders, row_draws)
+        rows = None if row_draws is None else _pick_rows(cumulative, row_draws)
+        for row, (scenario, _) in enumerate(scenarios):
+            block = orders if rows is None else orders[rows == row]
+            if block.shape[0] == 0:
+                continue
+            if alg.run_batch is not None:
+                accepted = alg.run_batch(block, ranks[row])
+                hits[row] += np.bincount(accepted + 1, minlength=n + 1)
+            else:
+                tallies[row] += _tally(alg.decide, scenario, (block + 1).tolist())
+    if alg.run_batch is not None:
+        tallies = [
+            _value_counts(row_hits, scenario)
+            for row_hits, (scenario, _) in zip(hits.tolist(), scenarios)
+        ]
 
     total = Fraction(0)
     total_sq = Fraction(0)
-    for row, (scenario, _) in enumerate(scenarios):
-        block = orders if rows is None else orders[rows == row]
-        if block.shape[0] == 0:
-            continue
-        for accepted, count in _acceptance_counts(alg, block, scenario).items():
+    for (scenario, _), tally in zip(scenarios, tallies):
+        for accepted, count in tally.items():
             outcome = _metric_value(metric, accepted, scenario)
             total += count * outcome
             total_sq += count * outcome * outcome
@@ -306,21 +358,14 @@ def monte_carlo_estimate(
     )
 
 
-def _acceptance_counts(
-    alg: OnlineAlgorithm, block: np.ndarray, scenario: Scenario
-) -> Counter[Fraction | None]:
-    """How many orders of ``block`` (rows of 0-based arrival orders) end
-    with each accepted value (``None``: nothing accepted)."""
-    if alg.run_batch is not None:
-        # Count candidate indices, then merge candidates of equal value:
-        # bin 0 counts "nothing accepted" (-1), bin c + 1 candidate c.
-        counts = np.bincount(alg.run_batch(block, scenario) + 1).tolist()
-        tally: Counter[Fraction | None] = Counter()
-        for index, count in enumerate(counts, start=-1):
-            if count:
-                tally[None if index < 0 else scenario.values[index]] += count
-        return tally
-    return _tally(alg.decide, scenario, (block + 1).tolist())
+def _value_counts(hits: Sequence[int], scenario: Scenario) -> Counter[Fraction | None]:
+    """Merge a row's hits by candidate (bin 0: nothing accepted, bin c + 1:
+    candidate c) into counts by accepted value (``None``: nothing)."""
+    tally: Counter[Fraction | None] = Counter()
+    for index, count in enumerate(hits, start=-1):
+        if count:
+            tally[None if index < 0 else scenario.values[index]] += count
+    return tally
 
 
 def _metric_value(

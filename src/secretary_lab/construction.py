@@ -11,6 +11,7 @@ pads the construction to larger n without changing the analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
@@ -21,6 +22,12 @@ from .instances import PriorFamily, Scenario
 
 Column = Literal[2, 3]
 
+# The most digits a family's values may hold, refused before any value is
+# built (see ConstructionParams.digit_work).  Near the cap (s = 5,
+# k = 5960) gen took 3 s and verify 5 s in 230 MB on a 2-core x86 machine
+# under Python 3.11; bounds --s 400 --k 2000 needs 2.1e7.
+MAX_DIGIT_WORK = 5 * 10**7
+
 
 @dataclass(frozen=True)
 class ConstructionParams:
@@ -28,7 +35,7 @@ class ConstructionParams:
 
     k must be even (the swap-pair pattern is only defined for even k) and
     at least 4, the structural minimum for the pattern; n >= 3; s > 1;
-    mix_eps strictly inside (0, 1).
+    mix_eps strictly inside (0, 1); digit_work at most MAX_DIGIT_WORK.
     """
 
     mix_eps: Fraction
@@ -51,10 +58,28 @@ class ConstructionParams:
             raise ParameterError(f"k must be >= 4, got {self.k}")
         if self.n < 3:
             raise ParameterError(f"n must be >= 3, got {self.n}")
+        # Each power of s > 1 has at least log10(2) digits, so a k past the
+        # cap is refused on its own, before any float is formed or its
+        # digits are echoed.
+        if self.k > MAX_DIGIT_WORK or self.digit_work > MAX_DIGIT_WORK:
+            shown = f"k = {self.k}" if self.k <= MAX_DIGIT_WORK else f"k > {MAX_DIGIT_WORK:.0e}"
+            raise ParameterError(
+                f"{shown} is too large for s: the family's values would hold "
+                f"more than {MAX_DIGIT_WORK:.0e} digits ((k + 1) * log10(s) "
+                "in each of 2k - 1 rows)"
+            )
 
     @property
     def row_count(self) -> int:
         return 2 * self.k - 1
+
+    @property
+    def digit_work(self) -> float:
+        """About how many digits the family's values hold: up to s^(k+1),
+        (k + 1) * log10(s) digits with numerator and denominator counted,
+        in each of its 2k - 1 rows."""
+        per_power = math.log10(self.s.numerator) + math.log10(self.s.denominator)
+        return (self.k + 1) * per_power * self.row_count
 
 
 def row_exponents(row: int, k: int) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from secretary_lab import (
 )
 import secretary_lab.baselines as baselines_module
 import secretary_lab.policy as policy_module
-from secretary_lab.baselines import _draw_trials, _pick_rows
+from secretary_lab.baselines import _dense_ranks, _draw_trials, _pick_rows
 
 F = Fraction
 
@@ -165,7 +166,7 @@ def test_pred_argmax_never_fires_when_target_absent():
     alg = prediction_argmax_policy((F(1), F(1), F(5)))
     scenario = Scenario(1, (F(3), F(1)))
     assert policy_module._simulate(alg.decide, scenario, (1, 2)) is None
-    batch = alg.run_batch(np.array([[0, 1]], dtype=np.int64), scenario)
+    batch = alg.run_batch(np.array([[0, 1]], dtype=np.int64), _dense_ranks(scenario.values))
     assert batch.tolist() == [-1]
 
 
@@ -260,7 +261,7 @@ def test_hooks_agree_with_decide_everywhere(anchor_family):
             for order in itertools.permutations(range(1, 4)):
                 expected = policy_module._simulate(alg.decide, scenario, order)
                 block = np.array([[i - 1 for i in order]], dtype=np.int64)
-                accepted = alg.run_batch(block, scenario)[0]
+                accepted = alg.run_batch(block, _dense_ranks(scenario.values))[0]
                 batch_value = (
                     None if accepted < 0 else scenario.values[int(accepted)]
                 )
@@ -281,17 +282,77 @@ def test_monte_carlo_is_deterministic(anchor_family):
     assert c.mean_exact != a.mean_exact
 
 
-def test_monte_carlo_paths_are_bit_identical(anchor_family):
-    # run_batch counts and decide counts must give the same estimate
+def test_monte_carlo_paths_are_bit_identical(anchor_family, monkeypatch):
+    # run_batch counts and decide counts must give the same estimate, and
+    # the same across chunks of 150 trials (150, 150, 100) as in one chunk
     for full in (dynkin_policy(3), prediction_argmax_policy((F(5), F(1), F(1)))):
         decide_only = OnlineAlgorithm(full.name, full.decide, None)
         for metric in ("ratio", "success"):
-            batch, reference = (
-                monte_carlo_estimate(alg, anchor_family, trials=400, seed=5, metric=metric)
-                for alg in (full, decide_only)
-            )
-            assert batch.mean_exact == reference.mean_exact
-            assert batch.std_error == reference.std_error
+            estimates = []
+            for chunk_elements in (baselines_module.CHUNK_ELEMENTS, 3 * 150):
+                with monkeypatch.context() as patch:
+                    patch.setattr(baselines_module, "CHUNK_ELEMENTS", chunk_elements)
+                    estimates += [
+                        monte_carlo_estimate(alg, anchor_family, trials=400, seed=5,
+                                             metric=metric)
+                        for alg in (full, decide_only)
+                    ]
+            assert all(estimate == estimates[0] for estimate in estimates)
+
+
+def hard_family_100() -> PriorFamily:
+    return build_hard_family(ConstructionParams(F(1, 10), F(5), 4, n=100))
+
+
+def test_monte_carlo_across_chunks_is_pinned():
+    # Three chunks and 7 trials at n = 100 over 7 rows; the figures were
+    # recorded when every trial was drawn into one buffer.
+    trials = 7870
+    assert trials == 3 * (baselines_module.CHUNK_ELEMENTS // 100) + 7
+    family = hard_family_100()
+    ratio = monte_carlo_estimate(dynkin_policy(100), family, trials=trials, seed=3)
+    assert ratio.mean_exact == F(3979041, 12296875)
+    assert ratio.std_error == 0.004909659308747226
+    success = monte_carlo_estimate(
+        dynkin_policy(100), family, trials=trials, seed=3, metric="success"
+    )
+    assert success.mean_exact == F(2263, 7870)
+    assert success.std_error == 0.005102382942236633
+
+
+def test_monte_carlo_memory_is_flat_in_the_trial_count():
+    family = hard_family_100()
+    alg = dynkin_policy(100)
+    chunk = baselines_module.CHUNK_ELEMENTS // 100
+    peaks = []
+    for chunks in (4, 16):
+        tracemalloc.start()
+        try:
+            monte_carlo_estimate(alg, family, trials=chunks * chunk, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a buffer of every trial's order would take 8 * n * trials bytes
+    all_orders = 8 * 100 * 16 * chunk
+    assert abs(peaks[1] - peaks[0]) < 256 * 1024
+    assert max(peaks) < all_orders / 4
+
+
+def test_trial_cap_is_checked_before_the_first_draw(monkeypatch):
+    family = distinct_family(100)
+
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(baselines_module, "_draw_trials", drawn)
+    cap = baselines_module.MAX_TRIAL_ELEMENTS
+    with pytest.raises(Drawn):
+        monte_carlo_estimate(dynkin_policy(100), family, trials=cap // 100, seed=0)
+    with pytest.raises(ParameterError, match="trials \\* n must be at most"):
+        monte_carlo_estimate(dynkin_policy(100), family, trials=cap // 100 + 1, seed=0)
 
 
 def test_monte_carlo_tracks_exact_value(anchor_family):

@@ -913,18 +913,72 @@ def test_eval_mc_refuses_a_seed_out_of_range(tmp_path, capsys, seed):
     assert captured.err.splitlines() == [f"error: seed must be in [0, 2^128), got {seed}"]
 
 
-def test_eval_mc_reports_an_allocation_failure_as_one_line(tmp_path, capsys):
-    # 10^15 trials need 8 PB for the row draws alone, beyond any 47-bit
-    # address space, so the allocation fails at once.
-    family_path = gen_family(tmp_path)
+@pytest.mark.parametrize("n, trials", [
+    # 10^15 trials would run for years in flat memory
+    (3, 10**15),
+    # trials * n just above the cap
+    (3, 10**10 // 3 + 1),
+    (100, 10**8 + 1),
+], ids=["n3-1e15", "n3-cap", "n100-cap"])
+def test_eval_mc_refuses_too_many_trials_before_any_draw(
+    tmp_path, capsys, monkeypatch, n, trials
+):
+    import secretary_lab.baselines
+
+    assert secretary_lab.baselines.MAX_TRIAL_ELEMENTS == 10**10
+    family_path = tmp_path / "family.json"
+    assert run_command(["gen", "--eps", "1/10", "--s", "5", "--k", "4", "--n", str(n),
+                        "-o", str(family_path)]) == 0
+
+    def refuse(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(secretary_lab.baselines, "_draw_trials", refuse)
     argv = ["eval", "--family", str(family_path), "--alg", "dynkin", "--mc",
-            "--trials", str(10**15)]
+            "--trials", str(trials)]
     assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: trials * n must be at most 10000000000, got {trials} * {n}"
+    ]
+
+
+K_COMMANDS = (
+    ["gen", "-o", "family.json"],
+    ["solve"],
+    ["bounds"],
+    ["verify"],
+    ["sweep", "-o", "out.csv"],
+)
+
+
+@pytest.mark.parametrize("k, shown", [("20000", "k = 20000"), ("1" + "0" * 400, "k > 5e+07")],
+                         ids=["20000", "1e400"])
+@pytest.mark.parametrize("command", K_COMMANDS, ids=lambda command: command[0])
+def test_too_large_k_is_refused_before_any_value_is_built(
+    monkeypatch, tmp_path, capsys, command, k, shown
+):
+    # k = 20000 at s = 5 holds about 5.6e8 digits of values over 39,999
+    # rows; bounds alone ran for seconds there.
+    import secretary_lab.bounds
+    import secretary_lab.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a value was built")
+
+    for module in (secretary_lab.cli, secretary_lab.bounds):
+        monkeypatch.setattr(module, "build_hard_family", refuse)
+    monkeypatch.setattr(secretary_lab.cli, "bound_chain", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert run_command([*command, "--eps", "1/10", "--s", "5", "--k", k]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: out of memory")
+    assert lines[0].startswith(f"error: {shown} is too large for s")
+    assert len(lines[0]) < 200
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_prints_the_same_bytes_under_python_dash_o(tmp_path):
