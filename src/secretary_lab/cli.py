@@ -23,6 +23,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .baselines import (
     OnlineAlgorithm,
@@ -62,11 +63,15 @@ SWEEP_FIELDS = (
 )
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
-    """Write via a temp file beside the file ``path`` resolves to, which
+def _atomic_write(
+    path: str | Path, text: str | Callable[[Callable[[str], object]], None]
+) -> None:
+    """Write ``text``, or the stream that ``text(write)`` hands to
+    ``write``, via a temp file beside the file ``path`` resolves to, which
     then replaces it with the mode ``open(path, "w")`` would leave; a FIFO,
     device or other non-regular file is written in place.  A failure
-    names ``path``."""
+    names ``path`` and, on a regular file, leaves it as it was."""
+    stream = text if callable(text) else lambda write: write(text)
     tmp_name = None
     try:
         try:
@@ -77,7 +82,7 @@ def _atomic_write(path: str | Path, text: str) -> None:
             mode = stat.S_IFREG | (0o666 & ~umask)
         if not stat.S_ISREG(mode):
             with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+                stream(handle.write)
             return
         target = Path(os.path.realpath(path))
         fd, tmp_name = tempfile.mkstemp(
@@ -85,7 +90,7 @@ def _atomic_write(path: str | Path, text: str) -> None:
         )
         os.fchmod(fd, stat.S_IMODE(mode))
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            stream(handle.write)
         os.replace(tmp_name, target)
     except BaseException as exc:
         if tmp_name is not None:
@@ -176,7 +181,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = solve_optimal(family, constrained=not args.unconstrained)
     _emit(report.to_dict(args.digits), args.output)
     if args.policy_out is not None:
-        _atomic_write(args.policy_out, report.rule.to_json())
+        _atomic_write(args.policy_out, report.rule.write_json)
     return 0
 
 

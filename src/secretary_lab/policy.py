@@ -25,8 +25,9 @@ divides once per solve, by n! * V * L.  Its self-check is an exact
 forward count over sets of arrivals that scores the memo's decisions on
 every row, on integers of its own value scale, with one Fraction per row
 for the row's ratio.  The induction also counts the ordered table's
-entries, and the policy file's text is written from the memo, so a solve
-builds no ordered table unless ``SolveReport.policy`` is read.  Policy
+entries, and the policy file's text is streamed from the memo in sorted
+key order, in memory that does not grow with the file, so a solve builds
+no ordered table unless ``SolveReport.policy`` is read.  Policy
 evaluation over every arrival order scores any table.
 """
 
@@ -63,6 +64,8 @@ from .instances import (
 )
 
 MAX_ENUMERATION_N = 8
+# Entries per write of a streamed policy file.
+POLICY_BATCH = 4096
 
 
 class Action(enum.Enum):
@@ -99,7 +102,8 @@ class InformationState:
 
     def serialize(self) -> str:
         """The state as text, each arrival rendered by ``_render_arrival``."""
-        return _state_text(map(_render_arrival, self.observed), _render_arrival(self.current))
+        observed = ",".join(map(_render_arrival, self.observed))
+        return observed + "|current=" + _render_arrival(self.current)
 
     @classmethod
     def parse(
@@ -112,11 +116,6 @@ class InformationState:
         prefix, _, current_text = text.partition("|current=")
         observed = tuple(map(parse, prefix.split(","))) if prefix else ()
         return cls(observed=observed, current=parse(current_text))
-
-
-def _state_text(observed: Iterable[str], current: str) -> str:
-    """A serialized state from its rendered arrivals."""
-    return ",".join(observed) + "|current=" + current
 
 
 def _render_arrival(arrival: Arrival) -> str:
@@ -401,40 +400,80 @@ class _SetRule:
     def table(self) -> Policy:
         """The policy table: each set's actions, copied to every ordered
         history that reaches the set, with one tuple per distinct arrival."""
-        return Policy(self._histories(lambda arrival: arrival, InformationState))
-
-    def to_json(self) -> str:
-        """The policy file's text, the bytes of ``table().to_json()``,
-        written from the memo: each state key is built as text from the
-        arrivals' texts, and no InformationState or table is built."""
-        entries = self._histories(_render_arrival, _state_text)
-        return _policy_text((key, action.value) for key, action in sorted(entries.items()))
-
-    def _histories(self, arrival: Callable[[Arrival], object], state: Callable) -> dict:
-        """Every ordered history that reaches the table, with its action:
-        each set's actions, copied to every order of the arrivals that
-        reach the set.  Each arrival is made once, as ``arrival((index,
-        value))``, and a history's key is ``state(observed, current)``,
-        ``observed`` being the tuple of the arrivals rejected so far."""
         made = {
-            (j, value_id): arrival((j + 1, value))
+            (j, value_id): (j + 1, value)
             for j in range(self.n)
             for value_id, value in enumerate(self.values)
         }
-        entries: dict = {}
-        self._walk(entries, made, state, (), frozenset())
-        return entries
+        actions: dict[InformationState, Action] = {}
+        self._walk(actions, made, (), frozenset())
+        return Policy(actions)
 
-    def _walk(
-        self, entries: dict, made: dict, state: Callable, observed: tuple, seen: IdSet
-    ) -> None:
-        """Add to ``entries`` every history that follows ``observed``,
+    def _walk(self, actions: dict, made: dict, observed: History, seen: IdSet) -> None:
+        """Add to ``actions`` every history that follows ``observed``,
         the set ``seen``."""
         for pair, (action, after) in self.steps[seen][1].items():
             current = made[pair]
             if after is not None:
-                self._walk(entries, made, state, observed + (current,), after)
-            entries[state(observed, current)] = action
+                self._walk(actions, made, observed + (current,), after)
+            actions[InformationState(observed, current)] = action
+
+    def to_json(self) -> str:
+        """The policy file's text, the bytes of ``table().to_json()``: the
+        stream that ``write_json`` writes from the memo in sorted key order,
+        joined.  A file is written from the stream itself, in memory that
+        does not grow with the file."""
+        parts: list[str] = []
+        self.write_json(parts.append)
+        return "".join(parts)
+
+    def write_json(self, write: Callable[[str], object]) -> None:
+        """Stream the policy file's text to ``write``, straight from the
+        memo, in sorted key order and in batches of about POLICY_BATCH
+        entries; no table, key dict or whole-file string is built.
+
+        A key is its observed arrivals' texts joined by ",", then
+        "|current=" and the current arrival's text.  An arrival's text
+        ends at its only ")", so none is a prefix of another, and "(" and
+        "," sort before "|".  So a depth-first walk that, at each set,
+        takes the next arrivals in the order of their texts, writes every
+        key below each after-set (under the prefix extended by the
+        arrival) and then the set's own keys, writes the keys in the order
+        ``sorted`` gives them.  Beside the memo it holds the current
+        prefix, one batch and each set's next arrivals in text order, so
+        its memory does not grow with the file."""
+        texts = {
+            (j, value_id): _render_arrival((j + 1, value))
+            for j in range(self.n)
+            for value_id, value in enumerate(self.values)
+        }
+        encoded = {action: encode_basestring_ascii(action.value) for action in Action}
+        ordered: dict[IdSet, list[tuple[str, str, IdSet | None]]] = {}
+        batch: list[str] = []
+        head = "{\n"
+
+        def walk(prefix: str, seen: IdSet) -> None:
+            nonlocal head
+            children = ordered.get(seen)
+            if children is None:
+                children = ordered[seen] = sorted(
+                    (texts[pair], encoded[action], after)
+                    for pair, (action, after) in self.steps[seen][1].items()
+                )
+            for text, _, after in children:
+                if after is not None:
+                    walk(f"{prefix},{text}" if prefix else text, after)
+            if len(batch) >= POLICY_BATCH:
+                write(head + ",\n".join(batch))
+                head = ",\n"
+                batch.clear()
+            for text, action_text, _ in children:
+                key = encode_basestring_ascii(f"{prefix}|current={text}")
+                batch.append(f"  {key}: {action_text}")
+
+        # the root's own entries come last, so the last batch is never empty
+        walk("", frozenset())
+        write(head + ",\n".join(batch) + "\n}\n")
 
 
 class _SetInduction:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -602,8 +603,10 @@ def test_solve_bytes_are_pinned(capsys, argv):
 
 
 # SHA-256 of the --policy-out file on the eps = 1/10, s = 5, k = 4 hard
-# family, recorded while the file was written from the rendered table.
+# family, recorded while the file was written from the rendered table;
+# the n = 7 digest is the benchmark's reference for its deep-solve file.
 POLICY_FILE_DIGESTS = {
+    ("--n", "7"): "ad9f488a5744843b509904d09c96fdc489340f31f5d030752912c45ee937b5b8",
     ("--n", "6"): "cff4b4a53f8fff2c083c89b2918565259293c0123b21a4e90a33d31ce16ddbc3",
     ("--n", "5", "--unconstrained"):
         "82b325b65b7a48ddb5f3ea40cf30274c180a9b79627955992ff6617ed134aff3",
@@ -635,6 +638,37 @@ def test_solve_policy_out_builds_no_table(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(InformationState, "__init__", refuse)
     assert run_command([*command, str(tmp_path / "memo.json")]) == 0, capsys.readouterr().err
     assert (tmp_path / "memo.json").read_bytes() == (tmp_path / "free.json").read_bytes()
+
+
+def test_policy_stream_failing_midway_leaves_the_old_file(tmp_path, capsys, monkeypatch):
+    # The n = 6 file takes more than one batch and the disk fills after
+    # the first: the temp file is removed and the old file keeps its bytes.
+    from secretary_lab.policy import _SetRule
+
+    target = tmp_path / "policy.json"
+    target.write_bytes(b"{}\n")
+    stream = _SetRule.write_json
+    batches = []
+
+    def filling(self, write):
+        def limited(text):
+            if batches:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            batches.append(text)
+            write(text)
+
+        stream(self, limited)
+
+    monkeypatch.setattr(_SetRule, "write_json", filling)
+    command = ["solve", "--eps", "1/10", "--s", "5", "--k", "4", "--n", "6"]
+    assert run_command([*command, "--policy-out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.strerror(errno.ENOSPC) in err and str(target) in err
+    assert len(batches) == 1
+    assert target.read_bytes() == b"{}\n"
+    assert list(tmp_path.glob(".policy.json.*.tmp")) == []
+    assert [path.name for path in tmp_path.iterdir()] == ["policy.json"]
 
 
 def test_sweep_csv_bytes_are_pinned(tmp_path):

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,66 @@ def test_reading_the_table_leaves_the_memo_to_write_the_file(monkeypatch):
     written = report.rule.to_json()
     digest = hashlib.sha256(written.encode("utf-8")).hexdigest()
     assert digest == POLICY_DIGESTS[4, 5, True]
+
+
+# Values whose texts share prefixes: "(1:5)" < "(1:5/2)" < "(1:50)" and
+# "(1:1/2)" < "(1:1/25)" in sorted order, which first-seen row order,
+# 5, 5/2, 50, 1/2, 1/25, is not.
+PREFIX_VALUES = tuple(map(Fraction, ("5", "5/2", "50", "1/2", "1/25")))
+
+
+def prefix_family(n: int) -> PriorFamily:
+    """Ten rows of equal mass: each value in every column, twice, on
+    cyclic shifts of PREFIX_VALUES by one and by two columns."""
+    scenarios = tuple(
+        Scenario(
+            len(PREFIX_VALUES) * (step - 1) + r + 1,
+            tuple(PREFIX_VALUES[(r + step * c) % len(PREFIX_VALUES)] for c in range(n)),
+        )
+        for step in (1, 2)
+        for r in range(len(PREFIX_VALUES))
+    )
+    return PriorFamily(
+        n=n,
+        scenarios=scenarios,
+        probabilities=(Fraction(1, len(scenarios)),) * len(scenarios),
+        prediction_id=1,
+    )
+
+
+@pytest.mark.parametrize("batch", (1, 4096))
+@pytest.mark.parametrize("constrained", (True, False))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_streamed_policy_file_is_in_sorted_key_order(monkeypatch, n, constrained, batch):
+    import secretary_lab.policy as policy_module
+
+    monkeypatch.setattr(policy_module, "POLICY_BATCH", batch)
+    report = solve_optimal(prefix_family(n), constrained=constrained)
+    parts: list[str] = []
+    report.rule.write_json(parts.append)
+    text = "".join(parts)
+    assert text == json.dumps(report.policy.to_dict(), indent=2, sort_keys=True) + "\n"
+    currents = {key.partition("|current=")[2] for key in json.loads(text)}
+    assert {"(1:5)", "(1:5/2)", "(1:50)", "(1:1/2)", "(1:1/25)"} <= currents
+    if batch == 1 and n > 1:
+        assert len(parts) > 2
+
+
+def test_streaming_the_n7_policy_file_takes_flat_memory():
+    # Built whole, the n = 7 file's keys, their sorted list and the
+    # 3.4 MB text peak near 20 MB; streamed, one batch is held at a time.
+    family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=7))
+    rule = solve_optimal(family, constrained=True).rule
+    written: list[int] = []
+    tracemalloc.start()
+    try:
+        rule.write_json(lambda text: written.append(len(text)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(written) == 3_427_507
+    assert len(written) > 10
+    assert peak < 2 * 1024 * 1024
 
 
 def test_solved_policy_covers_every_reachable_state(anchor_family):
