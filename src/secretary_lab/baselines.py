@@ -31,7 +31,6 @@ from .instances import (
     PriorFamily,
     Scenario,
     competitive_ratio,
-    require_valid_family,
     scenario_max,
 )
 from .policy import (
@@ -42,6 +41,7 @@ from .policy import (
     Policy,
     SolveReport,
     _exact_ratios,
+    _support,
     _tally,
     reachable_state_count,
     reachable_states,
@@ -208,8 +208,8 @@ _WORD = 1 << 64
 # order entries (2 MB), max(1, CHUNK_ELEMENTS // n) trials each, so an
 # estimate's memory is flat in its trial count.
 CHUNK_ELEMENTS = 1 << 18
-# The most trials * n one estimate runs, refused before the first draw:
-# about 10^8 trials at n = 100.
+# The most trials * max(n, 100) one estimate runs, refused before the first
+# draw: 10^8 trials at n <= 100, where a trial's fixed cost dominates.
 MAX_TRIAL_ELEMENTS = 10**10
 # The seed is the Philox key, a 128-bit unsigned integer.
 _SEED_LIMIT = 1 << 128
@@ -278,8 +278,8 @@ def monte_carlo_estimate(
     Trials run in chunks of ``max(1, CHUNK_ELEMENTS // n)``, each drawn
     into its own buffers, so memory stays flat however many trials run;
     since every trial keeps its own counter block, no chunk boundary moves
-    a draw.  A run of more than MAX_TRIAL_ELEMENTS trials * n is refused
-    before the first draw.
+    a draw.  A run of more than MAX_TRIAL_ELEMENTS trials * max(n, 100)
+    is refused before the first draw.
 
     The outcome of a trial depends only on its row and the accepted
     value, so each row's trials are tallied by accepted value and each
@@ -289,7 +289,6 @@ def monte_carlo_estimate(
     are merged once at the end; without a batch runner each chunk's
     orders go through ``_tally`` and the counts are summed.
     """
-    require_valid_family(family)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < _SEED_LIMIT:
@@ -297,11 +296,12 @@ def monte_carlo_estimate(
     if metric not in ("ratio", "success"):
         raise ParameterError(f"metric must be 'ratio' or 'success', got {metric!r}")
     n = family.n
-    if trials * n > MAX_TRIAL_ELEMENTS:
+    if trials * max(n, 100) > MAX_TRIAL_ELEMENTS:
         raise ParameterError(
-            f"trials * n must be at most {MAX_TRIAL_ELEMENTS}, got {trials} * {n}"
+            f"trials * max(n, 100) must be at most {MAX_TRIAL_ELEMENTS}, "
+            f"got {trials} * {max(n, 100)}"
         )
-    scenarios = [(s, p) for s, p in family.items() if p > 0]
+    scenarios = _support(family)
     # The cumulative probabilities rise strictly without zero-mass rows.
     cumulative = (
         list(itertools.accumulate(p for _, p in scenarios)) if len(scenarios) > 1 else None

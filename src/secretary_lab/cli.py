@@ -41,7 +41,7 @@ from .construction import (
 )
 from .errors import ParameterError, SecretaryLabError
 from .exact import compare_to_inv_e, decimal_str, format_value, parse_value
-from .instances import PriorFamily, load_family, render_family_json, require_valid_family
+from .instances import PriorFamily, load_family, render_family_json
 from .policy import Policy, evaluate_policy, require_enumerable, solve_optimal
 
 # The largest --digits, fixed at the interpreter's default int-to-str
@@ -189,8 +189,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.metric == "success" and not args.mc:
         args.usage_error("argument --metric: success is only estimated with --mc")
     family = load_family(args.family)
-    # pred-argmax reads the prediction row while it is built
-    require_valid_family(family)
     selector = args.alg
     policy = None
     if selector == "dynkin":

@@ -27,6 +27,9 @@ Column = Literal[2, 3]
 # k = 5960) gen took 3 s and verify 5 s in 230 MB on a 2-core x86 machine
 # under Python 3.11; bounds --s 400 --k 2000 needs 2.1e7.
 MAX_DIGIT_WORK = 5 * 10**7
+# The most values, (2k - 1) * n, a family may hold, refused before any is
+# built: about 3.5 s of gen at 17 us per value on the machine above.
+MAX_VALUES = 2 * 10**5
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,8 @@ class ConstructionParams:
 
     k must be even (the swap-pair pattern is only defined for even k) and
     at least 4, the structural minimum for the pattern; n >= 3; s > 1;
-    mix_eps strictly inside (0, 1); digit_work at most MAX_DIGIT_WORK.
+    mix_eps strictly inside (0, 1); digit_work at most MAX_DIGIT_WORK;
+    (2k - 1) * n values at most MAX_VALUES.
     """
 
     mix_eps: Fraction
@@ -67,6 +71,11 @@ class ConstructionParams:
                 f"{shown} is too large for s: the family's values would hold "
                 f"more than {MAX_DIGIT_WORK:.0e} digits ((k + 1) * log10(s) "
                 "in each of 2k - 1 rows)"
+            )
+        if self.row_count * self.n > MAX_VALUES:
+            raise ParameterError(
+                f"n = {self.n} is too large for k: the family would hold "
+                f"(2k - 1) * n = {self.row_count * self.n} values, more than {MAX_VALUES}"
             )
 
     @property

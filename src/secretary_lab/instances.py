@@ -52,10 +52,9 @@ class PriorFamily:
     """Scenarios with exact mixture probabilities and a designated
     prediction scenario.
 
-    The constructor only checks shapes that would make the object
-    unusable; the full invariant list (probability mass, unique ids,
-    uniform lengths, prediction id present) is reported, not raised, by
-    ``validate_family`` so that broken inputs can be diagnosed.
+    The constructor checks every invariant (``validate_family``) and
+    raises one InvalidFamilyError listing each violation, so a broken
+    input is still fully diagnosed and every family that exists is valid.
     """
 
     n: int
@@ -75,6 +74,9 @@ class PriorFamily:
             raise ValueError("scenarios and probabilities must have equal length")
         if not self.scenarios:
             raise ValueError("family needs at least one scenario")
+        report = validate_family(self)
+        if not report.valid:
+            raise InvalidFamilyError(report.violations)
 
     def scenario_by_id(self, scenario_id: int) -> Scenario:
         for scenario in self.scenarios:
@@ -154,7 +156,8 @@ def prediction_error(values, predictions) -> Fraction:
 
 
 def validate_family(family: PriorFamily) -> ValidationReport:
-    """Check every family invariant and report violations instead of raising."""
+    """Check every family invariant and report violations instead of
+    raising; the PriorFamily constructor runs it and raises on any."""
     violations: list[str] = []
     if family.n < 1:
         violations.append(f"candidate count n = {family.n} must be >= 1")
@@ -180,13 +183,6 @@ def validate_family(family: PriorFamily) -> ValidationReport:
     if family.prediction_id not in ids:
         violations.append(f"prediction_id {family.prediction_id} refers to no scenario")
     return ValidationReport(valid=not violations, violations=tuple(violations))
-
-
-def require_valid_family(family: PriorFamily) -> None:
-    """Raise InvalidFamilyError with every violation validate_family finds."""
-    report = validate_family(family)
-    if not report.valid:
-        raise InvalidFamilyError(report.violations)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ import bisect
 import enum
 import functools
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -45,7 +46,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DegenerateInstanceError,
@@ -59,7 +60,6 @@ from .instances import (
     Scenario,
     competitive_ratio,
     read_json,
-    require_valid_family,
     scenario_max,
 )
 
@@ -137,18 +137,6 @@ def _parse_arrival(item: str) -> Arrival:
     raise ValueError(f"not an arrival: {item!r} (write (i:v), v in lowest terms)")
 
 
-def _policy_text(entries: Iterable[tuple[str, str]]) -> str:
-    """A policy file's text from its (state key, action) entries, already
-    sorted: the bytes of ``json.dumps(dict(entries), indent=2)`` and a
-    newline, each string encoded as ``json.dumps`` encodes it, without
-    its pure-Python encoder."""
-    encode = encode_basestring_ascii
-    lines = [f"  {encode(key)}: {encode(action)}" for key, action in entries]
-    if not lines:
-        return "{}\n"
-    return "{\n" + ",\n".join(lines) + "\n}\n"
-
-
 class Policy:
     """Deterministic action map over information states."""
 
@@ -194,7 +182,7 @@ class Policy:
 
     def to_json(self) -> str:
         """The policy file's text: sorted states, two-space indent."""
-        return _policy_text(self.to_dict().items())
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
     def load(cls, path: str | Path) -> "Policy":
@@ -337,9 +325,8 @@ def require_enumerable(n: int) -> None:
         )
 
 
-def _checked_family(family: PriorFamily) -> list[tuple[Scenario, Fraction]]:
-    require_valid_family(family)
-    require_enumerable(family.n)
+def _support(family: PriorFamily) -> list[tuple[Scenario, Fraction]]:
+    """The rows of positive probability; one with no positive value is refused."""
     # validated: no probability and no value is negative
     support = [(s, p) for s, p in family.items() if p]
     for scenario, _ in support:
@@ -348,6 +335,11 @@ def _checked_family(family: PriorFamily) -> list[tuple[Scenario, Fraction]]:
                 f"scenario {scenario.id} has positive probability but no positive value"
             )
     return support
+
+
+def _checked_family(family: PriorFamily) -> list[tuple[Scenario, Fraction]]:
+    require_enumerable(family.n)
+    return _support(family)
 
 
 # A row of the induction: its value id in each 0-based column, and its
@@ -688,8 +680,7 @@ def evaluate_policy(policy: Policy, family: PriorFamily) -> SolveReport:
     looked up once.
 
     Rows with probability zero are not part of the mixture and are left
-    out of the per-row map.  Raises InvalidFamilyError on a family that
-    validate_family rejects.
+    out of the per-row map.
     """
     mixture, per_row = _exact_ratios(policy.decide, family)
     return SolveReport(

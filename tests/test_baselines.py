@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 from secretary_lab import (
-    Action,
     ConstructionParams,
+    DegenerateInstanceError,
     EnumerationGuardError,
-    InformationState,
     InvalidFamilyError,
     MonteCarloEstimate,
     OnlineAlgorithm,
     ParameterError,
-    Policy,
     PriorFamily,
     Scenario,
     decimal_str,
@@ -234,21 +232,33 @@ def test_exact_ratio_guard_points_to_monte_carlo():
 
 
 def test_every_scorer_refuses_an_invalid_family():
-    # probabilities that sum to 117/20
-    heavy = PriorFamily(
-        n=2, scenarios=(Scenario(1, (F(2), F(1))),), probabilities=(F(117, 20),),
+    # No scorer can receive a family whose probabilities sum to 117/20:
+    # the constructor refuses it.
+    with pytest.raises(InvalidFamilyError) as err:
+        PriorFamily(
+            n=2, scenarios=(Scenario(1, (F(2), F(1))),), probabilities=(F(117, 20),),
+            prediction_id=1,
+        )
+    assert err.value.violations == ["mass != 1 (probabilities sum to 117/20)"]
+
+
+def test_monte_carlo_refuses_an_all_zero_row_before_the_first_draw(monkeypatch):
+    family = PriorFamily(
+        n=2,
+        scenarios=(Scenario(1, (F(2), F(1))), Scenario(2, (F(0), F(0)))),
+        probabilities=(F(1, 2), F(1, 2)),
         prediction_id=1,
     )
-    alg = dynkin_policy(2)
-    policy = Policy({InformationState((), (i, F(3 - i))): Action.ACCEPT for i in (1, 2)})
-    for score in (
-        lambda: exact_expected_ratio(alg, heavy),
-        lambda: evaluate_algorithm(alg, heavy),
-        lambda: evaluate_policy(policy, heavy),
-        lambda: monte_carlo_estimate(alg, heavy, trials=10, seed=0),
+
+    def drawn(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(baselines_module, "_draw_trials", drawn)
+    with pytest.raises(
+        DegenerateInstanceError,
+        match="^scenario 2 has positive probability but no positive value$",
     ):
-        with pytest.raises(InvalidFamilyError):
-            score()
+        monte_carlo_estimate(dynkin_policy(2), family, trials=10, seed=0)
 
 
 def test_hooks_agree_with_decide_everywhere(anchor_family):
@@ -339,8 +349,6 @@ def test_monte_carlo_memory_is_flat_in_the_trial_count():
 
 
 def test_trial_cap_is_checked_before_the_first_draw(monkeypatch):
-    family = distinct_family(100)
-
     class Drawn(Exception):
         pass
 
@@ -349,10 +357,16 @@ def test_trial_cap_is_checked_before_the_first_draw(monkeypatch):
 
     monkeypatch.setattr(baselines_module, "_draw_trials", drawn)
     cap = baselines_module.MAX_TRIAL_ELEMENTS
-    with pytest.raises(Drawn):
-        monte_carlo_estimate(dynkin_policy(100), family, trials=cap // 100, seed=0)
-    with pytest.raises(ParameterError, match="trials \\* n must be at most"):
-        monte_carlo_estimate(dynkin_policy(100), family, trials=cap // 100 + 1, seed=0)
+    # below n = 100 a trial's fixed cost dominates, so n = 3 gets no more
+    # trials than n = 100
+    for n in (100, 3):
+        family = distinct_family(n)
+        with pytest.raises(Drawn):
+            monte_carlo_estimate(dynkin_policy(n), family, trials=cap // 100, seed=0)
+        with pytest.raises(
+            ParameterError, match="trials \\* max\\(n, 100\\) must be at most"
+        ):
+            monte_carlo_estimate(dynkin_policy(n), family, trials=cap // 100 + 1, seed=0)
 
 
 def test_monte_carlo_tracks_exact_value(anchor_family):

@@ -268,8 +268,8 @@ def _one_row_family(**fields) -> dict:
     return {"n": 2, "scenarios": [_row(**fields)], "prediction_id": 1}
 
 
-# Well-formed JSON that validate_family rejects: row 2 holds 3 of n = 6
-# values, or the probabilities sum to 117/20.
+# Well-formed JSON that the PriorFamily constructor refuses: row 2 holds
+# 3 of n = 6 values, or the probabilities sum to 117/20.
 SHORT_ROW_FAMILY = {
     "n": 6,
     "scenarios": [
@@ -279,6 +279,16 @@ SHORT_ROW_FAMILY = {
     "prediction_id": 1,
 }
 MASS_117_20_FAMILY = _one_row_family(probability="117/20")
+# A valid family that no rule can be scored on: row 2 has mass 1/2 and
+# only zero values, so its competitive ratio is undefined.
+ALL_ZERO_ROW_FAMILY = {
+    "n": 2,
+    "scenarios": [
+        {"id": 1, "values": ["2", "1"], "probability": "1/2"},
+        {"id": 2, "values": ["0", "0"], "probability": "1/2"},
+    ],
+    "prediction_id": 1,
+}
 
 # Accepts the first arrival of the two-candidate family.
 ACCEPT_FIRST_POLICY = {"|current=(1:2)": "accept", "|current=(2:1)": "accept"}
@@ -300,6 +310,7 @@ MALFORMED_INPUTS = {
     "policy-is-a-list": ("policy", ["|current=(1:5)"]),
     "short-row-under-mc": ("mc", SHORT_ROW_FAMILY),
     "mass-117-over-20-under-mc": ("mc", MASS_117_20_FAMILY),
+    "all-zero-row-under-mc": ("mc", ALL_ZERO_ROW_FAMILY),
     "mass-117-over-20-under-policy": ("eval-policy", MASS_117_20_FAMILY),
     "policy-arrival-unclosed": ("policy", {"|current=(1:5": "accept"}),
     "policy-duplicate-index": ("policy", {"(1:5)|current=(1:5)": "accept"}),
@@ -322,6 +333,8 @@ MALFORMED_INPUTS = {
 }
 # The whole error line, where it is pinned.
 MALFORMED_MESSAGES = {
+    "all-zero-row-under-mc":
+        "error: scenario 2 has positive probability but no positive value",
     "policy-arrival-unclosed":
         "error: not an arrival: '(1:5' (write (i:v), v in lowest terms)",
     "policy-duplicate-index": "error: duplicate candidate indices in state: [1, 1]",
@@ -337,7 +350,14 @@ MALFORMED_MESSAGES = {
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
-def test_malformed_input_file_is_one_error_line(tmp_path, capsys, name):
+def test_malformed_input_file_is_one_error_line(tmp_path, capsys, monkeypatch, name):
+    import secretary_lab.baselines
+
+    def refuse(*args):
+        raise AssertionError("a trial was drawn")
+
+    # Monte Carlo refuses a malformed input before its first draw.
+    monkeypatch.setattr(secretary_lab.baselines, "_draw_trials", refuse)
     kind, payload = MALFORMED_INPUTS[name]
     path = tmp_path / f"{kind}.json"
     text = payload if isinstance(payload, str) else json.dumps(payload)
@@ -950,8 +970,8 @@ def test_eval_mc_refuses_a_seed_out_of_range(tmp_path, capsys, seed):
 @pytest.mark.parametrize("n, trials", [
     # 10^15 trials would run for years in flat memory
     (3, 10**15),
-    # trials * n just above the cap
-    (3, 10**10 // 3 + 1),
+    # trials * max(n, 100) just above the cap
+    (3, 10**8 + 1),
     (100, 10**8 + 1),
 ], ids=["n3-1e15", "n3-cap", "n100-cap"])
 def test_eval_mc_refuses_too_many_trials_before_any_draw(
@@ -974,7 +994,7 @@ def test_eval_mc_refuses_too_many_trials_before_any_draw(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"error: trials * n must be at most 10000000000, got {trials} * {n}"
+        f"error: trials * max(n, 100) must be at most 10000000000, got {trials} * 100"
     ]
 
 
@@ -1012,6 +1032,36 @@ def test_too_large_k_is_refused_before_any_value_is_built(
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {shown} is too large for s")
     assert len(lines[0]) < 200
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n, refused", [(28_571, False), (28_572, True)])
+def test_gen_refuses_more_than_max_values_before_any_value_is_built(
+    monkeypatch, tmp_path, capsys, n, refused
+):
+    # (2k - 1) * n values at k = 4: 199,997 pass the check, 200,004 do not.
+    import secretary_lab.cli
+
+    class Built(Exception):
+        pass
+
+    def built(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(secretary_lab.cli, "build_hard_family", built)
+    argv = ["gen", "--eps", "1/10", "--s", "5", "--k", "4", "--n", str(n),
+            "-o", str(tmp_path / "family.json")]
+    if not refused:
+        with pytest.raises(Built):
+            run_command(argv)
+        return
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: n = 28572 is too large for k: the family would hold "
+        "(2k - 1) * n = 200004 values, more than 200000"
+    ]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from secretary_lab import (
     DegenerateInstanceError,
+    InvalidFamilyError,
     PriorFamily,
     Scenario,
     UndefinedErrorMeasureError,
@@ -157,12 +158,10 @@ def test_validate_family_accepts_good_family():
 
 
 def test_validate_family_bad_mass():
-    report = validate_family(
+    with pytest.raises(InvalidFamilyError) as err:
         _small_family(probabilities=(Fraction(1, 10), Fraction(89, 100)))
-    )
-    assert not report.valid
-    assert any("mass != 1" in v for v in report.violations)
-    assert any("99/100" in v for v in report.violations)
+    assert any("mass != 1" in v for v in err.value.violations)
+    assert any("99/100" in v for v in err.value.violations)
 
 
 def test_validate_family_sums_long_probabilities_exactly():
@@ -177,33 +176,29 @@ def test_validate_family_sums_long_probabilities_exactly():
         return _small_family(scenarios=rows, probabilities=(first,) + (tail,) * 154)
 
     assert validate_family(family(eps)).valid
-    short = validate_family(family(eps - Fraction(1, 10**2000)))
-    assert not short.valid
-    assert short.violations == (
+    with pytest.raises(InvalidFamilyError) as err:
+        family(eps - Fraction(1, 10**2000))
+    assert err.value.violations == [
         f"mass != 1 (probabilities sum to {1 - Fraction(1, 10**2000)})",
-    )
+    ]
 
 
 def test_validate_family_duplicate_ids():
-    report = validate_family(
+    with pytest.raises(InvalidFamilyError) as err:
         _small_family(scenarios=(_row(1, S, 1, 1), _row(1, S, S**2, S**3)))
-    )
-    assert not report.valid
-    assert any("ids not unique" in v for v in report.violations)
+    assert any("ids not unique" in v for v in err.value.violations)
 
 
 def test_validate_family_missing_prediction():
-    report = validate_family(_small_family(prediction_id=9))
-    assert not report.valid
-    assert any("prediction_id 9" in v for v in report.violations)
+    with pytest.raises(InvalidFamilyError) as err:
+        _small_family(prediction_id=9)
+    assert any("prediction_id 9" in v for v in err.value.violations)
 
 
 def test_validate_family_length_mismatch():
-    report = validate_family(
+    with pytest.raises(InvalidFamilyError) as err:
         _small_family(scenarios=(_row(1, S, 1, 1), _row(2, S, S**2)))
-    )
-    assert not report.valid
-    assert any("expected n = 3" in v for v in report.violations)
+    assert any("expected n = 3" in v for v in err.value.violations)
 
 
 def test_family_constructor_shape_checks():

@@ -450,14 +450,15 @@ def test_enumeration_guard():
 
 
 def test_invalid_family_rejected():
-    family = PriorFamily(
-        n=2,
-        scenarios=(Scenario(1, (Fraction(2), Fraction(1))),),
-        probabilities=(Fraction(9, 10),),
-        prediction_id=1,
-    )
-    with pytest.raises(InvalidFamilyError):
-        solve_optimal(family, constrained=True)
+    # The constructor refuses the family, so no solve can receive it.
+    with pytest.raises(InvalidFamilyError) as err:
+        PriorFamily(
+            n=2,
+            scenarios=(Scenario(1, (Fraction(2), Fraction(1))),),
+            probabilities=(Fraction(9, 10),),
+            prediction_id=1,
+        )
+    assert err.value.violations == ["mass != 1 (probabilities sum to 9/10)"]
 
 
 def test_degenerate_row_rejected():
