@@ -179,9 +179,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     report = solve_optimal(family, constrained=not args.unconstrained)
-    _emit(report.to_dict(args.digits), args.output)
+    # the policy file first: a bad --policy-out fails before any report is out
     if args.policy_out is not None:
         _atomic_write(args.policy_out, report.rule.write_json)
+    _emit(report.to_dict(args.digits), args.output)
     return 0
 
 

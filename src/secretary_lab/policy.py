@@ -26,9 +26,13 @@ forward count over sets of arrivals that scores the memo's decisions on
 every row, on integers of its own value scale, with one Fraction per row
 for the row's ratio.  The induction also counts the ordered table's
 entries, and the policy file's text is streamed from the memo in sorted
-key order, in memory that does not grow with the file, so a solve builds
-no ordered table unless ``SolveReport.policy`` is read.  Policy
-evaluation over every arrival order scores any table.
+key order, so a solve builds no ordered table unless
+``SolveReport.policy`` is read.  The lines below a set differ from one
+history that reaches it to the next only in their key prefix, so the
+text of each set with at most POLICY_BLOCK entries below it is rendered
+once, as a block, and written under every prefix; the stream's memory is
+bounded by the sets, at most POLICY_BLOCK lines each, not by the file.
+Policy evaluation over every arrival order scores any table.
 """
 
 from __future__ import annotations
@@ -66,6 +70,9 @@ from .instances import (
 MAX_ENUMERATION_N = 8
 # Entries per write of a streamed policy file.
 POLICY_BATCH = 4096
+# Most entries below a set whose text a streamed policy file renders once
+# and reuses for every history that reaches the set.
+POLICY_BLOCK = 64
 
 
 class Action(enum.Enum):
@@ -410,19 +417,11 @@ class _SetRule:
                 self._walk(actions, made, observed + (current,), after)
             actions[InformationState(observed, current)] = action
 
-    def to_json(self) -> str:
-        """The policy file's text, the bytes of ``table().to_json()``: the
-        stream that ``write_json`` writes from the memo in sorted key order,
-        joined.  A file is written from the stream itself, in memory that
-        does not grow with the file."""
-        parts: list[str] = []
-        self.write_json(parts.append)
-        return "".join(parts)
-
     def write_json(self, write: Callable[[str], object]) -> None:
-        """Stream the policy file's text to ``write``, straight from the
-        memo, in sorted key order and in batches of about POLICY_BATCH
-        entries; no table, key dict or whole-file string is built.
+        """Stream the policy file's text, the bytes of
+        ``table().to_json()``, to ``write``, straight from the memo, in
+        sorted key order and in batches of about POLICY_BATCH entries; no
+        table, key dict or whole-file string is built.
 
         A key is its observed arrivals' texts joined by ",", then
         "|current=" and the current arrival's text.  An arrival's text
@@ -431,41 +430,85 @@ class _SetRule:
         takes the next arrivals in the order of their texts, writes every
         key below each after-set (under the prefix extended by the
         arrival) and then the set's own keys, writes the keys in the order
-        ``sorted`` gives them.  Beside the memo it holds the current
-        prefix, one batch and each set's next arrivals in text order, so
-        its memory does not grow with the file."""
+        ``sorted`` gives them.  Each arrival's text is JSON-escaped once:
+        escaping works per character, so the joined escapes are the
+        escaped key.
+
+        Every history that reaches a set has the same lines below it but
+        for their key prefix.  So a set whose subtree holds at most
+        POLICY_BLOCK entries is rendered once, as its block: those lines
+        with "\\0", which no escaped text holds, in place of the prefix,
+        and each history that reaches it writes the block with the prefix
+        put in.  A block is the after-sets' blocks, each with its "\\0"
+        extended by the arrival, then the set's own lines.  The root, with
+        its empty prefix, and each larger set are walked.  Beside the memo
+        it holds the current prefix, one batch, each set's after-sets and
+        own lines in text order, and the blocks, at most POLICY_BLOCK
+        lines per set, so its memory is bounded by the sets, not by the
+        file."""
         texts = {
             (j, value_id): _render_arrival((j + 1, value))
             for j in range(self.n)
             for value_id, value in enumerate(self.values)
         }
+        escaped = {pair: encode_basestring_ascii(text)[1:-1] for pair, text in texts.items()}
         encoded = {action: encode_basestring_ascii(action.value) for action in Action}
-        ordered: dict[IdSet, list[tuple[str, str, IdSet | None]]] = {}
+        ordered: dict[IdSet, tuple[list[tuple[str, IdSet]], str]] = {}
+        blocks: dict[IdSet, str] = {}
         batch: list[str] = []
+        entries = 0
         head = "{\n"
 
-        def walk(prefix: str, seen: IdSet) -> None:
-            nonlocal head
-            children = ordered.get(seen)
-            if children is None:
-                children = ordered[seen] = sorted(
-                    (texts[pair], encoded[action], after)
-                    for pair, (action, after) in self.steps[seen][1].items()
+        def below(seen: IdSet) -> tuple[list[tuple[str, IdSet]], str]:
+            """The set's after-sets, each beside the escaped text of the
+            arrival that leads to it, and its own lines, "\\0" in place of
+            the prefix; both in text order."""
+            known = ordered.get(seen)
+            if known is None:
+                arrivals = sorted(self.steps[seen][1].items(), key=lambda item: texts[item[0]])
+                known = ordered[seen] = (
+                    [(escaped[pair], after) for pair, (_, after) in arrivals if after is not None],
+                    "".join(
+                        f'  "\0|current={escaped[pair]}": {encoded[action]},\n'
+                        for pair, (action, _) in arrivals
+                    ),
                 )
-            for text, _, after in children:
-                if after is not None:
-                    walk(f"{prefix},{text}" if prefix else text, after)
-            if len(batch) >= POLICY_BATCH:
-                write(head + ",\n".join(batch))
-                head = ",\n"
-                batch.clear()
-            for text, action_text, _ in children:
-                key = encode_basestring_ascii(f"{prefix}|current={text}")
-                batch.append(f"  {key}: {action_text}")
+            return known
 
-        # the root's own entries come last, so the last batch is never empty
+        def block(seen: IdSet) -> str:
+            known = blocks.get(seen)
+            if known is None:
+                afters, own = below(seen)
+                known = blocks[seen] = "".join(
+                    [block(after).replace("\0", "\0," + text) for text, after in afters] + [own]
+                )
+            return known
+
+        def add(text: str, count: int) -> None:
+            nonlocal entries, head
+            # flushed before the lines go in, so the last batch, which
+            # holds the root's own lines, is never empty
+            if entries >= POLICY_BATCH:
+                write(head + "".join(batch))
+                head = ""
+                batch.clear()
+                entries = 0
+            batch.append(text)
+            entries += count
+
+        def walk(prefix: str, seen: IdSet) -> None:
+            _, children, count = self.steps[seen]
+            if prefix and count <= POLICY_BLOCK:
+                add(block(seen).replace("\0", prefix), count)
+                return
+            afters, own = below(seen)
+            for text, after in afters:
+                walk(f"{prefix},{text}" if prefix else text, after)
+            add(own.replace("\0", prefix), len(children))
+
         walk("", frozenset())
-        write(head + ",\n".join(batch) + "\n}\n")
+        # the last line's separator gives way to the closing brace
+        write(head + "".join(batch)[:-2] + "\n}\n")
 
 
 class _SetInduction:

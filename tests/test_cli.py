@@ -846,6 +846,21 @@ def test_write_failure_exits_one(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("to_file", (False, True), ids=("stdout", "-o"))
+def test_bad_policy_out_fails_before_the_report(tmp_path, capsys, to_file):
+    # The policy file is written first, so a bad --policy-out leaves
+    # neither a report on stdout nor a report file, only one error line.
+    report = tmp_path / "rep.json"
+    missing = tmp_path / "nodir" / "p.json"
+    argv = ["solve", "--eps", "1/10", "--s", "5", "--k", "4", "--n", "4",
+            "--policy-out", str(missing)]
+    assert run_command(argv + (["-o", str(report)] if to_file else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 BOUNDS_ARGV = ["bounds", "--eps", "1/10", "--s", "5", "--k", "4"]
 
 

@@ -21,7 +21,7 @@ from secretary_lab.instances import family_to_dict
 
 FAMILY = build_hard_family(ConstructionParams(mix_eps=Fraction(1, 10), s=Fraction(5), k=4))
 FAMILY_FILE = family_to_dict(FAMILY)
-POLICY_FILE = json.loads(solve_optimal(FAMILY, constrained=True).rule.to_json())
+POLICY_FILE = solve_optimal(FAMILY, constrained=True).policy.to_dict()
 
 FUZZ = settings(
     derandomize=True,

@@ -4,9 +4,10 @@ import itertools
 import json
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from secretary_lab import (
@@ -34,6 +35,7 @@ from secretary_lab import (
     scenario_max,
     solve_optimal,
 )
+import secretary_lab.policy as policy_module
 from secretary_lab.policy import _simulate, _tally, reachable_state_count
 
 S = Fraction(5)
@@ -223,6 +225,30 @@ def test_per_row_mixture_identity(anchor_family):
     assert report.per_row[report.worst_row[0]] == report.worst_row[1]
 
 
+def stream(rule, block=policy_module.POLICY_BLOCK, batch=policy_module.POLICY_BATCH):
+    """The parts that ``rule.write_json`` writes, in order, with
+    POLICY_BLOCK set to ``block`` and POLICY_BATCH to ``batch``."""
+    parts: list[str] = []
+    with mock.patch.object(policy_module, "POLICY_BLOCK", block), \
+            mock.patch.object(policy_module, "POLICY_BATCH", batch):
+        rule.write_json(parts.append)
+    return parts
+
+
+def block_caps(report) -> tuple[int, ...]:
+    """POLICY_BLOCK values: no blocks, one-entry blocks, the default, and
+    a cap above every set's entries, so all but the root are blocks."""
+    return (0, 1, 64, report.policy_states + 1)
+
+
+def assert_streams_are_the_table(report) -> None:
+    """Under every cap in ``block_caps`` and batches of 1 and 4096
+    entries, the stream is the table's JSON."""
+    table = json.dumps(report.policy.to_dict(), indent=2, sort_keys=True) + "\n"
+    for block, batch in itertools.product(block_caps(report), (1, 4096)):
+        assert "".join(stream(report.rule, block, batch)) == table, (block, batch)
+
+
 # SHA-256 of the policy file text as an induction over every ordered
 # history writes it: computing each value once per set of arrivals must
 # not change the table by a byte.
@@ -240,13 +266,14 @@ def test_policy_table_is_byte_identical(k, n, constrained):
     family = build_hard_family(ConstructionParams(Fraction(1, 10), S, k, n=n))
     report = solve_optimal(family, constrained=constrained)
     # The set rule writes the file from its memo, before any table exists.
-    written = report.rule.to_json()
+    written = "".join(stream(report.rule))
     policy = report.policy
     text = json.dumps(policy.to_dict(), indent=2, sort_keys=True) + "\n"
     assert text == policy.to_json() == written
     assert len(policy) == POLICY_SIZES[k, n, constrained]
     digest = hashlib.sha256(written.encode("utf-8")).hexdigest()
     assert digest == POLICY_DIGESTS[k, n, constrained]
+    assert_streams_are_the_table(report)
 
 
 def test_reading_the_table_leaves_the_memo_to_write_the_file(monkeypatch):
@@ -262,7 +289,7 @@ def test_reading_the_table_leaves_the_memo_to_write_the_file(monkeypatch):
     policy = report.policy
     assert report.policy is policy
     assert len(policy) == report.policy_states == POLICY_SIZES[4, 5, True]
-    written = report.rule.to_json()
+    written = "".join(stream(report.rule))
     digest = hashlib.sha256(written.encode("utf-8")).hexdigest()
     assert digest == POLICY_DIGESTS[4, 5, True]
 
@@ -295,19 +322,17 @@ def prefix_family(n: int) -> PriorFamily:
 @pytest.mark.parametrize("batch", (1, 4096))
 @pytest.mark.parametrize("constrained", (True, False))
 @pytest.mark.parametrize("n", (1, 2, 3))
-def test_streamed_policy_file_is_in_sorted_key_order(monkeypatch, n, constrained, batch):
-    import secretary_lab.policy as policy_module
-
-    monkeypatch.setattr(policy_module, "POLICY_BATCH", batch)
+def test_streamed_policy_file_is_in_sorted_key_order(n, constrained, batch):
     report = solve_optimal(prefix_family(n), constrained=constrained)
-    parts: list[str] = []
-    report.rule.write_json(parts.append)
-    text = "".join(parts)
-    assert text == json.dumps(report.policy.to_dict(), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report.policy.to_dict(), indent=2, sort_keys=True) + "\n"
+    # Blocks, rendered once and written under each prefix, keep the order.
+    for block in block_caps(report):
+        parts = stream(report.rule, block, batch)
+        assert "".join(parts) == text, block
+        if batch == 1 and n > 1:
+            assert len(parts) > 2
     currents = {key.partition("|current=")[2] for key in json.loads(text)}
     assert {"(1:5)", "(1:5/2)", "(1:50)", "(1:1/2)", "(1:1/25)"} <= currents
-    if batch == 1 and n > 1:
-        assert len(parts) > 2
 
 
 def test_streaming_the_n7_policy_file_takes_flat_memory():
@@ -325,6 +350,27 @@ def test_streaming_the_n7_policy_file_takes_flat_memory():
     assert sum(written) == 3_427_507
     assert len(written) > 10
     assert peak < 2 * 1024 * 1024
+
+
+def test_the_n8_policy_file_is_pinned():
+    # The 30 MB file goes straight into the digest; none of it is kept.
+    # The digest was recorded while each key was still built on its own.
+    family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=8))
+    rule = solve_optimal(family, constrained=True).rule
+    digest = hashlib.sha256()
+    size = 0
+
+    def take(text: str) -> None:
+        nonlocal size
+        data = text.encode("utf-8")
+        size += len(data)
+        digest.update(data)
+
+    rule.write_json(take)
+    assert size == 30_082_240
+    assert digest.hexdigest() == (
+        "ce8324ffa90204dbe82d78a4268cea746dde26338e209cb8d02373be25f89f23"
+    )
 
 
 def test_solved_policy_covers_every_reachable_state(anchor_family):
@@ -634,14 +680,11 @@ SMALL_VALUES = st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2)))
 
 
 @st.composite
-def small_families(draw) -> PriorFamily:
-    """Valid families with n <= 3, one to three rows of positive mass, and
-    sometimes one extra row of mass zero; any row may be the prediction.
-
-    n = 4 is left out: unconstrained brute force alone takes over a second
-    per family there.
-    """
-    n = draw(st.integers(min_value=1, max_value=3))
+def small_families(draw, sizes=st.integers(min_value=1, max_value=3)) -> PriorFamily:
+    """Valid families with n drawn from ``sizes`` (default 1 to 3), one to
+    three rows of positive mass, and sometimes one extra row of mass zero;
+    any row may be the prediction."""
+    n = draw(sizes)
     weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     if draw(st.booleans()):
         weights.append(0)
@@ -671,25 +714,47 @@ TIED_FAMILY = PriorFamily(
 )
 
 
+def assert_solver_brute_force_and_evaluation_agree(family, constrained, brute_forced):
+    """The solve reaches ``brute_forced``, the brute-force optimum; its
+    stream is the table's JSON under every cap in ``block_caps``; and
+    both evaluators score its table at the solve's optimum and rows."""
+    solved = solve_optimal(family, constrained=constrained)
+    assert brute_forced == solved.optimum
+    assert solved.policy_states == len(solved.policy)
+    assert_streams_are_the_table(solved)
+    if constrained and family.probability_of(family.prediction_id) > 0:
+        assert is_consistent(solved.policy, family.prediction())
+    evaluated = evaluate_policy(solved.policy, family)
+    assert evaluated.optimum == solved.optimum
+    assert evaluated.per_row == solved.per_row
+    assert enumerated_evaluation(solved.policy, family) == (
+        evaluated.optimum,
+        evaluated.per_row,
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @example(TIED_FAMILY)
 @given(small_families())
 def test_solver_brute_force_and_evaluation_agree(family):
     for constrained in (True, False):
-        solved = solve_optimal(family, constrained=constrained)
-        assert brute_force_optimum(family, constrained=constrained) == solved.optimum
-        written = solved.rule.to_json()
-        assert solved.policy_states == len(solved.policy)
-        assert written == solved.policy.to_json()
-        if constrained and family.probability_of(family.prediction_id) > 0:
-            assert is_consistent(solved.policy, family.prediction())
-        evaluated = evaluate_policy(solved.policy, family)
-        assert evaluated.optimum == solved.optimum
-        assert evaluated.per_row == solved.per_row
-        assert enumerated_evaluation(solved.policy, family) == (
-            evaluated.optimum,
-            evaluated.per_row,
-        )
+        brute_forced = brute_force_optimum(family, constrained=constrained)
+        assert_solver_brute_force_and_evaluation_agree(family, constrained, brute_forced)
+
+
+# At n = 4 brute force can face a million sub-policies below one first
+# arrival.  Unconstrained it takes over a second per family, so only the
+# constrained solve is checked, and a family with more than 5,000
+# sub-policies below some first arrival is drawn again: enumerated up to
+# the default cap of 200,000, such a family can take gigabytes and minutes.
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(small_families(st.just(4)))
+def test_solver_brute_force_and_evaluation_agree_at_n4(family):
+    try:
+        brute_forced = brute_force_optimum(family, True, max_policies_per_subtree=5_000)
+    except EnumerationGuardError:
+        reject()
+    assert_solver_brute_force_and_evaluation_agree(family, True, brute_forced)
 
 
 @settings(max_examples=60, deadline=None)
@@ -760,7 +825,7 @@ def test_scaled_induction_agrees_on_coprime_denominators(family):
     for constrained in (True, False):
         solved = solve_optimal(family, constrained=constrained)
         assert brute_force_optimum(family, constrained=constrained) == solved.optimum
-        written = solved.rule.to_json()
+        written = "".join(stream(solved.rule))
         assert solved.policy_states == len(solved.policy)
         assert written == solved.policy.to_json()
         if constrained and family.probability_of(family.prediction_id) > 0:
