@@ -13,7 +13,10 @@ have been seen, not on their order: the posterior, the accept value, the
 consistency constraint and the value after a reject are all functions of
 the set of arrivals.  Backward induction therefore runs once per set of
 arrivals, with exact posterior weights, on integer value ids, and
-memoises each set's value and its decisions.  An optional hard
+memoises each set's value and its decisions under one integer key per
+set: its (column, value id) arrivals as digits id + 1 in base B, the
+number of distinct values plus 1, at place B**column, 0 for a column not
+arrived.  An optional hard
 constraint restricts actions so that the resulting policy is guaranteed
 to pick a maximum-value candidate whenever the announced predictions are
 exactly correct, for every arrival order.
@@ -374,8 +377,11 @@ def _split(n: int, arrived: int, rows: list[tuple]):
             yield j, value, sub
 
 
-# A set of arrivals, each a (0-based column, value id) pair.
-IdSet = frozenset[tuple[int, int]]
+# A set of arrivals, each a (0-based column, value id) pair, as one
+# integer: with B the number of distinct values plus 1, the set holds the
+# digit id + 1 at place B**j for each of its arrivals (j, id), and 0 at
+# every column not arrived, so the empty set is 0.
+IdSet = int
 # Per next arrival of a set: the action and the set after a reject, None
 # where a reject is not allowed or ends the sequence.
 Children = dict[tuple[int, int], tuple[Action, IdSet | None]]
@@ -388,9 +394,9 @@ class _SetRule:
     """A solved rule on sets of arrivals, as plain data.
 
     ``steps`` maps each set of rejected arrivals that the induction
-    visited to the set's scaled value, its ``Children``, in the chance
-    step's order, and the number of table entries at and below one
-    history that reaches the set."""
+    visited, keyed by its ``IdSet`` integer, to the set's scaled value,
+    its ``Children``, in the chance step's order, and the number of table
+    entries at and below one history that reaches the set."""
 
     n: int
     values: tuple[Fraction, ...]  # by value id
@@ -405,7 +411,7 @@ class _SetRule:
             for value_id, value in enumerate(self.values)
         }
         actions: dict[InformationState, Action] = {}
-        self._walk(actions, made, (), frozenset())
+        self._walk(actions, made, (), 0)
         return Policy(actions)
 
     def _walk(self, actions: dict, made: dict, observed: History, seen: IdSet) -> None:
@@ -506,7 +512,7 @@ class _SetRule:
                 walk(f"{prefix},{text}" if prefix else text, after)
             add(own.replace("\0", prefix), len(children))
 
-        walk("", frozenset())
+        walk("", 0)
         # the last line's separator gives way to the closing brace
         write(head + "".join(batch)[:-2] + "\n}\n")
 
@@ -515,18 +521,21 @@ class _SetInduction:
     """Backward induction over sets of rejected arrivals, on value ids
     and integers (see solve_optimal); ``steps`` becomes a _SetRule's."""
 
-    def __init__(self, n: int, prediction_ids: list[int], best_columns: int):
+    def __init__(self, n: int, base: int, prediction_ids: list[int], best_columns: int):
         self.n = n
         self.prediction_ids = prediction_ids
         self.best_columns = best_columns
         self.tails = [math.factorial(n - depth - 1) for depth in range(n)]
+        self.places = [base ** j for j in range(n)]
         self.steps: dict[IdSet, Step] = {}
 
     def step(self, seen: IdSet, arrived: int, on_path: bool, rows: list[IdRow]) -> Step:
-        """The memo entry of the set ``seen`` of rejected arrivals: its
-        columns are the bitmask ``arrived``, ``on_path`` says that every
-        arrival in it shows its predicted value (always False
-        unconstrained), and ``rows`` are the rows it leaves possible.
+        """The memo entry of the set ``seen`` of rejected arrivals, an
+        ``IdSet``, to which a reject of value id i in column j adds
+        (i + 1) * B**j, B being ``base``: its columns are the bitmask
+        ``arrived``, ``on_path`` says that every arrival in it shows its
+        predicted value (always False unconstrained), and ``rows`` are
+        the rows it leaves possible.
         Every history that reaches a set has the same subtree, so the
         set's table entries are one per next arrival plus those of each
         after-set."""
@@ -547,7 +556,7 @@ class _SetInduction:
             if depth + 1 == self.n:
                 reject_value = 0
             elif reject_ok:
-                after = seen | {(j, value_id)}
+                after = seen + (value_id + 1) * self.places[j]
                 reject_value, _, below = self.step(after, arrived | 1 << j, on, sub)
                 entries += below
             else:
@@ -569,12 +578,13 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
 
     The induction runs once per set of rejected arrivals, on integer value
     ids: each supported row is a tuple of value ids with an integer
-    weight, a set is keyed by its (column, value id) arrivals, and the
-    constraint is an on-path flag passed down with the bitmask of columns
-    where the prediction attains its maximum, so no Fraction is compared
-    or hashed and no InformationState is built inside it.  Each set keeps
-    its value and, per next arrival, the better allowed action and, where
-    rejecting is allowed, the set after a reject.
+    weight, a set is keyed by one integer, the ``IdSet`` of its (column,
+    value id) arrivals, and the constraint is an on-path flag passed down
+    with the bitmask of columns where the prediction attains its maximum,
+    so no Fraction is compared or hashed and no InformationState is built
+    inside it.  Each set keeps its value and, per next arrival, the better
+    allowed action and, where rejecting is allowed, the set after a
+    reject.
 
     Values are integers on one scale.  Row r weighs W_r = L * p_r / max_r
     and value v counts v * V, where L and V are the least common multiples
@@ -612,10 +622,10 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     values = tuple(value_ids)
     value_scale = math.lcm(*(v.denominator for v in values))  # V
     scaled = [v.numerator * (value_scale // v.denominator) for v in values]
-    # p_r / max_r, with max_r * V the row's largest scaled value
+    # p_r / max_r, with max_r * V the row's largest scaled value; Fraction
+    # arithmetic cancels only the small factors, with no gcd over all of p
     weights = [
-        Fraction(p.numerator * value_scale, p.denominator * max(scaled[i] for i in ids))
-        for ids, (_, p) in zip(id_rows, support)
+        p * value_scale / max(scaled[i] for i in ids) for ids, (_, p) in zip(id_rows, support)
     ]
     weight_scale = math.lcm(*(w.denominator for w in weights))  # L
     rows = []
@@ -624,11 +634,12 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
         rows.append((ids, tuple(weight * scaled[i] for i in ids)))
     induction = _SetInduction(
         n,
+        base=len(values) + 1,
         # -1 where no supported row shows the predicted value
         prediction_ids=[value_ids.get(v, -1) for v in prediction.values],
         best_columns=_best_columns(prediction),
     )
-    scaled_optimum, _, policy_states = induction.step(frozenset(), 0, constrained, rows)
+    scaled_optimum, _, policy_states = induction.step(0, 0, constrained, rows)
     optimum = Fraction(scaled_optimum, math.factorial(n) * value_scale * weight_scale)
     rule = _SetRule(n, values, induction.steps)
     mixture, per_row = _forward_ratios(rule, support)
@@ -658,29 +669,39 @@ def _forward_ratios(
     rule accepts x, which ends N(S) * (n - |S| - 1)! orders with the row's
     value at x, or rejects it, which adds N(S) to N(S + x).  A set is
     visited after all its subsets, as a bitmask after every smaller one.
+    A set's memo key, its ``IdSet``, is rebuilt from the rule's values
+    alone: the key of S is that of S minus its lowest column x plus
+    (id + 1) * B**x, so every subset's key is filled in, reached or not.
     The row's ratio is its accepted total over max_r * n!, both counted on
     one integer value scale (the values over their common denominator), so
-    each row makes one Fraction; the mixture weighs each distinct
-    probability once, by the sum of its rows' ratios."""
+    each row makes one Fraction; the mixture weighs each class of rows
+    with one probability and one maximum once, by their summed totals."""
     n = rule.n
-    value_ids = {v: vid for vid, v in enumerate(rule.values)}
+    # keyed by numerator and denominator, which hash without Fraction.__hash__
+    value_ids = {(v.numerator, v.denominator): vid for vid, v in enumerate(rule.values)}
+    places = [(len(rule.values) + 1) ** x for x in range(n)]
     scale = math.lcm(*(v.denominator for v in rule.values))
     scaled = [v.numerator * (scale // v.denominator) for v in rule.values]
     tails = [math.factorial(n - size - 1) for size in range(n)]
     orders = math.factorial(n)
-    by_probability: dict[Fraction, list[Fraction]] = {}
+    # (p numerator, p denominator, max_r) -> [p, max_r, summed totals]
+    classes: dict[tuple[int, int, int], list] = {}
     per_row: dict[int, Fraction] = {}
     for scenario, probability in support:
-        ids = [value_ids[v] for v in scenario.values]
+        ids = [value_ids[v.numerator, v.denominator] for v in scenario.values]
+        keys = [0] * (1 << n)  # the IdSet of each bitmask of columns
         rejected = [0] * (1 << n)  # N(S), S a bitmask of columns
         rejected[0] = 1
         accepted = [0] * n  # orders that accept each column
+        for columns in range(1, (1 << n) - 1):
+            low = columns & -columns
+            x = low.bit_length() - 1
+            keys[columns] = keys[columns ^ low] + (ids[x] + 1) * places[x]
         for columns in range((1 << n) - 1):  # the full set decides nothing
             count = rejected[columns]
             if not count:
                 continue
-            seen = frozenset((x, ids[x]) for x in range(n) if columns >> x & 1)
-            children = rule.steps[seen][1]
+            children = rule.steps[keys[columns]][1]
             tail = tails[columns.bit_count()]
             for x in range(n):
                 if columns >> x & 1:
@@ -691,10 +712,11 @@ def _forward_ratios(
                     rejected[columns | 1 << x] += count
         total = sum(count * scaled[i] for count, i in zip(accepted, ids))
         top = max(scaled[i] for i in ids)
-        per_row[scenario.id] = conditional = Fraction(total, top * orders)
-        by_probability.setdefault(probability, []).append(conditional)
+        per_row[scenario.id] = Fraction(total, top * orders)
+        key = (probability.numerator, probability.denominator, top)
+        classes.setdefault(key, [probability, top, 0])[2] += total
     mixture = sum(
-        (p * sum(ratios, Fraction(0)) for p, ratios in by_probability.items()), Fraction(0)
+        (p * Fraction(total, top * orders) for p, top, total in classes.values()), Fraction(0)
     )
     return mixture, per_row
 
@@ -855,8 +877,10 @@ def brute_force_optimum(
     independent sub-policies, one per (first candidate, first value)
     subtree; each subtree's sub-policies are enumerated exhaustively and
     scored by direct simulation over the (row, order) pairs that enter the
-    subtree.  Only feasible at small sizes; the per-subtree cap guards
-    against accidental blow-ups.
+    subtree.  Only feasible at small sizes: each subtree's sub-policies
+    are counted first, with none built, and a family with a subtree of
+    more than ``max_policies_per_subtree`` is refused before any is
+    enumerated.
     """
     support = _checked_family(family)
     prediction = family.prediction()
@@ -864,11 +888,37 @@ def brute_force_optimum(
     orders = list(itertools.permutations(range(1, n + 1)))
     order_weight = Fraction(1, len(orders))
 
-    def subpolicies(observed, current, arrived, rows):
-        """Every sub-policy from ``current`` on; ``arrived`` is the bitmask
-        of the columns of ``observed`` and ``current``."""
+    def allowed_at(observed, current):
         state = InformationState(observed, current)
-        allowed = consistent_actions(prediction, state) if constrained else BOTH_ACTIONS
+        return state, consistent_actions(prediction, state) if constrained else BOTH_ACTIONS
+
+    def children(observed, current, arrived, rows):
+        """The arguments for each next arrival after a reject of ``current``;
+        ``arrived`` is the bitmask of the columns of ``observed`` and
+        ``current``."""
+        next_observed = observed + (current,)
+        return [
+            (next_observed, (j + 1, value), arrived | 1 << j, sub)
+            for j, value, sub in _split(n, arrived, rows)
+        ]
+
+    def count(observed, current, arrived, rows) -> int:
+        """How many sub-policies ``subpolicies`` would list: 1 for an
+        allowed accept, plus, for an allowed reject, the product of the
+        next arrivals' counts (1 at the last arrival)."""
+        _, allowed = allowed_at(observed, current)
+        total = int(Action.ACCEPT in allowed)
+        if Action.REJECT in allowed:
+            if len(observed) + 1 == n:
+                total += 1
+            else:
+                nexts = children(observed, current, arrived, rows)
+                total += math.prod(count(*child) for child in nexts)
+        return total
+
+    def subpolicies(observed, current, arrived, rows):
+        """Every sub-policy from ``current`` on."""
+        state, allowed = allowed_at(observed, current)
         results: list[dict[InformationState, Action]] = []
         if Action.ACCEPT in allowed:
             results.append({state: Action.ACCEPT})
@@ -876,26 +926,25 @@ def brute_force_optimum(
             if len(observed) + 1 == n:
                 results.append({state: Action.REJECT})
             else:
-                next_observed = observed + (current,)
                 child_lists = [
-                    subpolicies(next_observed, (j + 1, value), arrived | 1 << j, sub)
-                    for j, value, sub in _split(n, arrived, rows)
+                    subpolicies(*child) for child in children(observed, current, arrived, rows)
                 ]
                 for combo in itertools.product(*child_lists):
                     merged = {state: Action.REJECT}
                     for part in combo:
                         merged.update(part)
                     results.append(merged)
-                    if len(results) > max_policies_per_subtree:
-                        raise EnumerationGuardError(
-                            "sub-policy enumeration exceeded the cap; "
-                            "family too large for brute force"
-                        )
         return results
 
     total = Fraction(0)
     rows = [(scenario.values, scenario, mass) for scenario, mass in support]
-    for j, value, sub in _split(n, 0, rows):
+    firsts = list(_split(n, 0, rows))
+    for j, value, sub in firsts:
+        if count((), (j + 1, value), 1 << j, sub) > max_policies_per_subtree:
+            raise EnumerationGuardError(
+                "sub-policy count exceeds the cap; family too large for brute force"
+            )
+    for j, value, sub in firsts:
         subtree_orders = [order for order in orders if order[0] == j + 1]
         best = None
         for candidate in subpolicies((), (j + 1, value), 1 << j, sub):

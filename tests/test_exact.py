@@ -1,4 +1,5 @@
 import decimal
+import random
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,31 @@ def test_e_enclosure_brackets_reference(digits):
     reference = Fraction(str(_decimal_e(digits + 5)))
     assert enclosure.lower < reference < enclosure.upper
     assert enclosure.width < Fraction(1, 10**digits)
+
+
+def _e_series_from_scratch(digits: int) -> tuple[Fraction, Fraction]:
+    # the series counted from m = 1 with Fraction tails, as it was before
+    # the search resumed from earlier calls
+    target = Fraction(1, 10**digits)
+    m, factorial_m, partial_numerator = 1, 1, 2
+    while True:
+        tail = Fraction(m + 2, factorial_m * (m + 1) * (m + 1))
+        if tail < target:
+            return Fraction(partial_numerator, factorial_m), tail
+        m += 1
+        factorial_m *= m
+        partial_numerator = partial_numerator * m + 1
+
+
+def test_e_series_resumes_to_the_same_terms(monkeypatch):
+    # Levels asked in a shuffled order resume from a lower level's term or
+    # start again below a higher one; each must give the from-scratch pair.
+    levels = [50 * 2**i for i in range(7)] + [1, 2, 7, 333, 1000, 3201]
+    random.Random(0).shuffle(levels)
+    exact._e_series_state.cache_clear()
+    monkeypatch.setattr(exact, "_e_series_reached", (1, 1, 2))
+    for digits in levels:
+        assert exact._e_series_state(digits) == _e_series_from_scratch(digits), digits
 
 
 @pytest.mark.parametrize("digits", [5, 20, 50])

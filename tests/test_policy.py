@@ -551,6 +551,28 @@ def test_brute_force_cap(anchor_family):
         brute_force_optimum(anchor_family, max_policies_per_subtree=10)
 
 
+@pytest.mark.parametrize("constrained", (True, False))
+def test_brute_force_counts_before_it_enumerates(constrained):
+    # The two rows share only column 4 and differ in every other column,
+    # so the last first arrival, (4:5), has 1 + 10**6 sub-policies below
+    # it; the prediction row has mass 0 and is off the path there.  The
+    # earlier first arrivals are small, so a cap met only while
+    # enumerating would simulate them first.
+    family = PriorFamily(
+        n=4,
+        scenarios=(
+            Scenario(1, tuple(map(Fraction, (1, 2, 3, 5)))),
+            Scenario(2, tuple(map(Fraction, (2, 3, 1, 5)))),
+            Scenario(3, tuple(map(Fraction, (1, 1, 1, 1)))),
+        ),
+        probabilities=(Fraction(1, 2), Fraction(1, 2), Fraction(0)),
+        prediction_id=3,
+    )
+    with mock.patch.object(policy_module, "_simulate", side_effect=AssertionError("simulated")):
+        with pytest.raises(EnumerationGuardError, match="count exceeds the cap"):
+            brute_force_optimum(family, constrained=constrained)
+
+
 def test_brute_force_on_second_point():
     family = build_hard_family(ConstructionParams(Fraction(1, 100), S, 4))
     assert brute_force_optimum(family, constrained=True) == solve_optimal(
@@ -677,19 +699,25 @@ def test_consistency_matches_order_enumeration_on_random_policies(n, constrained
 
 # A pool of three values makes ties within and across rows common.
 SMALL_VALUES = st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2)))
+# A pool of six values gives a memo key up to six nonzero digits per column.
+SIX_VALUES = st.sampled_from(
+    tuple(map(Fraction, ("1/2", "1", "2", "5/3", "3", "7")))
+)
 
 
 @st.composite
-def small_families(draw, sizes=st.integers(min_value=1, max_value=3)) -> PriorFamily:
-    """Valid families with n drawn from ``sizes`` (default 1 to 3), one to
-    three rows of positive mass, and sometimes one extra row of mass zero;
-    any row may be the prediction."""
+def small_families(
+    draw, sizes=st.integers(min_value=1, max_value=3), values=SMALL_VALUES
+) -> PriorFamily:
+    """Valid families with n drawn from ``sizes`` (default 1 to 3), values
+    from ``values``, one to three rows of positive mass, and sometimes one
+    extra row of mass zero; any row may be the prediction."""
     n = draw(sizes)
     weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     if draw(st.booleans()):
         weights.append(0)
     scenarios = tuple(
-        Scenario(row, tuple(draw(SMALL_VALUES) for _ in range(n)))
+        Scenario(row, tuple(draw(values) for _ in range(n)))
         for row in range(1, len(weights) + 1)
     )
     total = sum(weights)
@@ -745,8 +773,9 @@ def test_solver_brute_force_and_evaluation_agree(family):
 # At n = 4 brute force can face a million sub-policies below one first
 # arrival.  Unconstrained it takes over a second per family, so only the
 # constrained solve is checked, and a family with more than 5,000
-# sub-policies below some first arrival is drawn again: enumerated up to
-# the default cap of 200,000, such a family can take gigabytes and minutes.
+# sub-policies below some first arrival is drawn again: under the default
+# cap of 200,000, each of that many sub-policies would be built and
+# simulated.
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(small_families(st.just(4)))
 def test_solver_brute_force_and_evaluation_agree_at_n4(family):
@@ -755,6 +784,39 @@ def test_solver_brute_force_and_evaluation_agree_at_n4(family):
     except EnumerationGuardError:
         reject()
     assert_solver_brute_force_and_evaluation_agree(family, True, brute_forced)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_families(st.integers(1, 4), SIX_VALUES))
+def test_memo_keys_one_entry_per_set_of_arrivals(family):
+    # Two sets of rejected arrivals that shared a memo key would be merged
+    # into one entry, and the table would still reach both.
+    for constrained in (True, False):
+        report = solve_optimal(family, constrained=constrained)
+        sets = {frozenset(state.observed) for state in report.policy.actions}
+        assert len(report.rule.steps) == len(sets)
+
+
+def test_forward_count_keys_sets_that_no_order_reaches():
+    # On row 2 the optimal rule accepts (3:2) first, so no order of that
+    # row rejects the set {(3:2)} alone; it rejects (1:1) and then (3:2),
+    # and the key of {(1:1), (3:2)} is built on that of {(3:2)}.  A forward
+    # count that filled keys only for sets it reached would count 59/63.
+    family = PriorFamily(
+        n=3,
+        scenarios=(
+            Scenario(1, tuple(map(Fraction, (1, 3, 4)))),
+            Scenario(2, tuple(map(Fraction, (1, 3, 2)))),
+            Scenario(3, tuple(map(Fraction, (0, 1, 2)))),
+        ),
+        probabilities=(Fraction(3, 7), Fraction(1, 7), Fraction(3, 7)),
+        prediction_id=2,
+    )
+    solved = solve_optimal(family, constrained=False)
+    assert solved.optimum == Fraction(121, 126)
+    assert brute_force_optimum(family, constrained=False) == solved.optimum
+    evaluated = evaluate_policy(solved.policy, family)
+    assert (evaluated.optimum, evaluated.per_row) == (solved.optimum, solved.per_row)
 
 
 @settings(max_examples=60, deadline=None)
