@@ -169,8 +169,7 @@ def test_e_enclosure_brackets_reference(digits):
 
 
 def _e_series_from_scratch(digits: int) -> tuple[Fraction, Fraction]:
-    # the series counted from m = 1 with Fraction tails, as it was before
-    # the search resumed from earlier calls
+    # reference: the series counted from m = 1, each tail a Fraction
     target = Fraction(1, 10**digits)
     m, factorial_m, partial_numerator = 1, 1, 2
     while True:

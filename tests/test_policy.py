@@ -700,9 +700,7 @@ def test_consistency_matches_order_enumeration_on_random_policies(n, constrained
 # A pool of three values makes ties within and across rows common.
 SMALL_VALUES = st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2)))
 # A pool of six values gives a memo key up to six nonzero digits per column.
-SIX_VALUES = st.sampled_from(
-    tuple(map(Fraction, ("1/2", "1", "2", "5/3", "3", "7")))
-)
+SIX_VALUES = st.sampled_from(tuple(map(Fraction, ("1/2", "1", "2", "5/3", "3", "7"))))
 
 
 @st.composite
