@@ -215,33 +215,20 @@ class Enclosure:
         return Comparison.INDETERMINATE
 
 
-# The furthest term of the e series reached so far, as (m, m!, a_m) with
-# a_m = sum_{i<=m} m!/i!.
-_e_series_reached = (1, 1, 2)
-
-
 @lru_cache(maxsize=None)
 def _e_series_state(digits: int) -> tuple[Fraction, Fraction]:
     """Partial sum of sum 1/i! and a strict rational tail bound, with the
     tail bound below 10**-digits, at the first m whose bound is.
 
     Uses sum_{i>m} 1/i! < (m+2) / ((m+1)! * (m+1)), strict for all m >= 1.
-    The bound falls as m grows, so the search resumes from the furthest
-    term reached by any earlier call while that term's bound is still at
-    least 10**-digits, and starts again from m = 1 otherwise.
     """
-    global _e_series_reached
     scale = 10 ** digits
-    m, factorial_m, partial_numerator = _e_series_reached
-    if (m + 2) * scale < factorial_m * (m + 1) * (m + 1):
-        m, factorial_m, partial_numerator = 1, 1, 2
+    m, factorial_m, partial_numerator = 1, 1, 2
     # a_m = a_{m-1}*m + 1, a_0 = 1
     while (m + 2) * scale >= factorial_m * (m + 1) * (m + 1):
         m += 1
         factorial_m *= m
         partial_numerator = partial_numerator * m + 1
-    if m > _e_series_reached[0]:
-        _e_series_reached = (m, factorial_m, partial_numerator)
     tail = Fraction(m + 2, factorial_m * (m + 1) * (m + 1))
     return Fraction(partial_numerator, factorial_m), tail
 

@@ -33,8 +33,10 @@ key order, so a solve builds no ordered table unless
 ``SolveReport.policy`` is read.  The lines below a set differ from one
 history that reaches it to the next only in their key prefix, so the
 text of each set with at most POLICY_BLOCK entries below it is rendered
-once, as a block, and written under every prefix; the stream's memory is
-bounded by the sets, at most POLICY_BLOCK lines each, not by the file.
+once, as a block, and written under every prefix.  Every larger set is
+walked and makes one write, of its blocks and its own lines; the stream's
+memory is bounded by the sets, at most POLICY_BLOCK lines each, not by
+the file.
 Policy evaluation over every arrival order scores any table.
 """
 
@@ -50,7 +52,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
@@ -71,8 +72,6 @@ from .instances import (
 )
 
 MAX_ENUMERATION_N = 8
-# Entries per write of a streamed policy file.
-POLICY_BATCH = 4096
 # Most entries below a set whose text a streamed policy file renders once
 # and reuses for every history that reaches the set.
 POLICY_BLOCK = 64
@@ -426,8 +425,8 @@ class _SetRule:
     def write_json(self, write: Callable[[str], object]) -> None:
         """Stream the policy file's text, the bytes of
         ``table().to_json()``, to ``write``, straight from the memo, in
-        sorted key order and in batches of about POLICY_BATCH entries; no
-        table, key dict or whole-file string is built.
+        sorted key order and one write per walked set; no table, key dict
+        or whole-file string is built.
 
         A key is its observed arrivals' texts joined by ",", then
         "|current=" and the current arrival's text.  An arrival's text
@@ -436,46 +435,46 @@ class _SetRule:
         takes the next arrivals in the order of their texts, writes every
         key below each after-set (under the prefix extended by the
         arrival) and then the set's own keys, writes the keys in the order
-        ``sorted`` gives them.  Each arrival's text is JSON-escaped once:
-        escaping works per character, so the joined escapes are the
-        escaped key.
+        ``sorted`` gives them.  An arrival's text holds only digits, "(",
+        ":", "/" and ")", and an action only letters, so the keys and
+        actions go into the file as they are: JSON escapes none of these.
 
         Every history that reaches a set has the same lines below it but
         for their key prefix.  So a set whose subtree holds at most
         POLICY_BLOCK entries is rendered once, as its block: those lines
-        with "\\0", which no escaped text holds, in place of the prefix,
+        with "\\0", which no arrival's text holds, in place of the prefix,
         and each history that reaches it writes the block with the prefix
         put in.  A block is the after-sets' blocks, each with its "\\0"
         extended by the arrival, then the set's own lines.  The root, with
-        its empty prefix, and each larger set are walked.  Beside the memo
-        it holds the current prefix, one batch, each set's after-sets and
-        own lines in text order, and the blocks, at most POLICY_BLOCK
-        lines per set, so its memory is bounded by the sets, not by the
-        file."""
+        its empty prefix, and each larger set are walked: a walked set
+        writes its after-sets' blocks and its own lines in one write, and
+        writes what it holds before it descends into a walked after-set.
+        Lines are joined by ",\\n"; the first write starts with "{\\n",
+        each later one with ",\\n", and the last is "\\n}\\n".  Beside the
+        memo it holds the current prefix, one walked set's lines, each
+        set's after-sets and own lines in text order, and the blocks, at
+        most POLICY_BLOCK lines per set, so its memory is bounded by the
+        sets, not by the file."""
         texts = {
             (j, value_id): _render_arrival((j + 1, value))
             for j in range(self.n)
             for value_id, value in enumerate(self.values)
         }
-        escaped = {pair: encode_basestring_ascii(text)[1:-1] for pair, text in texts.items()}
-        encoded = {action: encode_basestring_ascii(action.value) for action in Action}
         ordered: dict[IdSet, tuple[list[tuple[str, IdSet]], str]] = {}
         blocks: dict[IdSet, str] = {}
-        batch: list[str] = []
-        entries = 0
         head = "{\n"
 
         def below(seen: IdSet) -> tuple[list[tuple[str, IdSet]], str]:
-            """The set's after-sets, each beside the escaped text of the
-            arrival that leads to it, and its own lines, "\\0" in place of
-            the prefix; both in text order."""
+            """The set's after-sets, each beside the text of the arrival
+            that leads to it, and its own lines, "\\0" in place of the
+            prefix; both in text order."""
             known = ordered.get(seen)
             if known is None:
                 arrivals = sorted(self.steps[seen][1].items(), key=lambda item: texts[item[0]])
                 known = ordered[seen] = (
-                    [(escaped[pair], after) for pair, (_, after) in arrivals if after is not None],
-                    "".join(
-                        f'  "\0|current={escaped[pair]}": {encoded[action]},\n'
+                    [(texts[pair], after) for pair, (_, after) in arrivals if after is not None],
+                    ",\n".join(
+                        f'  "\0|current={texts[pair]}": "{action.value}"'
                         for pair, (action, _) in arrivals
                     ),
                 )
@@ -485,36 +484,32 @@ class _SetRule:
             known = blocks.get(seen)
             if known is None:
                 afters, own = below(seen)
-                known = blocks[seen] = "".join(
+                known = blocks[seen] = ",\n".join(
                     [block(after).replace("\0", "\0," + text) for text, after in afters] + [own]
                 )
             return known
 
-        def add(text: str, count: int) -> None:
-            nonlocal entries, head
-            # flushed before the lines go in, so the last batch, which
-            # holds the root's own lines, is never empty
-            if entries >= POLICY_BATCH:
-                write(head + "".join(batch))
-                head = ""
-                batch.clear()
-                entries = 0
-            batch.append(text)
-            entries += count
+        def put(lines: list[str]) -> None:
+            nonlocal head
+            write(head + ",\n".join(lines))
+            head = ",\n"
 
         def walk(prefix: str, seen: IdSet) -> None:
-            _, children, count = self.steps[seen]
-            if prefix and count <= POLICY_BLOCK:
-                add(block(seen).replace("\0", prefix), count)
-                return
             afters, own = below(seen)
+            held: list[str] = []
             for text, after in afters:
-                walk(f"{prefix},{text}" if prefix else text, after)
-            add(own.replace("\0", prefix), len(children))
+                extended = f"{prefix},{text}" if prefix else text
+                if self.steps[after][2] <= POLICY_BLOCK:
+                    held.append(block(after).replace("\0", extended))
+                    continue
+                if held:
+                    put(held)
+                    held = []
+                walk(extended, after)
+            put(held + [own.replace("\0", prefix)])
 
         walk("", 0)
-        # the last line's separator gives way to the closing brace
-        write(head + "".join(batch)[:-2] + "\n}\n")
+        write("\n}\n")
 
 
 class _SetInduction:

@@ -661,20 +661,20 @@ def test_solve_policy_out_builds_no_table(tmp_path, capsys, monkeypatch):
 
 
 def test_policy_stream_failing_midway_leaves_the_old_file(tmp_path, capsys, monkeypatch):
-    # The n = 6 file takes more than one batch and the disk fills after
+    # The n = 6 file takes more than one write and the disk fills after
     # the first: the temp file is removed and the old file keeps its bytes.
     from secretary_lab.policy import _SetRule
 
     target = tmp_path / "policy.json"
     target.write_bytes(b"{}\n")
     stream = _SetRule.write_json
-    batches = []
+    writes = []
 
     def filling(self, write):
         def limited(text):
-            if batches:
+            if writes:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            batches.append(text)
+            writes.append(text)
             write(text)
 
         stream(self, limited)
@@ -685,7 +685,7 @@ def test_policy_stream_failing_midway_leaves_the_old_file(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert os.strerror(errno.ENOSPC) in err and str(target) in err
-    assert len(batches) == 1
+    assert len(writes) == 1
     assert target.read_bytes() == b"{}\n"
     assert list(tmp_path.glob(".policy.json.*.tmp")) == []
     assert [path.name for path in tmp_path.iterdir()] == ["policy.json"]

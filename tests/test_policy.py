@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -70,6 +71,27 @@ def test_state_serialize_and_parse():
 def test_state_rejects_duplicate_indices():
     with pytest.raises(ValueError):
         state([(1, S)], (1, Fraction(1)))
+
+
+@settings(max_examples=60, deadline=None)
+@example(index=1, numerator=0, denominator=1, up=0, down=0)
+@example(index=8, numerator=3, denominator=7, up=4400, down=4400)
+@given(
+    index=st.integers(min_value=1),
+    numerator=st.integers(min_value=0),
+    denominator=st.integers(min_value=1),
+    up=st.integers(0, 4400),
+    down=st.integers(0, 4400),
+)
+def test_arrival_text_needs_no_json_escaping(index, numerator, denominator, up, down):
+    # The policy file writes each arrival's text into its keys unescaped.
+    # Hypothesis prints what it draws, and no integer past the 4,300-digit
+    # int-to-str limit prints, so the value is stretched here: 10**up over
+    # 10**down + 1 shares no factor, and adds about up and down digits.
+    value = Fraction(numerator, denominator) * Fraction(10**up, 10**down + 1)
+    text = policy_module._render_arrival((index, value))
+    assert re.fullmatch(r"\(\d+:\d+(/\d+)?\)", text, re.ASCII), text[:80]
+    assert json.dumps(text) == f'"{text}"'
 
 
 def test_policy_round_trip(tmp_path):
@@ -225,12 +247,11 @@ def test_per_row_mixture_identity(anchor_family):
     assert report.per_row[report.worst_row[0]] == report.worst_row[1]
 
 
-def stream(rule, block=policy_module.POLICY_BLOCK, batch=policy_module.POLICY_BATCH):
+def stream(rule, block=policy_module.POLICY_BLOCK):
     """The parts that ``rule.write_json`` writes, in order, with
-    POLICY_BLOCK set to ``block`` and POLICY_BATCH to ``batch``."""
+    POLICY_BLOCK set to ``block``."""
     parts: list[str] = []
-    with mock.patch.object(policy_module, "POLICY_BLOCK", block), \
-            mock.patch.object(policy_module, "POLICY_BATCH", batch):
+    with mock.patch.object(policy_module, "POLICY_BLOCK", block):
         rule.write_json(parts.append)
     return parts
 
@@ -242,11 +263,10 @@ def block_caps(report) -> tuple[int, ...]:
 
 
 def assert_streams_are_the_table(report) -> None:
-    """Under every cap in ``block_caps`` and batches of 1 and 4096
-    entries, the stream is the table's JSON."""
+    """Under every cap in ``block_caps``, the stream is the table's JSON."""
     table = json.dumps(report.policy.to_dict(), indent=2, sort_keys=True) + "\n"
-    for block, batch in itertools.product(block_caps(report), (1, 4096)):
-        assert "".join(stream(report.rule, block, batch)) == table, (block, batch)
+    for block in block_caps(report):
+        assert "".join(stream(report.rule, block)) == table, block
 
 
 # SHA-256 of the policy file text as an induction over every ordered
@@ -319,17 +339,17 @@ def prefix_family(n: int) -> PriorFamily:
     )
 
 
-@pytest.mark.parametrize("batch", (1, 4096))
 @pytest.mark.parametrize("constrained", (True, False))
 @pytest.mark.parametrize("n", (1, 2, 3))
-def test_streamed_policy_file_is_in_sorted_key_order(n, constrained, batch):
+def test_streamed_policy_file_is_in_sorted_key_order(n, constrained):
     report = solve_optimal(prefix_family(n), constrained=constrained)
     text = json.dumps(report.policy.to_dict(), indent=2, sort_keys=True) + "\n"
     # Blocks, rendered once and written under each prefix, keep the order.
     for block in block_caps(report):
-        parts = stream(report.rule, block, batch)
+        parts = stream(report.rule, block)
         assert "".join(parts) == text, block
-        if batch == 1 and n > 1:
+        if block == 0 and n > 1:
+            # every set is walked, so the root's after-sets write their own
             assert len(parts) > 2
     currents = {key.partition("|current=")[2] for key in json.loads(text)}
     assert {"(1:5)", "(1:5/2)", "(1:50)", "(1:1/2)", "(1:1/25)"} <= currents
@@ -337,7 +357,8 @@ def test_streamed_policy_file_is_in_sorted_key_order(n, constrained, batch):
 
 def test_streaming_the_n7_policy_file_takes_flat_memory():
     # Built whole, the n = 7 file's keys, their sorted list and the
-    # 3.4 MB text peak near 20 MB; streamed, one batch is held at a time.
+    # 3.4 MB text peak near 20 MB; streamed, one walked set's lines are
+    # held at a time, each write at most about 21 KB.
     family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=7))
     rule = solve_optimal(family, constrained=True).rule
     written: list[int] = []
@@ -349,6 +370,7 @@ def test_streaming_the_n7_policy_file_takes_flat_memory():
         tracemalloc.stop()
     assert sum(written) == 3_427_507
     assert len(written) > 10
+    assert max(written) <= 64 * 1024
     assert peak < 2 * 1024 * 1024
 
 
