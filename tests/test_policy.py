@@ -339,11 +339,13 @@ def prefix_family(n: int) -> PriorFamily:
     )
 
 
+@pytest.mark.parametrize("buffering", (1, 4096))
 @pytest.mark.parametrize("constrained", (True, False))
 @pytest.mark.parametrize("n", (1, 2, 3))
-def test_streamed_policy_file_is_in_sorted_key_order(n, constrained):
+def test_streamed_policy_file_is_in_sorted_key_order(tmp_path, n, constrained, buffering):
     report = solve_optimal(prefix_family(n), constrained=constrained)
     text = json.dumps(report.policy.to_dict(), indent=2, sort_keys=True) + "\n"
+    path = tmp_path / "policy.json"
     # Blocks, rendered once and written under each prefix, keep the order.
     for block in block_caps(report):
         parts = stream(report.rule, block)
@@ -351,6 +353,13 @@ def test_streamed_policy_file_is_in_sorted_key_order(n, constrained):
         if block == 0 and n > 1:
             # every set is walked, so the root's after-sets write their own
             assert len(parts) > 2
+        # Written as the CLI writes it, through a line-buffered handle or
+        # one with a 4096-byte buffer, the file holds the same text.
+        with mock.patch.object(policy_module, "POLICY_BLOCK", block), open(
+            path, "w", encoding="utf-8", newline="", buffering=buffering
+        ) as handle:
+            report.rule.write_json(handle.write)
+        assert path.read_text(encoding="utf-8") == text, block
     currents = {key.partition("|current=")[2] for key in json.loads(text)}
     assert {"(1:5)", "(1:5/2)", "(1:50)", "(1:1/2)", "(1:1/25)"} <= currents
 
