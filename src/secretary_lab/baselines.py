@@ -5,13 +5,17 @@ that trusts the announced predictions and waits for their argmax.  A rule
 is one function of what it has seen, ``decide(observed, current)``; it
 binds the predictions and the number of candidates when it is built, and
 ``Policy.decide`` makes a policy table a rule.  Each baseline also has a
-vectorised batch runner that must agree with its decide.  Scores count
-accepted values through one walker, ``policy._tally``, which decides each
-distinct arrival prefix once: exactly over all n! orders of every row, or
-by seeded Monte Carlo over the sampled orders of each row (through the
-batch runner when the rule has one) where n! is out of reach.  Monte
-Carlo draws and decides its trials in fixed-size chunks, so its memory
-does not grow with the trial count.
+vectorised batch runner that must agree with its decide, and declares a
+set-keyed form, ``decide_set(rejected, current)``, that must agree with
+its decide on every history it reaches.  Exact scores of a rule that
+declares ``decide_set`` are counted over sets of arrivals
+(``policy._set_ratios``); every other rule, and every policy table, is
+scored through one walker, ``policy._tally``, which decides each distinct
+arrival prefix once, over all n! orders of every row.  Seeded Monte
+Carlo counts the sampled orders of each row (through the batch runner
+when the rule has one, through ``_tally`` otherwise) where n! is out of
+reach; it draws and decides its trials in fixed-size chunks, so its
+memory does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ from .policy import (
     DecideFn,
     History,
     Policy,
+    SetDecideFn,
     SolveReport,
     _exact_ratios,
+    _set_ratios,
     _support,
     _tally,
     reachable_state_count,
@@ -65,11 +71,21 @@ class OnlineAlgorithm:
     when it is built.  run_batch is an optional fast path that Monte Carlo
     prefers for its acceptance counts: it decides whole blocks of arrival
     orders at once and must reproduce decide exactly.
+
+    decide_set is an optional hook that exact scoring prefers: the action
+    as a function of the set of arrivals rejected so far (a frozenset of
+    (index, value) arrivals) and the current arrival.  Its contract: it
+    is order-free, and it is called only on sets the rule reaches by
+    rejecting, where it must return what decide returns on every order of
+    the set that the rule rejects throughout.  A rule declares it; it is
+    never derived from decide, which may read the order (dynkin's reads
+    its first floor(n/e) arrivals).
     """
 
     name: str
     decide: DecideFn
     run_batch: BatchFn | None = None
+    decide_set: SetDecideFn | None = None
 
 
 def dynkin_policy(n: int) -> OnlineAlgorithm:
@@ -78,7 +94,9 @@ def dynkin_policy(n: int) -> OnlineAlgorithm:
 
     The cutoff is certified through the rational enclosure of e.  If no
     later arrival qualifies, the final arrival is accepted so the reward
-    is always defined.
+    is always defined.  After the cutoff the rule rejects only values
+    below the prefix maximum, so on every set it reaches by rejecting the
+    set's maximum is the prefix maximum, and decide_set reads that.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -90,6 +108,14 @@ def dynkin_policy(n: int) -> OnlineAlgorithm:
             return Action.REJECT
         if (cutoff == 0 or position == n
                 or current[1] >= max(v for _, v in history[:cutoff])):
+            return Action.ACCEPT
+        return Action.REJECT
+
+    def decide_set(rejected: frozenset[Arrival], current: Arrival) -> Action:
+        position = len(rejected) + 1
+        if position <= cutoff:
+            return Action.REJECT
+        if cutoff == 0 or position == n or current[1] >= max(v for _, v in rejected):
             return Action.ACCEPT
         return Action.REJECT
 
@@ -107,7 +133,9 @@ def dynkin_policy(n: int) -> OnlineAlgorithm:
         first = qualifies.argmax(axis=1) + cutoff
         return orders[np.arange(trials), first]
 
-    return OnlineAlgorithm(name="dynkin", decide=decide, run_batch=run_batch)
+    return OnlineAlgorithm(
+        name="dynkin", decide=decide, run_batch=run_batch, decide_set=decide_set
+    )
 
 
 def _dense_ranks(values: Sequence[Fraction]) -> np.ndarray:
@@ -130,6 +158,9 @@ def prediction_argmax_policy(predictions: Sequence[Fraction]) -> OnlineAlgorithm
     def decide(history: History, current: Arrival) -> Action:
         return Action.ACCEPT if current[0] in argmax else Action.REJECT
 
+    def decide_set(rejected: frozenset[Arrival], current: Arrival) -> Action:
+        return decide((), current)
+
     def run_batch(orders: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         hits = np.isin(orders, targets)
         first = hits.argmax(axis=1)
@@ -138,14 +169,28 @@ def prediction_argmax_policy(predictions: Sequence[Fraction]) -> OnlineAlgorithm
         # orders), the rule never accepts
         return np.where(hits.any(axis=1), accepted, -1)
 
-    return OnlineAlgorithm(name="pred-argmax", decide=decide, run_batch=run_batch)
+    return OnlineAlgorithm(
+        name="pred-argmax", decide=decide, run_batch=run_batch, decide_set=decide_set
+    )
+
+
+def _rule_ratios(
+    alg: OnlineAlgorithm, family: PriorFamily
+) -> tuple[Fraction, dict[int, Fraction]]:
+    """The rule's exact mixture and per-row ratios: over sets of arrivals
+    when it declares decide_set, else through the tally of
+    evaluate_policy."""
+    if alg.decide_set is not None:
+        return _set_ratios(alg.decide_set, family)
+    return _exact_ratios(alg.decide, family)
 
 
 def exact_expected_ratio(alg: OnlineAlgorithm, family: PriorFamily) -> Fraction:
     """Exact mixture expected ratio over every (row, arrival order) pair,
-    through the same tally as evaluate_policy; refuses n above
+    counted over sets of arrivals when the rule declares decide_set and
+    through the same tally as evaluate_policy otherwise; refuses n above
     MAX_ENUMERATION_N and points to monte_carlo_estimate."""
-    return _exact_ratios(alg.decide, family)[0]
+    return _rule_ratios(alg, family)[0]
 
 
 def algorithm_to_policy(alg: OnlineAlgorithm, family: PriorFamily) -> Policy:
@@ -158,9 +203,9 @@ def algorithm_to_policy(alg: OnlineAlgorithm, family: PriorFamily) -> Policy:
 
 
 def evaluate_algorithm(alg: OnlineAlgorithm, family: PriorFamily) -> SolveReport:
-    """Exact per-row evaluation of a streaming rule by the tally of
-    evaluate_policy, building no table (the report's policy is None)."""
-    optimum, per_row = _exact_ratios(alg.decide, family)
+    """Exact per-row evaluation of a streaming rule, as exact_expected_ratio
+    scores it, building no policy table (the report's policy is None)."""
+    optimum, per_row = _rule_ratios(alg, family)
     return SolveReport(optimum, None, per_row, reachable_state_count(family))
 
 
@@ -213,7 +258,8 @@ CHUNK_ELEMENTS = 1 << 18
 MAX_TRIAL_ELEMENTS = 10**10
 # The seed is the Philox key, a 128-bit unsigned integer.
 _SEED_LIMIT = 1 << 128
-# Generator.random() returns m / 2^53 for an integer 0 <= m < 2^53.
+# Generator.random() returns m / 2^53 for an integer 0 <= m < 2^53: the
+# top 53 bits of one raw 64-bit word, m = raw >> 11.
 _UNIFORM_SCALE = 1 << 53
 
 
@@ -223,9 +269,11 @@ def _draw_trials(
     """Fill ``orders[t]`` with the 0-based arrival order of trial
     ``first + t`` and, when ``row_draws`` (int64) is given,
     ``row_draws[t]`` with the m of its row uniform m / 2^53, drawn first
-    from the trial's counter block."""
+    from the trial's counter block.  The row draw is the integer m that
+    ``Generator.random()`` would scale to m / 2^53, taken straight from
+    the trial's first raw word as ``random_raw() >> 11``: the same word,
+    so the shuffle after it draws what it would after ``random()``."""
     bit_generator = np.random.Philox(key=seed)
-    rng = np.random.Generator(bit_generator)
     # A fresh state: counter 0, buffer_pos 4, has_uint32 0, uinteger 0.
     # The setter reads plain lists faster than uint64 arrays.
     state = bit_generator.state
@@ -233,18 +281,21 @@ def _draw_trials(
     words["counter"] = counter = words["counter"].tolist()
     words["key"] = words["key"].tolist()
     state["buffer"] = state["buffer"].tolist()
-    uniforms = []
+    # bound once, not once per trial
+    random_raw = bit_generator.random_raw
+    shuffle = np.random.Generator(bit_generator).shuffle
+    draws = []
+    draw = draws.append
     orders[:] = np.arange(orders.shape[1])
     for offset, order in enumerate(orders):
         counter[3], counter[2] = divmod(first + offset, _WORD)
         bit_generator.state = state
         if row_draws is not None:
-            uniforms.append(rng.random())
+            draw(random_raw() >> 11)
         # the same draws as permutation(n), which shuffles a fresh arange(n)
-        rng.shuffle(order)
+        shuffle(order)
     if row_draws is not None:
-        # scaling by 2^53 is exact
-        row_draws[:] = np.array(uniforms) * _UNIFORM_SCALE
+        row_draws[:] = draws
 
 
 def _pick_rows(cumulative: Sequence[Fraction], row_draws: np.ndarray) -> np.ndarray:

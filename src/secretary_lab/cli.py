@@ -47,6 +47,11 @@ from .policy import Policy, evaluate_policy, require_enumerable, solve_optimal
 # The largest --digits, fixed at the interpreter's default int-to-str
 # limit; no rendering depends on the limit in force.
 MAX_DIGITS_FLAG = 4300
+# Bytes an output file buffers before each write to the OS: a streamed
+# policy file's writes of up to about 23 KB each reach the OS in 256 KiB
+# pieces (14 raw writes at n = 7), where the default 8 KiB buffer passes
+# each of them on at once.
+WRITE_BUFFER = 256 * 1024
 
 SWEEP_FIELDS = (
     "eps",
@@ -81,7 +86,9 @@ def _atomic_write(
             os.umask(umask)
             mode = stat.S_IFREG | (0o666 & ~umask)
         if not stat.S_ISREG(mode):
-            with open(path, "w", encoding="utf-8", newline="") as handle:
+            with open(
+                path, "w", buffering=WRITE_BUFFER, encoding="utf-8", newline=""
+            ) as handle:
                 stream(handle.write)
             return
         target = Path(os.path.realpath(path))
@@ -89,7 +96,9 @@ def _atomic_write(
             dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
         )
         os.fchmod(fd, stat.S_IMODE(mode))
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        with os.fdopen(
+            fd, "w", buffering=WRITE_BUFFER, encoding="utf-8", newline=""
+        ) as handle:
             stream(handle.write)
         os.replace(tmp_name, target)
     except BaseException as exc:
@@ -140,6 +149,22 @@ def _flag_int(flag: str, text: str) -> int:
         return int(text)
     except ValueError:
         raise ParameterError(f"{flag}: not an integer: {text!r}") from None
+
+
+def _path(text: str) -> str:
+    """The type of every path flag: the empty path, which the OS would
+    resolve to the working directory, is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("the path is empty")
+    return text
+
+
+def _algorithm(text: str) -> str:
+    """The ``--alg`` type: ``policy:`` with an empty file path is a usage
+    error; every other name is checked when the rule is built."""
+    if text == "policy:":
+        raise argparse.ArgumentTypeError("the path after policy: is empty")
+    return text
 
 
 def _digits(text: str) -> int:
@@ -315,44 +340,47 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a hard prior family file")
     _add_param_flags(gen)
-    gen.add_argument("-o", "--output", required=True, help="family JSON path")
+    gen.add_argument("-o", "--output", type=_path, required=True, help="family JSON path")
     gen.add_argument("--render", choices=("md", "csv"), help="also print a table to stdout")
     gen.set_defaults(handler=_cmd_gen)
 
     solve = sub.add_parser("solve", help="solve a family by backward induction")
-    solve.add_argument("--family", help="family JSON path (alternative to --eps/--s/--k)")
+    solve.add_argument("--family", type=_path,
+                       help="family JSON path (alternative to --eps/--s/--k)")
     _add_param_flags(solve)
     solve.add_argument("--unconstrained", action="store_true",
                        help="drop the prediction-consistency constraint")
-    solve.add_argument("-o", "--output", help="report JSON path (default stdout)")
-    solve.add_argument("--policy-out", help="also write the optimal policy table")
+    solve.add_argument("-o", "--output", type=_path, help="report JSON path (default stdout)")
+    solve.add_argument("--policy-out", type=_path, help="also write the optimal policy table")
     solve.add_argument("--digits", type=_digits, default=12)
     solve.set_defaults(handler=_cmd_solve)
 
     evaluate = sub.add_parser("eval", help="score an algorithm on a family")
-    evaluate.add_argument("--family", required=True, help="family JSON path")
-    evaluate.add_argument("--alg", required=True,
+    evaluate.add_argument("--family", type=_path, required=True, help="family JSON path")
+    evaluate.add_argument("--alg", type=_algorithm, required=True,
                           help="dynkin, pred-argmax, or policy:<file>")
     mode = evaluate.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="enumerate all orders (default)")
+    mode.add_argument("--exact", action="store_true",
+                      help="exact score over all orders (default)")
     mode.add_argument("--mc", action="store_true", help="Monte Carlo estimate")
     evaluate.add_argument("--trials", type=int, default=100_000)
     evaluate.add_argument("--seed", type=int, default=0)
     evaluate.add_argument("--metric", choices=("ratio", "success"), default="ratio")
-    evaluate.add_argument("-o", "--output", help="output JSON path (default stdout)")
+    evaluate.add_argument("-o", "--output", type=_path,
+                          help="output JSON path (default stdout)")
     evaluate.add_argument("--digits", type=_digits, default=12)
     evaluate.set_defaults(handler=_cmd_eval, usage_error=evaluate.error)
 
     bounds = sub.add_parser("bounds", help="print the closed-form bound chain")
     _add_param_flags(bounds, with_n=False)
-    bounds.add_argument("-o", "--output", help="output JSON path (default stdout)")
+    bounds.add_argument("-o", "--output", type=_path, help="output JSON path (default stdout)")
     bounds.add_argument("--digits", type=_digits, default=12)
     bounds.set_defaults(handler=_cmd_bounds)
 
     verify = sub.add_parser("verify", help="full verification run for one parameter point")
     verify.add_argument("--preset", help=f"one of: {', '.join(known_presets())}")
     _add_param_flags(verify)
-    verify.add_argument("-o", "--output", help="report JSON path (default stdout)")
+    verify.add_argument("-o", "--output", type=_path, help="report JSON path (default stdout)")
     verify.add_argument("--digits", type=_digits, default=12)
     verify.set_defaults(handler=_cmd_verify)
 
@@ -361,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--s", required=True, help="comma-separated list, e.g. 50,100,400")
     sweep.add_argument("--k", required=True, help="comma-separated list, e.g. 50,100,400")
     sweep.add_argument("--n", type=int, default=3)
-    sweep.add_argument("-o", "--output", required=True, help="CSV path")
+    sweep.add_argument("-o", "--output", type=_path, required=True, help="CSV path")
     sweep.add_argument("--fields", help=f"subset of: {','.join(SWEEP_FIELDS)}")
     sweep.add_argument("--max-points", type=int, default=10_000)
     sweep.add_argument("--digits", type=_digits, default=12)

@@ -37,7 +37,9 @@ once, as a block, and written under every prefix.  Every larger set is
 walked and makes one write, of its blocks and its own lines; the stream's
 memory is bounded by the sets, at most POLICY_BLOCK lines each, not by
 the file.
-Policy evaluation over every arrival order scores any table.
+Policy evaluation over every arrival order scores any table.  A rule
+declared on sets of arrivals is tabulated on the sets it reaches by
+rejecting and scored by the same forward count as the solver's rule.
 """
 
 from __future__ import annotations
@@ -89,6 +91,9 @@ Arrival = tuple[int, Fraction]
 # A decision rule: the action at the current arrival, given the arrivals
 # rejected so far in the order they came.
 DecideFn = Callable[[History, Arrival], Action]
+# A set-keyed rule: the action at the current arrival, given the set of
+# arrivals rejected so far.
+SetDecideFn = Callable[[frozenset[Arrival], Arrival], Action]
 
 
 @dataclass(frozen=True)
@@ -384,18 +389,20 @@ IdSet = int
 # Per next arrival of a set: the action and the set after a reject, None
 # where a reject is not allowed or ends the sequence.
 Children = dict[tuple[int, int], tuple[Action, IdSet | None]]
-# A memo entry: scaled value, children, and table entries at and below.
-Step = tuple[int, Children, int]
+# A memo entry: scaled value (None in a tabulated rule, which values
+# nothing), children, and table entries at and below.
+Step = tuple[int | None, Children, int]
 
 
 @dataclass(frozen=True)
 class _SetRule:
-    """A solved rule on sets of arrivals, as plain data.
+    """A solved or tabulated rule on sets of arrivals, as plain data.
 
-    ``steps`` maps each set of rejected arrivals that the induction
-    visited, keyed by its ``IdSet`` integer, to the set's scaled value,
-    its ``Children``, in the chance step's order, and the number of table
-    entries at and below one history that reaches the set."""
+    ``steps`` maps each set of rejected arrivals that the induction (or
+    ``_tabulate``) visited, keyed by its ``IdSet`` integer, to the set's
+    scaled value, its ``Children``, in the chance step's order, and the
+    number of table entries at and below one history that reaches the
+    set."""
 
     n: int
     values: tuple[Fraction, ...]  # by value id
@@ -714,6 +721,57 @@ def _forward_ratios(
         (p * Fraction(total, top * orders) for p, top, total in classes.values()), Fraction(0)
     )
     return mixture, per_row
+
+
+def _tabulate(
+    decide_set: SetDecideFn, n: int, support: list[tuple[Scenario, Fraction]]
+) -> _SetRule:
+    """A set-keyed rule as a ``_SetRule`` over the sets of arrivals it
+    reaches by rejecting, in one walk over the chance step: the rule is
+    asked once per (set, next arrival) that some supported row shows, and
+    a set is entered once, after the first reject that reaches it.  Value
+    ids are numbered in first-seen order, as in solve_optimal."""
+    value_ids: dict[Fraction, int] = {}
+    rows = [
+        (tuple(value_ids.setdefault(v, len(value_ids)) for v in scenario.values),)
+        for scenario, _ in support
+    ]
+    values = tuple(value_ids)
+    places = [(len(values) + 1) ** j for j in range(n)]
+    steps: dict[IdSet, Step] = {}
+
+    def walk(seen: IdSet, arrived: int, rejected: frozenset[Arrival], rows: list) -> int:
+        """Tabulate the set ``seen`` (columns ``arrived``, arrivals
+        ``rejected``) and every set below it; its table entries."""
+        known = steps.get(seen)
+        if known is not None:
+            return known[2]
+        last = arrived.bit_count() + 1 == n
+        children: Children = {}
+        entries = 0
+        for j, value_id, sub in _split(n, arrived, rows):
+            arrival = (j + 1, values[value_id])
+            action = decide_set(rejected, arrival)
+            after = None
+            if action is not Action.ACCEPT and not last:
+                after = seen + (value_id + 1) * places[j]
+                entries += walk(after, arrived | 1 << j, rejected | {arrival}, sub)
+            children[j, value_id] = (action, after)
+        entries += len(children)
+        steps[seen] = (None, children, entries)
+        return entries
+
+    walk(0, 0, frozenset(), rows)
+    return _SetRule(n, values, steps)
+
+
+def _set_ratios(
+    decide_set: SetDecideFn, family: PriorFamily
+) -> tuple[Fraction, dict[int, Fraction]]:
+    """``_exact_ratios`` for a set-keyed rule: its ``_tabulate`` table
+    scored by ``_forward_ratios``, over sets of columns, not n! orders."""
+    support = _checked_family(family)
+    return _forward_ratios(_tabulate(decide_set, family.n, support), support)
 
 
 # ---------------------------------------------------------------------------

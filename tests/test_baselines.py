@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from secretary_lab import (
     ConstructionParams,
@@ -33,6 +35,7 @@ from secretary_lab import (
 import secretary_lab.baselines as baselines_module
 import secretary_lab.policy as policy_module
 from secretary_lab.baselines import _dense_ranks, _draw_trials, _pick_rows
+from secretary_lab.policy import Action, _exact_ratios, _set_ratios
 
 F = Fraction
 
@@ -203,6 +206,90 @@ def test_evaluate_algorithm_builds_no_table(monkeypatch, n):
         assert report.policy is None
         assert report.policy_states == len(expected.policy)
         assert report.to_dict() == expected.to_dict()
+
+
+def test_declared_set_rules_are_scored_without_the_tally(monkeypatch, anchor_family):
+    # Both baselines declare decide_set, so exact scoring never tallies
+    # an arrival order; a rule without the hook still does.
+    rules = (dynkin_policy(3), prediction_argmax_policy(anchor_family.prediction().values))
+    expected = [evaluate_algorithm(alg, anchor_family).to_dict() for alg in rules]
+
+    def refuse(*args):
+        raise AssertionError("an arrival order was tallied")
+
+    monkeypatch.setattr(policy_module, "_tally", refuse)
+    for alg, report in zip(rules, expected):
+        assert evaluate_algorithm(alg, anchor_family).to_dict() == report
+        with pytest.raises(AssertionError, match="tallied"):
+            exact_expected_ratio(OnlineAlgorithm(alg.name, alg.decide), anchor_family)
+
+
+def test_decide_set_is_asked_only_on_sets_reached_by_rejecting():
+    # Every set the scorer asks about is rejected throughout by decide in
+    # some order of its arrivals, and decide_set answers as decide does
+    # on every such order.
+    family = build_hard_family(ConstructionParams(F(1, 10), F(5), 4, n=5))
+    for alg in (dynkin_policy(5), prediction_argmax_policy(family.prediction().values)):
+        asked = []
+
+        def decide_set(rejected, current, alg=alg):
+            asked.append((rejected, current))
+            return alg.decide_set(rejected, current)
+
+        _set_ratios(decide_set, family)
+        assert asked
+        for rejected, current in asked:
+            reached = [
+                order for order in itertools.permutations(rejected)
+                if all(alg.decide(order[:i], order[i]) is Action.REJECT
+                       for i in range(len(order)))
+            ]
+            assert reached
+            assert {alg.decide(order, current) for order in reached} == {
+                alg.decide_set(rejected, current)
+            }
+
+
+# Few distinct values, so that rows repeat values and arrivals tie with
+# the prefix maximum; 0 makes rows of no positive value possible.
+TIE_VALUES = (F(0), F(1), F(2), F(5, 2))
+
+
+@st.composite
+def small_families(draw) -> PriorFamily:
+    """Families of n <= 5 candidates and up to 4 rows of values from
+    TIE_VALUES, some rows of mass 0; a row of positive mass has a
+    positive value."""
+    n = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 4))
+    rows = [
+        tuple(draw(st.lists(st.sampled_from(TIE_VALUES), min_size=n, max_size=n)))
+        for _ in range(count)
+    ]
+    weights = [
+        draw(st.integers(0, 3)) if any(values) else 0 for values in rows
+    ]
+    assume(sum(weights))
+    return PriorFamily(
+        n=n,
+        scenarios=tuple(Scenario(i, values) for i, values in enumerate(rows, start=1)),
+        probabilities=tuple(F(w, sum(weights)) for w in weights),
+        prediction_id=draw(st.integers(1, count)),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(family=small_families())
+def test_set_path_matches_the_tally(family):
+    for alg in (dynkin_policy(family.n), prediction_argmax_policy(family.prediction().values)):
+        assert _set_ratios(alg.decide_set, family) == _exact_ratios(alg.decide, family)
+
+
+@pytest.mark.parametrize("n", (7, 8))
+def test_set_path_matches_the_tally_on_the_hard_family(n):
+    family = build_hard_family(ConstructionParams(F(1, 10), F(5), 4, n=n))
+    for alg in (dynkin_policy(n), prediction_argmax_policy(family.prediction().values)):
+        assert _set_ratios(alg.decide_set, family) == _exact_ratios(alg.decide, family)
 
 
 def enumerated_ratio(alg: OnlineAlgorithm, family: PriorFamily) -> Fraction:

@@ -39,6 +39,52 @@ def test_usage_errors_exit_two():
     assert err.value.code == 2
 
 
+HARD_FLAGS = ["--eps", "1/10", "--s", "5", "--k", "4"]
+# An empty path names the working directory to the OS; each path flag
+# refuses it by name.
+EMPTY_PATHS = {
+    "eval-alg-policy": (["eval", "--family", "f.json", "--alg", "policy:"],
+                        "argument --alg: the path after policy: is empty"),
+    "eval-family": (["eval", "--family", "", "--alg", "dynkin"],
+                    "argument --family: the path is empty"),
+    "eval-o": (["eval", "--family", "f.json", "--alg", "dynkin", "-o", ""],
+               "argument -o/--output: the path is empty"),
+    "solve-family": (["solve", "--family", ""], "argument --family: the path is empty"),
+    "solve-o": (["solve", *HARD_FLAGS, "-o", ""], "argument -o/--output: the path is empty"),
+    "solve-policy-out": (["solve", *HARD_FLAGS, "--policy-out", ""],
+                         "argument --policy-out: the path is empty"),
+    "gen-o": (["gen", *HARD_FLAGS, "-o", ""], "argument -o/--output: the path is empty"),
+    "bounds-o": (["bounds", *HARD_FLAGS, "-o", ""], "argument -o/--output: the path is empty"),
+    "verify-o": (["verify", "--preset", "paper-19-20", "-o", ""],
+                 "argument -o/--output: the path is empty"),
+    "sweep-o": (["sweep", *HARD_FLAGS, "-o", ""], "argument -o/--output: the path is empty"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_PATHS))
+def test_empty_path_is_a_usage_error_naming_the_flag(tmp_path, capsys, monkeypatch, name):
+    import secretary_lab.bounds
+    import secretary_lab.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for module, attr in ((secretary_lab.cli, "load_family"), (secretary_lab.cli, "Policy"),
+                         (secretary_lab.cli, "build_hard_family"),
+                         (secretary_lab.cli, "solve_optimal"),
+                         (secretary_lab.bounds, "verify_theorem")):
+        monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.chdir(tmp_path)
+    argv, message = EMPTY_PATHS[name]
+    with pytest.raises(SystemExit) as err:
+        run_command(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"secretary-lab {argv[0]}: error: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
 DIGITS_COMMANDS = (
     ["solve", "--eps", "1/10", "--s", "5", "--k", "4"],
     ["eval", "--family", "missing.json", "--alg", "dynkin"],
@@ -490,7 +536,8 @@ def test_eval_mc_bytes_are_pinned(tmp_path, capsys):
 
 
 # SHA-256 of exact eval stdout on the k = 4 hard family, recorded while
-# eval still scored a rule by tabulating it over every reachable state.
+# eval still scored a rule by tabulating it over every reachable state
+# (n = 7 and 8: while it still tallied every arrival order).
 EVAL_EXACT_DIGESTS = {
     ("dynkin", 3): "597ff1de614a0387bee71b5dbb7e25f868df0c062daa8064009723f3fb99dd89",
     ("pred-argmax", 3): "f89f0d1197920d678015a840e824984faf8c7edf378c2f6d3fab6be0b7925c81",
@@ -500,10 +547,14 @@ EVAL_EXACT_DIGESTS = {
     ("pred-argmax", 5): "fc183f2f3fe5c00bd4b3f7dce928811108773784b72f1ecc2d6d5d55e880529c",
     ("dynkin", 6): "fefa1f7381e4478c2132f1a639fd7547376fdf7dcd50f626ec266fe9d107903b",
     ("pred-argmax", 6): "fa92c50f09d84ddf2df6f83ca16a08cb672c22233667fd1fe01d5c86aebc83cb",
+    ("dynkin", 7): "b28049142ce123c7cd181cfd999439fe7b47aee59453883b7674edca5a141931",
+    ("pred-argmax", 7): "6281690e06994fda923641f9873b63ccc81cfa7635c39f999fa1dbfd117d055c",
+    ("dynkin", 8): "a626f0014205f9e6fedc6ffa5f4a1869e0f88d8334bfbf834f74a5fb059cca71",
+    ("pred-argmax", 8): "5aae253de4c8057c9905965676c4f02af29e7ba47c2f6b8d59ce9f1a15d02df2",
 }
 
 
-@pytest.mark.parametrize("n", (3, 4, 5, 6))
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
 def test_eval_exact_bytes_are_pinned(tmp_path, capsys, n):
     family_path = tmp_path / "family.json"
     assert run_command(["gen", "--eps", "1/10", "--s", "5", "--k", "4", "--n", str(n),
@@ -689,6 +740,37 @@ def test_policy_stream_failing_midway_leaves_the_old_file(tmp_path, capsys, monk
     assert target.read_bytes() == b"{}\n"
     assert list(tmp_path.glob(".policy.json.*.tmp")) == []
     assert [path.name for path in tmp_path.iterdir()] == ["policy.json"]
+
+
+def test_policy_stream_reaches_the_file_in_few_writes(tmp_path, capsys, monkeypatch):
+    # The n = 7 policy file is streamed in 430 writes of up to about
+    # 21 KB; the output file's buffer gathers them, so that few writes
+    # reach the file itself (374 through an 8 KiB buffer).
+    import io
+
+    raw_writes = []
+
+    class CountingFile(io.FileIO):
+        def write(self, data):
+            raw_writes.append(len(data))
+            return super().write(data)
+
+    def fdopen(fd, mode, buffering=-1, **kwargs):
+        # the file stack that open() builds on a descriptor, with the
+        # buffer size that open() picks when none is given
+        if buffering < 0:
+            buffering = os.fstat(fd).st_blksize
+        raw = CountingFile(fd, mode)
+        return io.TextIOWrapper(io.BufferedWriter(raw, buffering), **kwargs)
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
+    target = tmp_path / "policy.json"
+    command = ["solve", "--eps", "1/10", "--s", "5", "--k", "4", "--n", "7"]
+    assert run_command([*command, "--policy-out", str(target)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == POLICY_FILE_DIGESTS["--n", "7"]
+    assert sum(raw_writes) == target.stat().st_size
+    assert len(raw_writes) <= 20
 
 
 def test_sweep_csv_bytes_are_pinned(tmp_path):
