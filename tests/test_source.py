@@ -44,3 +44,23 @@ def test_every_traced_name_resolves():
         if owner is None or attr not in vars(owner):
             missing.append(qualname)
     assert missing == []
+
+
+def test_exact_scoring_imports_no_numpy():
+    # Exact scoring, over orders or over sets, lives in policy.py; it and
+    # every package module it imports stay free of numpy.
+    todo, seen, imported = ["policy"], set(), set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                if node.module not in seen:
+                    todo.append(node.module)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module.partition(".")[0])
+    assert seen == {"policy", "errors", "exact", "instances"}
+    assert "numpy" not in imported
