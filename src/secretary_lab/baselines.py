@@ -38,6 +38,7 @@ from .instances import (
     scenario_max,
 )
 from .policy import (
+    MAX_ENUMERATION_N,
     Action,
     Arrival,
     DecideFn,
@@ -111,13 +112,17 @@ def dynkin_policy(n: int) -> OnlineAlgorithm:
             return Action.ACCEPT
         return Action.REJECT
 
+    last: list = [None, None]  # the last rejected set asked about, its maximum
+
     def decide_set(rejected: frozenset[Arrival], current: Arrival) -> Action:
         position = len(rejected) + 1
         if position <= cutoff:
             return Action.REJECT
-        if cutoff == 0 or position == n or current[1] >= max(v for _, v in rejected):
+        if cutoff == 0 or position == n:
             return Action.ACCEPT
-        return Action.REJECT
+        if rejected is not last[0]:
+            last[:] = rejected, max(v for _, v in rejected)
+        return Action.ACCEPT if current[1] >= last[1] else Action.REJECT
 
     def run_batch(orders: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         # Dense ranks order exactly as the exact values do, so the >=
@@ -338,8 +343,8 @@ def monte_carlo_estimate(
     runner's picks are counted by candidate (bin 0: nothing accepted, bin
     c + 1: candidate c) across all chunks, and candidates of equal value
     are merged once at the end; without a batch runner each chunk's
-    orders go through ``_tally`` and the counts are summed.
-    """
+    orders go through ``_tally``, at n <= MAX_ENUMERATION_N each distinct
+    order once with its count, and the counts are summed."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < _SEED_LIMIT:
@@ -379,7 +384,12 @@ def monte_carlo_estimate(
                 accepted = alg.run_batch(block, ranks[row])
                 hits[row] += np.bincount(accepted + 1, minlength=n + 1)
             else:
-                tallies[row] += _tally(alg.decide, scenario, (block + 1).tolist())
+                counts = None
+                if n <= MAX_ENUMERATION_N:  # each distinct order once, with its count
+                    places = n ** np.arange(n - 1, -1, -1)  # codes in base n, first on top
+                    codes, counts = np.unique(block @ places, return_counts=True)
+                    block, counts = codes[:, None] // places % n, counts.tolist()
+                tallies[row] += _tally(alg.decide, scenario, (block + 1).tolist(), counts)
     if alg.run_batch is not None:
         tallies = [
             _value_counts(row_hits, scenario)

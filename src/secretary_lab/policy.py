@@ -106,9 +106,7 @@ class InformationState:
     current: tuple[int, Fraction]
 
     def __post_init__(self) -> None:
-        indices = [i for i, _ in self.observed] + [self.current[0]]
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"duplicate candidate indices in state: {indices}")
+        _require_distinct([i for i, _ in self.observed] + [self.current[0]])
 
     def arrivals(self) -> tuple[tuple[int, Fraction], ...]:
         """All arrivals in order, the current one last."""
@@ -119,17 +117,10 @@ class InformationState:
         observed = ",".join(map(_render_arrival, self.observed))
         return observed + "|current=" + _render_arrival(self.current)
 
-    @classmethod
-    def parse(
-        cls, text: str, parse_arrival: Callable[[str], Arrival] | None = None
-    ) -> "InformationState":
-        """The inverse of ``serialize``, each arrival parsed by
-        ``parse_arrival`` (default ``_parse_arrival``, which refuses any
-        text that ``serialize`` would not write)."""
-        parse = parse_arrival or _parse_arrival
-        prefix, _, current_text = text.partition("|current=")
-        observed = tuple(map(parse, prefix.split(","))) if prefix else ()
-        return cls(observed=observed, current=parse(current_text))
+
+def _require_distinct(indices: list[int]) -> None:
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"duplicate candidate indices in state: {indices}")
 
 
 def _render_arrival(arrival: Arrival) -> str:
@@ -152,14 +143,35 @@ def _parse_arrival(item: str) -> Arrival:
 
 
 class Policy:
-    """Deterministic action map over information states."""
+    """Deterministic action map over information states, keyed on tuples
+    of arrival ids (the current one last), each distinct arrival interned
+    by (index, numerator, denominator), so that no lookup or load hashes a
+    Fraction; ``actions``, keyed on InformationState, is built when read."""
 
     def __init__(self, actions: dict[InformationState, Action] | None = None):
-        self.actions: dict[InformationState, Action] = dict(actions or {})
+        self._ids: dict[tuple[int, int, int], int] = {}
+        self._arrivals: list[Arrival] = []  # by id, one tuple per arrival
+        self._table: dict[tuple[int, ...], Action] = {
+            tuple(map(self._intern, state.arrivals())): action
+            for state, action in (actions or {}).items()
+        }
+
+    def _intern(self, arrival: Arrival) -> int:
+        key = (arrival[0], arrival[1].numerator, arrival[1].denominator)
+        if key not in self._ids:
+            self._arrivals.append(arrival)
+        return self._ids.setdefault(key, len(self._ids))
+
+    @property
+    def actions(self) -> dict[InformationState, Action]:
+        at = self._arrivals
+        return {InformationState(tuple(at[a] for a in key[:-1]), at[key[-1]]): action
+                for key, action in self._table.items()}
 
     def action_for(self, state: InformationState) -> Action:
         try:
-            return self.actions[state]
+            key = [self._ids[i, v.numerator, v.denominator] for i, v in state.arrivals()]
+            return self._table[tuple(key)]
         except KeyError:
             raise MissingStateError(state.serialize()) from None
 
@@ -168,7 +180,7 @@ class Policy:
         return self.action_for(InformationState(observed, current))
 
     def __len__(self) -> int:
-        return len(self.actions)
+        return len(self._table)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Policy) and self.actions == other.actions
@@ -184,15 +196,15 @@ class Policy:
                 "policy must be a JSON object mapping states to actions, "
                 f"not {type(payload).__name__}"
             )
-        # Each distinct arrival text is parsed and checked once, and its
-        # states share the one tuple, as in a solved table.
-        parse = functools.cache(_parse_arrival)
-        return cls(
-            {
-                InformationState.parse(key, parse): Action(value)
-                for key, value in payload.items()
-            }
-        )
+        # filled from the key texts, each distinct arrival text parsed once
+        policy = cls()
+        arrival_id = functools.cache(lambda text: policy._intern(_parse_arrival(text)))
+        for key, value in payload.items():
+            prefix, _, current = key.partition("|current=")
+            state = tuple(map(arrival_id, (prefix.split(",") if prefix else []) + [current]))
+            _require_distinct([policy._arrivals[a][0] for a in state])
+            policy._table[state] = Action(value)
+        return policy
 
     def to_json(self) -> str:
         """The policy file's text: sorted states, two-space indent."""
@@ -410,24 +422,19 @@ class _SetRule:
 
     def table(self) -> Policy:
         """The policy table: each set's actions, copied to every ordered
-        history that reaches the set, with one tuple per distinct arrival."""
-        made = {
-            (j, value_id): (j + 1, value)
-            for j in range(self.n)
-            for value_id, value in enumerate(self.values)
-        }
-        actions: dict[InformationState, Action] = {}
-        self._walk(actions, made, (), 0)
-        return Policy(actions)
+        history that reaches the set, with no InformationState built."""
+        policy = Policy()
+        self._walk(policy, (), 0)
+        return policy
 
-    def _walk(self, actions: dict, made: dict, observed: History, seen: IdSet) -> None:
-        """Add to ``actions`` every history that follows ``observed``,
-        the set ``seen``."""
-        for pair, (action, after) in self.steps[seen][1].items():
-            current = made[pair]
+    def _walk(self, policy: Policy, observed: tuple[int, ...], seen: IdSet) -> None:
+        """Add to ``policy`` every history that follows ``observed`` (its
+        arrival ids), the set ``seen``."""
+        for (j, value_id), (action, after) in self.steps[seen][1].items():
+            current = policy._intern((j + 1, self.values[value_id]))
             if after is not None:
-                self._walk(actions, made, observed + (current,), after)
-            actions[InformationState(observed, current)] = action
+                self._walk(policy, observed + (current,), after)
+            policy._table[observed + (current,)] = action
 
     def write_json(self, write: Callable[[str], object]) -> None:
         """Stream the policy file's text, the bytes of
@@ -829,19 +836,22 @@ def _exact_ratios(
 
 
 def _tally(
-    decide: DecideFn, scenario: Scenario, orders: Sequence[Sequence[int]]
+    decide: DecideFn, scenario: Scenario, orders: Sequence[Sequence[int]],
+    weights: Sequence[int] | None = None,
 ) -> Counter[Fraction | None]:
-    """How many of ``orders`` (1-based arrival orders of equal length) end
-    with each accepted value (``None``: nothing accepted) when ``decide``
-    runs on ``scenario``.  Sorted, the orders sharing a prefix form one run,
-    so each distinct prefix is decided once; an acceptance counts its run."""
-    ordered = sorted(orders)
+    """How many of ``orders`` (1-based arrival orders of equal length, the
+    i-th counted ``weights[i]`` times, else once) end with each accepted
+    value (``None``: nothing) when ``decide`` runs on ``scenario``.  Sorted,
+    orders sharing a prefix form one run: each prefix is decided once."""
+    pairs = sorted(zip(orders, itertools.repeat(1) if weights is None else weights))
+    ordered = [order for order, _ in pairs]
+    weight = [count for _, count in pairs]
     counts: Counter[Fraction | None] = Counter()
 
     def walk(observed: History, lo: int, hi: int) -> None:
         depth = len(observed)
         if depth == len(ordered[lo]):
-            counts[None] += hi - lo
+            counts[None] += sum(weight[lo:hi])
             return
         key = itemgetter(depth)
         while lo < hi:
@@ -849,7 +859,7 @@ def _tally(
             end = bisect.bisect_right(ordered, index, lo, hi, key=key)
             arrival = (index, scenario.value_at(index))
             if decide(observed, arrival) is Action.ACCEPT:
-                counts[arrival[1]] += end - lo
+                counts[arrival[1]] += sum(weight[lo:end])
             else:
                 walk(observed + (arrival,), lo, end)
             lo = end

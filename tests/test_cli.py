@@ -360,6 +360,12 @@ MALFORMED_INPUTS = {
     "mass-117-over-20-under-policy": ("eval-policy", MASS_117_20_FAMILY),
     "policy-arrival-unclosed": ("policy", {"|current=(1:5": "accept"}),
     "policy-duplicate-index": ("policy", {"(1:5)|current=(1:5)": "accept"}),
+    "policy-duplicate-observed-index": ("policy", {"(1:2),(1:2)|current=(2:1)": "accept"}),
+    "policy-index-zero": ("policy", {"|current=(0:5)": "accept"}),
+    "policy-index-negative": ("policy", {"|current=(-1:5)": "accept"}),
+    "policy-action-a-list": ("policy", {"|current=(1:2)": ["accept"]}),
+    "policy-action-an-object": ("policy", {"|current=(1:2)": {"a": "accept"}}),
+    "policy-action-null": ("policy", {"|current=(1:2)": None}),
     "prediction-row-missing": ("family", NO_PREDICTION_ROW_FAMILY),
     "prediction-row-missing-under-pred-argmax": ("pred-argmax", NO_PREDICTION_ROW_FAMILY),
     # Raw text: json.loads alone keeps the last copy of a repeated key.
@@ -384,6 +390,16 @@ MALFORMED_MESSAGES = {
     "policy-arrival-unclosed":
         "error: not an arrival: '(1:5' (write (i:v), v in lowest terms)",
     "policy-duplicate-index": "error: duplicate candidate indices in state: [1, 1]",
+    "policy-duplicate-observed-index":
+        "error: duplicate candidate indices in state: [1, 1, 2]",
+    # a key with index 0 or below names no state of the family: it loads,
+    # and scoring then misses the family's first state
+    "policy-index-zero": "error: policy has no action for reachable state '|current=(1:2)'",
+    "policy-index-negative":
+        "error: policy has no action for reachable state '|current=(1:2)'",
+    "policy-action-a-list": "error: ['accept'] is not a valid Action",
+    "policy-action-an-object": "error: {'a': 'accept'} is not a valid Action",
+    "policy-action-null": "error: None is not a valid Action",
     "prediction-row-missing":
         "error: invalid prior family: prediction_id 7 refers to no scenario",
     "prediction-row-missing-under-pred-argmax":
@@ -531,6 +547,32 @@ def test_eval_mc_bytes_are_pinned(tmp_path, capsys):
     )
     for argv, digest in runs:
         assert run_command(["eval", *argv, "--mc", "--trials", "2000"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of eval stdout for the solved policy file of the k = 4 hard
+# family at n = 6, by Monte Carlo in the benchmark's eval-policy-mc shape
+# and exactly, recorded while the table was keyed on InformationState and
+# Monte Carlo tallied every trial's order.
+EVAL_POLICY_DIGESTS = {
+    ("--mc", "--trials", "20000", "--seed", "0"):
+        "5634aa9c1016419bcd459bd3c1bebef329228546b644d8e75b39d06ca5460899",
+    (): "60c35ff490baf1447995a390f30f7b97106be5050275dc0ae430416df297a39e",
+}
+
+
+def test_eval_policy_bytes_are_pinned(tmp_path, capsys):
+    family_path = tmp_path / "family.json"
+    policy_path = tmp_path / "policy.json"
+    assert run_command(["gen", "--eps", "1/10", "--s", "5", "--k", "4", "--n", "6",
+                        "-o", str(family_path)]) == 0
+    assert run_command(["solve", "--family", str(family_path),
+                        "--policy-out", str(policy_path)]) == 0
+    capsys.readouterr()
+    for argv, digest in EVAL_POLICY_DIGESTS.items():
+        command = ["eval", "--family", str(family_path), "--alg", f"policy:{policy_path}"]
+        assert run_command([*command, *argv]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -62,10 +62,11 @@ def test_state_serialize_and_parse():
     st = state([(1, S), (3, Fraction(1))], (2, S**3))
     text = st.serialize()
     assert text == "(1:5),(3:1)|current=(2:125)"
-    assert InformationState.parse(text) == st
+    # a policy file's key loads back as the state it names
+    assert Policy.from_dict({text: "accept"}).actions == {st: Action.ACCEPT}
     empty = state([], (2, Fraction(5, 2)))
     assert empty.serialize() == "|current=(2:5/2)"
-    assert InformationState.parse(empty.serialize()) == empty
+    assert Policy.from_dict({empty.serialize(): "reject"}).actions == {empty: Action.REJECT}
 
 
 def test_state_rejects_duplicate_indices():
@@ -824,6 +825,60 @@ def test_memo_keys_one_entry_per_set_of_arrivals(family):
         report = solve_optimal(family, constrained=constrained)
         sets = {frozenset(state.observed) for state in report.policy.actions}
         assert len(report.rule.steps) == len(sets)
+
+
+def or_error(call, *args):
+    """``call(*args)``, or the text of the MissingStateError it raises."""
+    try:
+        return call(*args)
+    except MissingStateError as err:
+        return str(err)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(family=small_families(st.integers(1, 5)), data=st.data())
+def test_weighted_tally_counts_each_order_as_often_as_it_repeats(family, data):
+    # Monte Carlo hands _tally each distinct order once, with its count:
+    # that must count what the orders repeated count, and a table with a
+    # hole must fail with the same message on both paths.
+    n = family.n
+    orders = data.draw(st.lists(st.permutations(range(1, n + 1)).map(tuple), min_size=1))
+    distinct = data.draw(st.permutations(sorted(set(orders))))
+    weights = [orders.count(order) for order in distinct]
+    policy = random_policy(family, data.draw(st.integers(0, 99)), constrained=False)
+    # the hole: the first arrival of the first order on the first row
+    first = orders[0][0]
+    holed = dict(policy.actions)
+    del holed[InformationState((), (first, family.scenarios[0].value_at(first)))]
+    for table in (policy, Policy(holed)):
+        for scenario in family.scenarios:
+            weighted = or_error(_tally, table.decide, scenario, distinct, weights)
+            assert weighted == or_error(_tally, table.decide, scenario, orders)
+    assert "current=" in or_error(_tally, Policy(holed).decide, family.scenarios[0], orders)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(family=small_families(st.integers(1, 4), SIX_VALUES), seed=st.integers(0, 99))
+def test_a_reloaded_table_is_the_table(family, seed):
+    # Loading fills the table from the key texts, with no InformationState
+    # built; what comes back must be the table that was written.  A solved
+    # table holds only the states its rule reaches, so some reachable
+    # states must be missing from both tables alike.
+    solved = solve_optimal(family, constrained=True)
+    states = reachable_states(family)
+    for policy, size in (
+        (solved.policy, solved.policy_states),
+        (random_policy(family, seed, constrained=False), len(states)),
+    ):
+        loaded = Policy.from_dict(policy.to_dict())
+        for state in states:
+            assert or_error(loaded.decide, state.observed, state.current) == or_error(
+                policy.action_for, state
+            )
+        assert loaded.actions == policy.actions
+        assert len(loaded) == len(policy) == len(policy.actions) == size
+        assert loaded == policy
+        assert loaded.to_json() == policy.to_json()
 
 
 def test_forward_count_keys_sets_that_no_order_reaches():
