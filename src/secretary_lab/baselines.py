@@ -5,17 +5,18 @@ that trusts the announced predictions and waits for their argmax.  A rule
 is one function of what it has seen, ``decide(observed, current)``; it
 binds the predictions and the number of candidates when it is built, and
 ``Policy.decide`` makes a policy table a rule.  Each baseline also has a
-vectorised batch runner that must agree with its decide, and declares a
-set-keyed form, ``decide_set(rejected, current)``, that must agree with
-its decide on every history it reaches.  Exact scores of a rule that
-declares ``decide_set`` are counted over sets of arrivals
-(``policy._set_ratios``); every other rule, and every policy table, is
-scored through one walker, ``policy._tally``, which decides each distinct
-arrival prefix once, over all n! orders of every row.  Seeded Monte
-Carlo counts the sampled orders of each row (through the batch runner
-when the rule has one, through ``_tally`` otherwise) where n! is out of
-reach; it draws and decides its trials in fixed-size chunks, so its
-memory does not grow with the trial count.
+vectorised batch runner that must agree with its decide, and declares
+itself set-keyed: on every history it rejects throughout, its decide
+depends only on the set of those arrivals and the current one.  Exact
+scores of a set-keyed rule are counted over sets of arrivals
+(``policy._set_ratios``, which asks decide on one history per set);
+every other rule, and every policy table, is scored through one walker,
+``policy._tally``, which decides each distinct arrival prefix once, over
+all n! orders of every row.  Seeded Monte Carlo counts the sampled orders
+of each row (through the batch runner when the rule has one, through
+``_tally`` otherwise) where n! is out of reach; it draws and decides its
+trials in fixed-size chunks, so its memory does not grow with the trial
+count.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .policy import (
     DecideFn,
     History,
     Policy,
-    SetDecideFn,
     SolveReport,
     _exact_ratios,
     _set_ratios,
@@ -73,20 +73,20 @@ class OnlineAlgorithm:
     prefers for its acceptance counts: it decides whole blocks of arrival
     orders at once and must reproduce decide exactly.
 
-    decide_set is an optional hook that exact scoring prefers: the action
-    as a function of the set of arrivals rejected so far (a frozenset of
-    (index, value) arrivals) and the current arrival.  Its contract: it
-    is order-free, and it is called only on sets the rule reaches by
-    rejecting, where it must return what decide returns on every order of
-    the set that the rule rejects throughout.  A rule declares it; it is
-    never derived from decide, which may read the order (dynkin's reads
-    its first floor(n/e) arrivals).
+    set_keyed declares that on every history the rule rejects
+    throughout, decide depends only on the set of that history's arrivals
+    and the current arrival.  Exact scoring then tabulates decide over
+    sets, asking it once per set and next arrival, on the first history
+    that reaches the set, which the rule rejected throughout.  A rule
+    declares it; it is never inferred from decide, which may read the
+    order on other histories (dynkin's reads its first floor(n/e)
+    arrivals).
     """
 
     name: str
     decide: DecideFn
     run_batch: BatchFn | None = None
-    decide_set: SetDecideFn | None = None
+    set_keyed: bool = False
 
 
 def dynkin_policy(n: int) -> OnlineAlgorithm:
@@ -96,8 +96,8 @@ def dynkin_policy(n: int) -> OnlineAlgorithm:
     The cutoff is certified through the rational enclosure of e.  If no
     later arrival qualifies, the final arrival is accepted so the reward
     is always defined.  After the cutoff the rule rejects only values
-    below the prefix maximum, so on every set it reaches by rejecting the
-    set's maximum is the prefix maximum, and decide_set reads that.
+    below the prefix maximum, so on every history it rejects throughout
+    the prefix maximum is the maximum of the set: the rule is set-keyed.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -111,18 +111,6 @@ def dynkin_policy(n: int) -> OnlineAlgorithm:
                 or current[1] >= max(v for _, v in history[:cutoff])):
             return Action.ACCEPT
         return Action.REJECT
-
-    last: list = [None, None]  # the last rejected set asked about, its maximum
-
-    def decide_set(rejected: frozenset[Arrival], current: Arrival) -> Action:
-        position = len(rejected) + 1
-        if position <= cutoff:
-            return Action.REJECT
-        if cutoff == 0 or position == n:
-            return Action.ACCEPT
-        if rejected is not last[0]:
-            last[:] = rejected, max(v for _, v in rejected)
-        return Action.ACCEPT if current[1] >= last[1] else Action.REJECT
 
     def run_batch(orders: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         # Dense ranks order exactly as the exact values do, so the >=
@@ -138,9 +126,7 @@ def dynkin_policy(n: int) -> OnlineAlgorithm:
         first = qualifies.argmax(axis=1) + cutoff
         return orders[np.arange(trials), first]
 
-    return OnlineAlgorithm(
-        name="dynkin", decide=decide, run_batch=run_batch, decide_set=decide_set
-    )
+    return OnlineAlgorithm(name="dynkin", decide=decide, run_batch=run_batch, set_keyed=True)
 
 
 def _dense_ranks(values: Sequence[Fraction]) -> np.ndarray:
@@ -163,9 +149,6 @@ def prediction_argmax_policy(predictions: Sequence[Fraction]) -> OnlineAlgorithm
     def decide(history: History, current: Arrival) -> Action:
         return Action.ACCEPT if current[0] in argmax else Action.REJECT
 
-    def decide_set(rejected: frozenset[Arrival], current: Arrival) -> Action:
-        return decide((), current)
-
     def run_batch(orders: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         hits = np.isin(orders, targets)
         first = hits.argmax(axis=1)
@@ -175,7 +158,7 @@ def prediction_argmax_policy(predictions: Sequence[Fraction]) -> OnlineAlgorithm
         return np.where(hits.any(axis=1), accepted, -1)
 
     return OnlineAlgorithm(
-        name="pred-argmax", decide=decide, run_batch=run_batch, decide_set=decide_set
+        name="pred-argmax", decide=decide, run_batch=run_batch, set_keyed=True
     )
 
 
@@ -183,16 +166,15 @@ def _rule_ratios(
     alg: OnlineAlgorithm, family: PriorFamily
 ) -> tuple[Fraction, dict[int, Fraction]]:
     """The rule's exact mixture and per-row ratios: over sets of arrivals
-    when it declares decide_set, else through the tally of
-    evaluate_policy."""
-    if alg.decide_set is not None:
-        return _set_ratios(alg.decide_set, family)
+    when it is set-keyed, else through the tally of evaluate_policy."""
+    if alg.set_keyed:
+        return _set_ratios(alg.decide, family)
     return _exact_ratios(alg.decide, family)
 
 
 def exact_expected_ratio(alg: OnlineAlgorithm, family: PriorFamily) -> Fraction:
     """Exact mixture expected ratio over every (row, arrival order) pair,
-    counted over sets of arrivals when the rule declares decide_set and
+    counted over sets of arrivals when the rule is set-keyed and
     through the same tally as evaluate_policy otherwise; refuses n above
     MAX_ENUMERATION_N and points to monte_carlo_estimate."""
     return _rule_ratios(alg, family)[0]

@@ -38,8 +38,9 @@ walked and makes one write, of its blocks and its own lines; the stream's
 memory is bounded by the sets, at most POLICY_BLOCK lines each, not by
 the file.
 Policy evaluation over every arrival order scores any table.  A rule
-declared on sets of arrivals is tabulated on the sets it reaches by
-rejecting and scored by the same forward count as the solver's rule.
+declared set-keyed is tabulated on the sets it reaches by rejecting, on
+one history per set, and scored by the same forward count as the
+solver's rule.
 """
 
 from __future__ import annotations
@@ -91,9 +92,6 @@ Arrival = tuple[int, Fraction]
 # A decision rule: the action at the current arrival, given the arrivals
 # rejected so far in the order they came.
 DecideFn = Callable[[History, Arrival], Action]
-# A set-keyed rule: the action at the current arrival, given the set of
-# arrivals rejected so far.
-SetDecideFn = Callable[[frozenset[Arrival], Arrival], Action]
 
 
 @dataclass(frozen=True)
@@ -393,6 +391,19 @@ def _split(n: int, arrived: int, rows: list[tuple]):
             yield j, value, sub
 
 
+def _number_values(
+    support: list[tuple[Scenario, Fraction]],
+) -> tuple[dict[Fraction, int], list[tuple[int, ...]]]:
+    """The support's distinct values, numbered in first-seen order, and
+    each row's values as those value ids."""
+    value_ids: dict[Fraction, int] = {}
+    id_rows = [
+        tuple(value_ids.setdefault(v, len(value_ids)) for v in scenario.values)
+        for scenario, _ in support
+    ]
+    return value_ids, id_rows
+
+
 # A set of arrivals, each a (0-based column, value id) pair, as one
 # integer: with B the number of distinct values plus 1, the set holds the
 # digit id + 1 at place B**j for each of its arrivals (j, id), and 0 at
@@ -623,11 +634,7 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     support = _checked_family(family)
     prediction = family.prediction()
     n = family.n
-    value_ids: dict[Fraction, int] = {}  # in first-seen order
-    id_rows = [
-        tuple(value_ids.setdefault(v, len(value_ids)) for v in scenario.values)
-        for scenario, _ in support
-    ]
+    value_ids, id_rows = _number_values(support)
     values = tuple(value_ids)
     value_scale = math.lcm(*(v.denominator for v in values))  # V
     scaled = [v.numerator * (value_scale // v.denominator) for v in values]
@@ -731,25 +738,23 @@ def _forward_ratios(
 
 
 def _tabulate(
-    decide_set: SetDecideFn, n: int, support: list[tuple[Scenario, Fraction]]
+    decide: DecideFn, n: int, support: list[tuple[Scenario, Fraction]]
 ) -> _SetRule:
     """A set-keyed rule as a ``_SetRule`` over the sets of arrivals it
-    reaches by rejecting, in one walk over the chance step: the rule is
-    asked once per (set, next arrival) that some supported row shows, and
-    a set is entered once, after the first reject that reaches it.  Value
-    ids are numbered in first-seen order, as in solve_optimal."""
-    value_ids: dict[Fraction, int] = {}
-    rows = [
-        (tuple(value_ids.setdefault(v, len(value_ids)) for v in scenario.values),)
-        for scenario, _ in support
-    ]
+    reaches by rejecting, in one walk over the chance step: a set is
+    entered once, after the first reject that reaches it, with that
+    history, and decide is asked on it once per next arrival that some
+    supported row shows.  The rule rejected the history throughout, and
+    on every such history of a set a set-keyed rule answers alike, so
+    that one answer is the set's."""
+    value_ids, id_rows = _number_values(support)
     values = tuple(value_ids)
     places = [(len(values) + 1) ** j for j in range(n)]
     steps: dict[IdSet, Step] = {}
 
-    def walk(seen: IdSet, arrived: int, rejected: frozenset[Arrival], rows: list) -> int:
-        """Tabulate the set ``seen`` (columns ``arrived``, arrivals
-        ``rejected``) and every set below it; its table entries."""
+    def walk(seen: IdSet, arrived: int, history: History, rows: list) -> int:
+        """Tabulate the set ``seen`` (columns ``arrived``, first reached
+        by ``history``) and every set below it; its table entries."""
         known = steps.get(seen)
         if known is not None:
             return known[2]
@@ -758,27 +763,28 @@ def _tabulate(
         entries = 0
         for j, value_id, sub in _split(n, arrived, rows):
             arrival = (j + 1, values[value_id])
-            action = decide_set(rejected, arrival)
+            action = decide(history, arrival)
             after = None
             if action is not Action.ACCEPT and not last:
                 after = seen + (value_id + 1) * places[j]
-                entries += walk(after, arrived | 1 << j, rejected | {arrival}, sub)
+                entries += walk(after, arrived | 1 << j, history + (arrival,), sub)
             children[j, value_id] = (action, after)
         entries += len(children)
         steps[seen] = (None, children, entries)
         return entries
 
-    walk(0, 0, frozenset(), rows)
+    walk(0, 0, (), [(ids,) for ids in id_rows])
     return _SetRule(n, values, steps)
 
 
 def _set_ratios(
-    decide_set: SetDecideFn, family: PriorFamily
+    decide: DecideFn, family: PriorFamily
 ) -> tuple[Fraction, dict[int, Fraction]]:
-    """``_exact_ratios`` for a set-keyed rule: its ``_tabulate`` table
-    scored by ``_forward_ratios``, over sets of columns, not n! orders."""
+    """``_exact_ratios`` for the decide of a set-keyed rule: its
+    ``_tabulate`` table scored by ``_forward_ratios``, over sets of
+    columns, not n! orders."""
     support = _checked_family(family)
-    return _forward_ratios(_tabulate(decide_set, family.n, support), support)
+    return _forward_ratios(_tabulate(decide, family.n, support), support)
 
 
 # ---------------------------------------------------------------------------

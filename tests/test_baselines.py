@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from secretary_lab import (
@@ -209,8 +209,8 @@ def test_evaluate_algorithm_builds_no_table(monkeypatch, n):
 
 
 def test_declared_set_rules_are_scored_without_the_tally(monkeypatch, anchor_family):
-    # Both baselines declare decide_set, so exact scoring never tallies
-    # an arrival order; a rule without the hook still does.
+    # Both baselines declare themselves set-keyed, so exact scoring never
+    # tallies an arrival order; a rule that does not still does.
     rules = (dynkin_policy(3), prediction_argmax_policy(anchor_family.prediction().values))
     expected = [evaluate_algorithm(alg, anchor_family).to_dict() for alg in rules]
 
@@ -222,32 +222,6 @@ def test_declared_set_rules_are_scored_without_the_tally(monkeypatch, anchor_fam
         assert evaluate_algorithm(alg, anchor_family).to_dict() == report
         with pytest.raises(AssertionError, match="tallied"):
             exact_expected_ratio(OnlineAlgorithm(alg.name, alg.decide), anchor_family)
-
-
-def test_decide_set_is_asked_only_on_sets_reached_by_rejecting():
-    # Every set the scorer asks about is rejected throughout by decide in
-    # some order of its arrivals, and decide_set answers as decide does
-    # on every such order.
-    family = build_hard_family(ConstructionParams(F(1, 10), F(5), 4, n=5))
-    for alg in (dynkin_policy(5), prediction_argmax_policy(family.prediction().values)):
-        asked = []
-
-        def decide_set(rejected, current, alg=alg):
-            asked.append((rejected, current))
-            return alg.decide_set(rejected, current)
-
-        _set_ratios(decide_set, family)
-        assert asked
-        for rejected, current in asked:
-            reached = [
-                order for order in itertools.permutations(rejected)
-                if all(alg.decide(order[:i], order[i]) is Action.REJECT
-                       for i in range(len(order)))
-            ]
-            assert reached
-            assert {alg.decide(order, current) for order in reached} == {
-                alg.decide_set(rejected, current)
-            }
 
 
 # Few distinct values, so that rows repeat values and arrivals tie with
@@ -278,18 +252,50 @@ def small_families(draw) -> PriorFamily:
     )
 
 
+def rejected_throughout(decide, history) -> bool:
+    return all(decide(history[:i], history[i]) is Action.REJECT for i in range(len(history)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@example(family=build_hard_family(ConstructionParams(F(1, 10), F(5), 4, n=5)))
+# floor(6/e) = 2, the first n at which dynkin's prefix holds two arrivals
+@example(family=build_hard_family(ConstructionParams(F(1, 10), F(5), 4, n=6)))
+@given(family=small_families())
+def test_set_path_asks_decide_only_on_histories_it_rejects(family):
+    # Every history the set path asks decide about was rejected throughout
+    # by decide, and decide answers alike on every order of its arrivals
+    # that it rejects throughout, so one history gives the set's answer.
+    for alg in (dynkin_policy(family.n), prediction_argmax_policy(family.prediction().values)):
+        asked = []
+
+        def decide(history, current, alg=alg):
+            asked.append((history, current))
+            return alg.decide(history, current)
+
+        _set_ratios(decide, family)
+        assert asked
+        for history, current in asked:
+            assert rejected_throughout(alg.decide, history)
+            answers = {
+                alg.decide(order, current)
+                for order in itertools.permutations(history)
+                if rejected_throughout(alg.decide, order)
+            }
+            assert answers == {alg.decide(history, current)}
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(family=small_families())
 def test_set_path_matches_the_tally(family):
     for alg in (dynkin_policy(family.n), prediction_argmax_policy(family.prediction().values)):
-        assert _set_ratios(alg.decide_set, family) == _exact_ratios(alg.decide, family)
+        assert _set_ratios(alg.decide, family) == _exact_ratios(alg.decide, family)
 
 
 @pytest.mark.parametrize("n", (7, 8))
 def test_set_path_matches_the_tally_on_the_hard_family(n):
     family = build_hard_family(ConstructionParams(F(1, 10), F(5), 4, n=n))
     for alg in (dynkin_policy(n), prediction_argmax_policy(family.prediction().values)):
-        assert _set_ratios(alg.decide_set, family) == _exact_ratios(alg.decide, family)
+        assert _set_ratios(alg.decide, family) == _exact_ratios(alg.decide, family)
 
 
 def enumerated_ratio(alg: OnlineAlgorithm, family: PriorFamily) -> Fraction:
@@ -381,20 +387,28 @@ def test_monte_carlo_is_deterministic(anchor_family):
 
 def test_monte_carlo_paths_are_bit_identical(anchor_family, monkeypatch):
     # run_batch counts and decide counts must give the same estimate, and
-    # the same across chunks of 150 trials (150, 150, 100) as in one chunk
-    for full in (dynkin_policy(3), prediction_argmax_policy((F(5), F(1), F(1)))):
-        decide_only = OnlineAlgorithm(full.name, full.decide, None)
-        for metric in ("ratio", "success"):
-            estimates = []
-            for chunk_elements in (baselines_module.CHUNK_ELEMENTS, 3 * 150):
-                with monkeypatch.context() as patch:
-                    patch.setattr(baselines_module, "CHUNK_ELEMENTS", chunk_elements)
-                    estimates += [
-                        monte_carlo_estimate(alg, anchor_family, trials=400, seed=5,
-                                             metric=metric)
-                        for alg in (full, decide_only)
-                    ]
-            assert all(estimate == estimates[0] for estimate in estimates)
+    # the same across chunks of 450 order entries (150 trials at n = 3, 50
+    # at n = 9) as in one chunk.  At n = 9, above MAX_ENUMERATION_N, the
+    # decide counts tally every sampled order, not the distinct ones.
+    family_9 = build_hard_family(ConstructionParams(F(1, 10), F(5), 4, n=9))
+    cases = [
+        (anchor_family, (dynkin_policy(3), prediction_argmax_policy((F(5), F(1), F(1))))),
+        (family_9, (dynkin_policy(9), prediction_argmax_policy(family_9.prediction().values))),
+    ]
+    for family, rules in cases:
+        for full in rules:
+            decide_only = OnlineAlgorithm(full.name, full.decide, None)
+            for metric in ("ratio", "success"):
+                estimates = []
+                for chunk_elements in (baselines_module.CHUNK_ELEMENTS, 3 * 150):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(baselines_module, "CHUNK_ELEMENTS", chunk_elements)
+                        estimates += [
+                            monte_carlo_estimate(alg, family, trials=400, seed=5,
+                                                 metric=metric)
+                            for alg in (full, decide_only)
+                        ]
+                assert all(estimate == estimates[0] for estimate in estimates)
 
 
 def hard_family_100() -> PriorFamily:
