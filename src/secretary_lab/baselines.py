@@ -9,7 +9,7 @@ vectorised batch runner that must agree with its decide, and declares
 itself set-keyed: on every history it rejects throughout, its decide
 depends only on the set of those arrivals and the current one.  Exact
 scores of a set-keyed rule are counted over sets of arrivals
-(``policy._set_ratios``, which asks decide on one history per set);
+(``policy._set_ratios``, which asks decide on one history per row and set);
 every other rule, and every policy table, is scored through one walker,
 ``policy._tally``, which decides each distinct arrival prefix once, over
 all n! orders of every row.  Seeded Monte Carlo counts the sampled orders
@@ -75,12 +75,12 @@ class OnlineAlgorithm:
 
     set_keyed declares that on every history the rule rejects
     throughout, decide depends only on the set of that history's arrivals
-    and the current arrival.  Exact scoring then tabulates decide over
-    sets, asking it once per set and next arrival, on the first history
-    that reaches the set, which the rule rejected throughout.  A rule
-    declares it; it is never inferred from decide, which may read the
-    order on other histories (dynkin's reads its first floor(n/e)
-    arrivals).
+    and the current arrival.  Exact scoring then counts over sets,
+    asking decide once per row, set that row reaches and next arrival, on
+    the first history by which the row reached the set, which the rule
+    rejected throughout.  A rule declares it; it is never inferred from
+    decide, which may read the order on other histories (dynkin's reads
+    its first floor(n/e) arrivals).
     """
 
     name: str

@@ -74,9 +74,8 @@ class PriorFamily:
             raise ValueError("scenarios and probabilities must have equal length")
         if not self.scenarios:
             raise ValueError("family needs at least one scenario")
-        report = validate_family(self)
-        if not report.valid:
-            raise InvalidFamilyError(report.violations)
+        if violations := validate_family(self):
+            raise InvalidFamilyError(violations)
 
     def scenario_by_id(self, scenario_id: int) -> Scenario:
         for scenario in self.scenarios:
@@ -97,14 +96,6 @@ class PriorFamily:
     def items(self):
         """Pairs (scenario, probability) in declaration order."""
         return tuple(zip(self.scenarios, self.probabilities))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate_family: ok flag plus human-readable violations."""
-
-    valid: bool
-    violations: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +146,10 @@ def prediction_error(values, predictions) -> Fraction:
     return max(abs(1 - p / v) for v, p in zip(values, predictions))
 
 
-def validate_family(family: PriorFamily) -> ValidationReport:
-    """Check every family invariant and report violations instead of
-    raising; the PriorFamily constructor runs it and raises on any."""
+def validate_family(family: PriorFamily) -> tuple[str, ...]:
+    """Check every family invariant and return the violations instead of
+    raising; the PriorFamily constructor runs it and raises on any, so on
+    every family that exists it returns ()."""
     violations: list[str] = []
     if family.n < 1:
         violations.append(f"candidate count n = {family.n} must be >= 1")
@@ -182,7 +174,7 @@ def validate_family(family: PriorFamily) -> ValidationReport:
         violations.append(f"mass != 1 (probabilities sum to {format_value(mass)})")
     if family.prediction_id not in ids:
         violations.append(f"prediction_id {family.prediction_id} refers to no scenario")
-    return ValidationReport(valid=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,9 @@ walked and makes one write, of its blocks and its own lines; the stream's
 memory is bounded by the sets, at most POLICY_BLOCK lines each, not by
 the file.
 Policy evaluation over every arrival order scores any table.  A rule
-declared set-keyed is tabulated on the sets it reaches by rejecting, on
-one history per set, and scored by the same forward count as the
-solver's rule.
+declared set-keyed is scored by the same forward count as the solver's
+memo, which asks the rule's decide at each set a row reaches by
+rejecting, on the first history by which the row reached it.
 """
 
 from __future__ import annotations
@@ -167,15 +167,17 @@ class Policy:
                 for key, action in self._table.items()}
 
     def action_for(self, state: InformationState) -> Action:
-        try:
-            key = [self._ids[i, v.numerator, v.denominator] for i, v in state.arrivals()]
-            return self._table[tuple(key)]
-        except KeyError:
-            raise MissingStateError(state.serialize()) from None
+        return self.decide(state.observed, state.current)
 
     def decide(self, observed: History, current: Arrival) -> Action:
-        """The table as a decision rule."""
-        return self.action_for(InformationState(observed, current))
+        """The table as a decision rule: the history's arrival ids looked
+        up, with no InformationState built unless the table misses."""
+        ids = self._ids
+        try:
+            key = [ids[i, v.numerator, v.denominator] for i, v in (*observed, current)]
+            return self._table[tuple(key)]
+        except KeyError:
+            raise MissingStateError(InformationState(observed, current).serialize()) from None
 
     def __len__(self) -> int:
         return len(self._table)
@@ -412,20 +414,21 @@ IdSet = int
 # Per next arrival of a set: the action and the set after a reject, None
 # where a reject is not allowed or ends the sequence.
 Children = dict[tuple[int, int], tuple[Action, IdSet | None]]
-# A memo entry: scaled value (None in a tabulated rule, which values
-# nothing), children, and table entries at and below.
-Step = tuple[int | None, Children, int]
+# A memo entry: scaled value, children, and table entries at and below.
+Step = tuple[int, Children, int]
+# A rule asked by the forward count: the action at a set, given by its
+# IdSet and a history that reaches it, and next arrival (column, value id).
+ActionFn = Callable[[IdSet, int, int, History], Action]
 
 
 @dataclass(frozen=True)
 class _SetRule:
-    """A solved or tabulated rule on sets of arrivals, as plain data.
+    """A solved rule on sets of arrivals, as plain data.
 
-    ``steps`` maps each set of rejected arrivals that the induction (or
-    ``_tabulate``) visited, keyed by its ``IdSet`` integer, to the set's
-    scaled value, its ``Children``, in the chance step's order, and the
-    number of table entries at and below one history that reaches the
-    set."""
+    ``steps`` maps each set of rejected arrivals that the induction
+    visited, keyed by its ``IdSet`` integer, to the set's scaled value,
+    its ``Children``, in the chance step's order, and the number of table
+    entries at and below one history that reaches the set."""
 
     n: int
     values: tuple[Fraction, ...]  # by value id
@@ -620,9 +623,10 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     the one on true values; the optimum is the root's integer divided by
     n! * V * L.
 
-    The self-check, ``_forward_ratios``, scores the memo's decisions by an
-    exact forward count over sets, on the family's values and its own
-    integer scale, sharing no scale or state with the induction; its
+    The self-check, ``_forward_ratios``, scores the memo's decisions,
+    each looked up in the memo by set key and next arrival, by an exact
+    forward count over sets, on the family's values and its own integer
+    scale, sharing no scale or state with the induction; its
     per-row ratios are the report's, and their mixture must equal the
     optimum.  ``policy_states``, the size of the policy table keyed on
     ordered histories, is counted by the induction; the table itself is
@@ -657,8 +661,11 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     )
     scaled_optimum, _, policy_states = induction.step(0, 0, constrained, rows)
     optimum = Fraction(scaled_optimum, math.factorial(n) * value_scale * weight_scale)
-    rule = _SetRule(n, values, induction.steps)
-    mixture, per_row = _forward_ratios(rule, support)
+    steps = induction.steps
+    mixture, per_row = _forward_ratios(
+        lambda key, column, value_id, history: steps[key][1][column, value_id][0],
+        n, values, support,
+    )
     if mixture != optimum:
         raise RuntimeError(
             "backward induction and the forward count disagree: "
@@ -666,7 +673,7 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
         )
     return SolveReport(
         optimum=optimum,
-        rule=rule,
+        rule=_SetRule(n, values, steps),
         per_row=per_row,
         policy_states=policy_states,
         constrained=constrained,
@@ -674,30 +681,31 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
 
 
 def _forward_ratios(
-    rule: _SetRule, support: list[tuple[Scenario, Fraction]]
+    action: ActionFn, n: int, values: Sequence[Fraction], support: list[tuple[Scenario, Fraction]]
 ) -> tuple[Fraction, dict[int, Fraction]]:
-    """Mixture expected ratio of a set rule and its conditional expected
-    ratio on each supported row, by an exact forward count over sets of
-    columns that reads only the rule's decisions.
+    """Mixture expected ratio of a rule on sets of arrivals, value ids
+    indexing ``values``, and its conditional expected ratio on each
+    supported row, by an exact forward count over sets of columns.
 
     For a row, N(S) counts the orders of the set S in which every arrival
     was rejected: N(empty set) = 1, and for each column x not in S the
     rule accepts x, which ends N(S) * (n - |S| - 1)! orders with the row's
     value at x, or rejects it, which adds N(S) to N(S + x).  A set is
     visited after all its subsets, as a bitmask after every smaller one.
-    A set's memo key, its ``IdSet``, is rebuilt from the rule's values
-    alone: the key of S is that of S minus its lowest column x plus
-    (id + 1) * B**x, so every subset's key is filled in, reached or not.
+    ``action`` is asked once per set the row reaches and next arrival, on
+    the first history by which the row reached the set (that of the
+    first S whose reject of x reaches S + x, extended by x), and on the
+    set's ``IdSet``, rebuilt from ``values`` alone: the key of S is that
+    of S minus its lowest column x plus (id + 1) * B**x.
     The row's ratio is its accepted total over max_r * n!, both counted on
     one integer value scale (the values over their common denominator), so
     each row makes one Fraction; the mixture weighs each class of rows
     with one probability and one maximum once, by their summed totals."""
-    n = rule.n
     # keyed by numerator and denominator, which hash without Fraction.__hash__
-    value_ids = {(v.numerator, v.denominator): vid for vid, v in enumerate(rule.values)}
-    places = [(len(rule.values) + 1) ** x for x in range(n)]
-    scale = math.lcm(*(v.denominator for v in rule.values))
-    scaled = [v.numerator * (scale // v.denominator) for v in rule.values]
+    value_ids = {(v.numerator, v.denominator): vid for vid, v in enumerate(values)}
+    places = [(len(values) + 1) ** x for x in range(n)]
+    scale = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
     tails = [math.factorial(n - size - 1) for size in range(n)]
     orders = math.factorial(n)
     # (p numerator, p denominator, max_r) -> [p, max_r, summed totals]
@@ -708,6 +716,7 @@ def _forward_ratios(
         keys = [0] * (1 << n)  # the IdSet of each bitmask of columns
         rejected = [0] * (1 << n)  # N(S), S a bitmask of columns
         rejected[0] = 1
+        histories: list[History] = [()] * (1 << n)  # the first to reach each S
         accepted = [0] * n  # orders that accept each column
         for columns in range(1, (1 << n) - 1):
             low = columns & -columns
@@ -717,15 +726,18 @@ def _forward_ratios(
             count = rejected[columns]
             if not count:
                 continue
-            children = rule.steps[keys[columns]][1]
+            seen, history = keys[columns], histories[columns]
             tail = tails[columns.bit_count()]
             for x in range(n):
                 if columns >> x & 1:
                     continue
-                if children[x, ids[x]][0] is Action.ACCEPT:
+                if action(seen, x, ids[x], history) is Action.ACCEPT:
                     accepted[x] += count * tail
                 else:
-                    rejected[columns | 1 << x] += count
+                    after = columns | 1 << x
+                    if not rejected[after]:
+                        histories[after] = history + ((x + 1, scenario.values[x]),)
+                    rejected[after] += count
         total = sum(count * scaled[i] for count, i in zip(accepted, ids))
         top = max(scaled[i] for i in ids)
         per_row[scenario.id] = Fraction(total, top * orders)
@@ -737,54 +749,19 @@ def _forward_ratios(
     return mixture, per_row
 
 
-def _tabulate(
-    decide: DecideFn, n: int, support: list[tuple[Scenario, Fraction]]
-) -> _SetRule:
-    """A set-keyed rule as a ``_SetRule`` over the sets of arrivals it
-    reaches by rejecting, in one walk over the chance step: a set is
-    entered once, after the first reject that reaches it, with that
-    history, and decide is asked on it once per next arrival that some
-    supported row shows.  The rule rejected the history throughout, and
-    on every such history of a set a set-keyed rule answers alike, so
-    that one answer is the set's."""
-    value_ids, id_rows = _number_values(support)
-    values = tuple(value_ids)
-    places = [(len(values) + 1) ** j for j in range(n)]
-    steps: dict[IdSet, Step] = {}
-
-    def walk(seen: IdSet, arrived: int, history: History, rows: list) -> int:
-        """Tabulate the set ``seen`` (columns ``arrived``, first reached
-        by ``history``) and every set below it; its table entries."""
-        known = steps.get(seen)
-        if known is not None:
-            return known[2]
-        last = arrived.bit_count() + 1 == n
-        children: Children = {}
-        entries = 0
-        for j, value_id, sub in _split(n, arrived, rows):
-            arrival = (j + 1, values[value_id])
-            action = decide(history, arrival)
-            after = None
-            if action is not Action.ACCEPT and not last:
-                after = seen + (value_id + 1) * places[j]
-                entries += walk(after, arrived | 1 << j, history + (arrival,), sub)
-            children[j, value_id] = (action, after)
-        entries += len(children)
-        steps[seen] = (None, children, entries)
-        return entries
-
-    walk(0, 0, (), [(ids,) for ids in id_rows])
-    return _SetRule(n, values, steps)
-
-
 def _set_ratios(
     decide: DecideFn, family: PriorFamily
 ) -> tuple[Fraction, dict[int, Fraction]]:
-    """``_exact_ratios`` for the decide of a set-keyed rule: its
-    ``_tabulate`` table scored by ``_forward_ratios``, over sets of
-    columns, not n! orders."""
+    """``_exact_ratios`` for the decide of a set-keyed rule, by
+    ``_forward_ratios`` over sets of columns, not n! orders.  The rule
+    rejected each history it is asked on, and a set-keyed rule answers
+    alike on every such history of a set."""
     support = _checked_family(family)
-    return _forward_ratios(_tabulate(decide, family.n, support), support)
+    values = tuple(_number_values(support)[0])
+    return _forward_ratios(
+        lambda key, column, value_id, history: decide(history, (column + 1, values[value_id])),
+        family.n, values, support,
+    )
 
 
 # ---------------------------------------------------------------------------

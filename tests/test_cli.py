@@ -1246,8 +1246,8 @@ from secretary_lab import ConstructionParams, build_hard_family
 assert False, "asserts must be stripped"
 forward = policy._forward_ratios
 
-def skewed(rule, support):
-    mixture, per_row = forward(rule, support)
+def skewed(*args):
+    mixture, per_row = forward(*args)
     return mixture + Fraction(1, 10**9), per_row
 
 policy._forward_ratios = skewed

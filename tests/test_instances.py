@@ -152,9 +152,7 @@ def _small_family(**overrides) -> PriorFamily:
 
 
 def test_validate_family_accepts_good_family():
-    report = validate_family(_small_family())
-    assert report.valid
-    assert report.violations == ()
+    assert validate_family(_small_family()) == ()
 
 
 def test_validate_family_bad_mass():
@@ -175,7 +173,7 @@ def test_validate_family_sums_long_probabilities_exactly():
     def family(first):
         return _small_family(scenarios=rows, probabilities=(first,) + (tail,) * 154)
 
-    assert validate_family(family(eps)).valid
+    assert validate_family(family(eps)) == ()
     with pytest.raises(InvalidFamilyError) as err:
         family(eps - Fraction(1, 10**2000))
     assert err.value.violations == [

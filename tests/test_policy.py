@@ -481,13 +481,41 @@ def test_solver_self_check_raises_on_disagreement(monkeypatch, anchor_family):
 
     forward = policy_module._forward_ratios
 
-    def skewed(rule, support):
-        mixture, per_row = forward(rule, support)
+    def skewed(*args):
+        mixture, per_row = forward(*args)
         return mixture + Fraction(1, 10**9), per_row
 
     monkeypatch.setattr(policy_module, "_forward_ratios", skewed)
     with pytest.raises(RuntimeError, match="disagree"):
         solve_optimal(anchor_family, constrained=True)
+
+
+@pytest.mark.parametrize("constrained", (True, False))
+def test_solver_self_check_catches_one_wrong_decision(monkeypatch, anchor_family, constrained):
+    # The forward count scores the memo's decisions as its callable gives
+    # them; one of them flipped must change the mixture.  Pinned: at the
+    # root, the first arrival (2:1), which only the prediction row shows.
+    # Rejecting it waits for (1:5), that row's maximum; accepting it is
+    # worth a fifth of that.
+    import secretary_lab.policy as policy_module
+
+    forward = policy_module._forward_ratios
+    flipped = []
+
+    def one_wrong(action, n, values, support):
+        def wrong(seen, column, value_id, history):
+            right = action(seen, column, value_id, history)
+            if (seen, column, values[value_id]) != (0, 1, 1):
+                return right
+            flipped.append(right)
+            return Action.ACCEPT
+
+        return forward(wrong, n, values, support)
+
+    monkeypatch.setattr(policy_module, "_forward_ratios", one_wrong)
+    with pytest.raises(RuntimeError, match="disagree"):
+        solve_optimal(anchor_family, constrained=constrained)
+    assert flipped == [Action.REJECT]
 
 
 def test_solve_leaves_no_reference_cycle():
