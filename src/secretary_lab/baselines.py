@@ -35,7 +35,6 @@ from .exact import decimal_str, floor_n_over_e
 from .instances import (
     PriorFamily,
     Scenario,
-    competitive_ratio,
     scenario_max,
 )
 from .policy import (
@@ -231,10 +230,13 @@ class MonteCarloEstimate:
 # Each trial owns a counter block: trial i draws from the 256-bit Philox
 # counter starting at i * 2^128, leaving 2^128 draws of in-trial headroom,
 # so the streams never overlap and trial order or chunking cannot change
-# any draw.  One generator serves every trial: before each trial
+# any draw.  One bit generator serves every trial: before each trial
 # _draw_trials sets its counter to words [0, 0, i mod 2^64, i >> 64] and
 # empties its buffers, the state a fresh Philox(key=seed,
-# counter=i * 2^128) starts in.
+# counter=i * 2^128) starts in, and shuffles the trial's order with the
+# legacy RandomState.shuffle on it.  That is the Fisher-Yates over
+# random_interval that Generator(Philox(...)).permutation(n) runs, with
+# less Python-level overhead per call, and NEP 19 freezes its stream.
 _WORD = 1 << 64
 # Trials are drawn and decided in chunks of about CHUNK_ELEMENTS int64
 # order entries (2 MB), max(1, CHUNK_ELEMENTS // n) trials each, so an
@@ -259,7 +261,9 @@ def _draw_trials(
     from the trial's counter block.  The row draw is the integer m that
     ``Generator.random()`` would scale to m / 2^53, taken straight from
     the trial's first raw word as ``random_raw() >> 11``: the same word,
-    so the shuffle after it draws what it would after ``random()``."""
+    so the shuffle after it draws what it would after ``random()``.  The
+    order is ``RandomState.shuffle`` of ``arange(n)`` on the trial's
+    state: the draws, and the order, of ``Generator.permutation(n)``."""
     bit_generator = np.random.Philox(key=seed)
     # A fresh state: counter 0, buffer_pos 4, has_uint32 0, uinteger 0.
     # The setter reads plain lists faster than uint64 arrays.
@@ -270,16 +274,16 @@ def _draw_trials(
     state["buffer"] = state["buffer"].tolist()
     # bound once, not once per trial
     random_raw = bit_generator.random_raw
-    shuffle = np.random.Generator(bit_generator).shuffle
+    shuffle = np.random.RandomState(bit_generator).shuffle
     draws = []
     draw = draws.append
     orders[:] = np.arange(orders.shape[1])
-    for offset, order in enumerate(orders):
-        counter[3], counter[2] = divmod(first + offset, _WORD)
+    for trial, order in zip(range(first, first + len(orders)), orders):
+        counter[3], counter[2] = divmod(trial, _WORD)
         bit_generator.state = state
         if row_draws is not None:
             draw(random_raw() >> 11)
-        # the same draws as permutation(n), which shuffles a fresh arange(n)
+        # the same draws as Generator.permutation(n) on a fresh arange(n)
         shuffle(order)
     if row_draws is not None:
         row_draws[:] = draws
@@ -321,7 +325,8 @@ def monte_carlo_estimate(
 
     The outcome of a trial depends only on its row and the accepted
     value, so each row's trials are tallied by accepted value and each
-    (row, value) outcome is added once, weighted by its count.  A batch
+    (row, value) outcome is added once, weighted by its count, against
+    the row's maximum taken once per row.  A batch
     runner's picks are counted by candidate (bin 0: nothing accepted, bin
     c + 1: candidate c) across all chunks, and candidates of equal value
     are merged once at the end; without a batch runner each chunk's
@@ -350,6 +355,8 @@ def monte_carlo_estimate(
         hits = np.zeros((len(scenarios), n + 1), dtype=np.int64)
     else:
         tallies: list[Counter[Fraction | None]] = [Counter() for _ in scenarios]
+        # codes in base n, first on top, to tally each distinct order once
+        places = n ** np.arange(n - 1, -1, -1) if n <= MAX_ENUMERATION_N else None
 
     chunk = max(1, CHUNK_ELEMENTS // n)
     for first in range(0, trials, chunk):
@@ -367,8 +374,7 @@ def monte_carlo_estimate(
                 hits[row] += np.bincount(accepted + 1, minlength=n + 1)
             else:
                 counts = None
-                if n <= MAX_ENUMERATION_N:  # each distinct order once, with its count
-                    places = n ** np.arange(n - 1, -1, -1)  # codes in base n, first on top
+                if places is not None:  # each distinct order once, with its count
                     codes, counts = np.unique(block @ places, return_counts=True)
                     block, counts = codes[:, None] // places % n, counts.tolist()
                 tallies[row] += _tally(alg.decide, scenario, (block + 1).tolist(), counts)
@@ -381,8 +387,14 @@ def monte_carlo_estimate(
     total = Fraction(0)
     total_sq = Fraction(0)
     for (scenario, _), tally in zip(scenarios, tallies):
+        # A tally holds only values of its row, and _support refused rows
+        # with no positive value, so the ratio needs no further check.
+        best = scenario_max(scenario)
         for accepted, count in tally.items():
-            outcome = _metric_value(metric, accepted, scenario)
+            if metric == "success":
+                outcome = Fraction(1) if accepted == best else Fraction(0)
+            else:
+                outcome = Fraction(0) if accepted is None else accepted / best
             total += count * outcome
             total_sq += count * outcome * outcome
 
@@ -409,14 +421,6 @@ def _value_counts(hits: Sequence[int], scenario: Scenario) -> Counter[Fraction |
         if count:
             tally[None if index < 0 else scenario.values[index]] += count
     return tally
-
-
-def _metric_value(
-    metric: str, accepted_value: Fraction | None, scenario: Scenario
-) -> Fraction:
-    if metric == "ratio":
-        return competitive_ratio(accepted_value, scenario)
-    return Fraction(1) if accepted_value == scenario_max(scenario) else Fraction(0)
 
 
 def dynkin_success_probability(n: int) -> Fraction:

@@ -86,6 +86,8 @@ class Action(enum.Enum):
 
 
 BOTH_ACTIONS = frozenset((Action.ACCEPT, Action.REJECT))
+# An action by its text in a policy file, without the Enum call.
+_ACTIONS = {action.value: action for action in Action}
 
 History = tuple[tuple[int, Fraction], ...]
 Arrival = tuple[int, Fraction]
@@ -203,7 +205,9 @@ class Policy:
             prefix, _, current = key.partition("|current=")
             state = tuple(map(arrival_id, (prefix.split(",") if prefix else []) + [current]))
             _require_distinct([policy._arrivals[a][0] for a in state])
-            policy._table[state] = Action(value)
+            # Action refuses any other value, in its own words
+            action = _ACTIONS.get(value) if isinstance(value, str) else None
+            policy._table[state] = action or Action(value)
         return policy
 
     def to_json(self) -> str:

@@ -503,11 +503,17 @@ def test_monte_carlo_row_draws_are_pinned():
 @pytest.mark.parametrize("seed", [0, 2**128 - 1], ids=["seed-0", "seed-max"])
 @pytest.mark.parametrize("first", [0, 2**64 - 1], ids=["from-0", "from-2^64-1"])
 @pytest.mark.parametrize(
-    "n, with_uniform", [(100, False), (3, True)], ids=["single-row", "multi-row"]
+    "n, with_uniform",
+    [(100, False), (3, True), (1, False), (2, True), (6, True), (100, True)],
+    ids=["single-row", "multi-row", "n1-single-row", "n2-multi-row", "n6-multi-row",
+         "n100-multi-row"],
 )
 def test_monte_carlo_draws_match_a_fresh_generator_per_trial(seed, first, n, with_uniform):
     # The reference builds trial t's substream from scratch; from
-    # first = 2^64 - 1 the second trial carries into counter word 3.
+    # first = 2^64 - 1 the second trial carries into counter word 3.  The
+    # draws shuffle with RandomState; the reference stays Generator's
+    # permutation, at n = 6 and 100 the shapes of the benchmark's Monte
+    # Carlo runs.
     trials = 40
     orders = np.empty((trials, n), dtype=np.int64)
     row_draws = np.empty(trials, dtype=np.int64) if with_uniform else None
