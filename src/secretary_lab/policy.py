@@ -33,10 +33,9 @@ key order, so a solve builds no ordered table unless
 ``SolveReport.policy`` is read.  The lines below a set differ from one
 history that reaches it to the next only in their key prefix, so the
 text of each set with at most POLICY_BLOCK entries below it is rendered
-once, as a block, and written under every prefix.  Every larger set is
-walked and makes one write, of its blocks and its own lines; the stream's
-memory is bounded by the sets, at most POLICY_BLOCK lines each, not by
-the file.
+once, as a block, and written under every prefix; every larger set is
+walked in place, and the stream's memory is bounded by the sets, at most
+POLICY_BLOCK lines each, not by the file.
 Policy evaluation over every arrival order scores any table.  A rule
 declared set-keyed is scored by the same forward count as the solver's
 memo, which asks the rule's decide at each set a row reaches by
@@ -457,90 +456,74 @@ class _SetRule:
     def write_json(self, write: Callable[[str], object]) -> None:
         """Stream the policy file's text, the bytes of
         ``table().to_json()``, to ``write``, straight from the memo, in
-        sorted key order and one write per walked set; no table, key dict
-        or whole-file string is built.
+        sorted key order; no table, key dict or whole-file string is built.
 
         A key is its observed arrivals' texts joined by ",", then
         "|current=" and the current arrival's text.  An arrival's text
         ends at its only ")", so none is a prefix of another, and "(" and
         "," sort before "|".  So a depth-first walk that, at each set,
-        takes the next arrivals in the order of their texts, writes every
+        takes the next arrivals in the order of their texts, emits every
         key below each after-set (under the prefix extended by the
-        arrival) and then the set's own keys, writes the keys in the order
+        arrival) and then the set's own keys, emits the keys in the order
         ``sorted`` gives them.  An arrival's text holds only digits, "(",
         ":", "/" and ")", and an action only letters, so the keys and
         actions go into the file as they are: JSON escapes none of these.
 
         Every history that reaches a set has the same lines below it but
         for their key prefix.  So a set whose subtree holds at most
-        POLICY_BLOCK entries is rendered once, as its block: those lines
-        with "\\0", which no arrival's text holds, in place of the prefix,
-        and each history that reaches it writes the block with the prefix
-        put in.  A block is the after-sets' blocks, each with its "\\0"
-        extended by the arrival, then the set's own lines.  The root, with
-        its empty prefix, and each larger set are walked: a walked set
-        writes its after-sets' blocks and its own lines in one write, and
-        writes what it holds before it descends into a walked after-set.
-        Lines are joined by ",\\n"; the first write starts with "{\\n",
-        each later one with ",\\n", and the last is "\\n}\\n".  Beside the
-        memo it holds the current prefix, one walked set's lines, each
-        set's after-sets and own lines in text order, and the blocks, at
-        most POLICY_BLOCK lines per set, so its memory is bounded by the
-        sets, not by the file."""
+        POLICY_BLOCK entries is emitted once, into its block, under the
+        prefix "\\0", which no arrival's text holds; each history that
+        reaches it puts the block with its own prefix in place of "\\0".
+        A larger set is emitted in place, its own lines last.  Each put
+        is one write, after "{\\n" for the first and ",\\n" for every
+        later one; the last write is "\\n}\\n".  Beside the memo it holds
+        the current prefix, each set's after-sets and own lines in text
+        order, and the blocks, at most POLICY_BLOCK lines per set, so its
+        memory is bounded by the sets, not by the file."""
         texts = {
             (j, value_id): _render_arrival((j + 1, value))
             for j in range(self.n)
             for value_id, value in enumerate(self.values)
         }
-        ordered: dict[IdSet, tuple[list[tuple[str, IdSet]], str]] = {}
-        blocks: dict[IdSet, str] = {}
-        head = "{\n"
 
+        @functools.cache
         def below(seen: IdSet) -> tuple[list[tuple[str, IdSet]], str]:
             """The set's after-sets, each beside the text of the arrival
             that leads to it, and its own lines, "\\0" in place of the
             prefix; both in text order."""
-            known = ordered.get(seen)
-            if known is None:
-                arrivals = sorted(self.steps[seen][1].items(), key=lambda item: texts[item[0]])
-                known = ordered[seen] = (
-                    [(texts[pair], after) for pair, (_, after) in arrivals if after is not None],
-                    ",\n".join(
-                        f'  "\0|current={texts[pair]}": "{action.value}"'
-                        for pair, (action, _) in arrivals
-                    ),
-                )
-            return known
+            arrivals = sorted(self.steps[seen][1].items(), key=lambda item: texts[item[0]])
+            return (
+                [(texts[pair], after) for pair, (_, after) in arrivals if after is not None],
+                ",\n".join(
+                    f'  "\0|current={texts[pair]}": "{action.value}"'
+                    for pair, (action, _) in arrivals
+                ),
+            )
 
+        @functools.cache
         def block(seen: IdSet) -> str:
-            known = blocks.get(seen)
-            if known is None:
-                afters, own = below(seen)
-                known = blocks[seen] = ",\n".join(
-                    [block(after).replace("\0", "\0," + text) for text, after in afters] + [own]
-                )
-            return known
+            lines: list[str] = []
+            emit("\0", seen, lines.append)
+            return ",\n".join(lines)
 
-        def put(lines: list[str]) -> None:
-            nonlocal head
-            write(head + ",\n".join(lines))
-            head = ",\n"
-
-        def walk(prefix: str, seen: IdSet) -> None:
+        def emit(prefix: str, seen: IdSet, put: Callable[[str], object]) -> None:
             afters, own = below(seen)
-            held: list[str] = []
             for text, after in afters:
                 extended = f"{prefix},{text}" if prefix else text
                 if self.steps[after][2] <= POLICY_BLOCK:
-                    held.append(block(after).replace("\0", extended))
-                    continue
-                if held:
-                    put(held)
-                    held = []
-                walk(extended, after)
-            put(held + [own.replace("\0", prefix)])
+                    put(block(after).replace("\0", extended))
+                else:
+                    emit(extended, after, put)
+            put(own.replace("\0", prefix))
 
-        walk("", 0)
+        head = "{\n"
+
+        def put(text: str) -> None:
+            nonlocal head
+            write(head + text)
+            head = ",\n"
+
+        emit("", 0, put)
         write("\n}\n")
 
 
@@ -592,7 +575,7 @@ class _SetInduction:
             if accept_ok and (reject_value is None or accept_value >= reject_value):
                 action, state_value = Action.ACCEPT, accept_value
             else:
-                action, state_value = Action.REJECT, reject_value or 0
+                action, state_value = Action.REJECT, reject_value
             children[j, value_id] = (action, after)
             total += state_value
         step = self.steps[seen] = (total, children, entries + len(children))
@@ -859,7 +842,9 @@ def _tally(
 def is_consistent(policy: Policy, prediction: Scenario) -> bool:
     """True iff the policy accepts a maximum-value candidate under every
     arrival order of the prediction scenario, read off the scenario's
-    tally of accepted values."""
+    tally of accepted values; a prediction of more than MAX_ENUMERATION_N
+    candidates is refused before any order is listed."""
+    require_enumerable(len(prediction.values))
     orders = itertools.permutations(range(1, len(prediction.values) + 1))
     counts = _tally(policy.decide, prediction, list(orders))
     return counts.keys() == {scenario_max(prediction)}
@@ -938,53 +923,38 @@ def brute_force_optimum(
     orders = list(itertools.permutations(range(1, n + 1)))
     order_weight = Fraction(1, len(orders))
 
-    def allowed_at(observed, current):
+    def options(observed, current, arrived, rows):
+        """The state at ``current`` and each action allowed there, beside
+        the arguments of the next arrivals it leads to: none after an
+        accept or a reject of the last arrival.  ``arrived`` is the
+        bitmask of the columns of ``observed`` and ``current``."""
         state = InformationState(observed, current)
-        return state, consistent_actions(prediction, state) if constrained else BOTH_ACTIONS
-
-    def children(observed, current, arrived, rows):
-        """The arguments for each next arrival after a reject of ``current``;
-        ``arrived`` is the bitmask of the columns of ``observed`` and
-        ``current``."""
-        next_observed = observed + (current,)
-        return [
-            (next_observed, (j + 1, value), arrived | 1 << j, sub)
+        allowed = consistent_actions(prediction, state) if constrained else BOTH_ACTIONS
+        nexts = [] if len(observed) + 1 == n else [
+            (observed + (current,), (j + 1, value), arrived | 1 << j, sub)
             for j, value, sub in _split(n, arrived, rows)
         ]
+        return state, [
+            (action, nexts if action is Action.REJECT else [])
+            for action in Action
+            if action in allowed
+        ]
 
-    def count(observed, current, arrived, rows) -> int:
-        """How many sub-policies ``subpolicies`` would list: 1 for an
-        allowed accept, plus, for an allowed reject, the product of the
-        next arrivals' counts (1 at the last arrival)."""
-        _, allowed = allowed_at(observed, current)
-        total = int(Action.ACCEPT in allowed)
-        if Action.REJECT in allowed:
-            if len(observed) + 1 == n:
-                total += 1
-            else:
-                nexts = children(observed, current, arrived, rows)
-                total += math.prod(count(*child) for child in nexts)
-        return total
+    def count(*arguments) -> int:
+        """How many sub-policies ``subpolicies`` would yield: per allowed
+        action, the product of the next arrivals' counts."""
+        _, choices = options(*arguments)
+        return sum(math.prod(count(*after) for after in nexts) for _, nexts in choices)
 
-    def subpolicies(observed, current, arrived, rows):
+    def subpolicies(*arguments):
         """Every sub-policy from ``current`` on."""
-        state, allowed = allowed_at(observed, current)
-        results: list[dict[InformationState, Action]] = []
-        if Action.ACCEPT in allowed:
-            results.append({state: Action.ACCEPT})
-        if Action.REJECT in allowed:
-            if len(observed) + 1 == n:
-                results.append({state: Action.REJECT})
-            else:
-                child_lists = [
-                    subpolicies(*child) for child in children(observed, current, arrived, rows)
-                ]
-                for combo in itertools.product(*child_lists):
-                    merged = {state: Action.REJECT}
-                    for part in combo:
-                        merged.update(part)
-                    results.append(merged)
-        return results
+        state, choices = options(*arguments)
+        for action, nexts in choices:
+            for parts in itertools.product(*(subpolicies(*after) for after in nexts)):
+                merged = {state: action}
+                for part in parts:
+                    merged.update(part)
+                yield merged
 
     total = Fraction(0)
     rows = [(scenario.values, scenario, mass) for scenario, mass in support]

@@ -785,9 +785,9 @@ def test_policy_stream_failing_midway_leaves_the_old_file(tmp_path, capsys, monk
 
 
 def test_policy_stream_reaches_the_file_in_few_writes(tmp_path, capsys, monkeypatch):
-    # The n = 7 policy file is streamed in 430 writes of up to about
-    # 21 KB; the output file's buffer gathers them, so that few writes
-    # reach the file itself (374 through an 8 KiB buffer).
+    # The n = 7 policy file is streamed in 2,026 writes of up to about
+    # 4.1 KB; the output file's buffer gathers them, so that few writes
+    # reach the file itself (487 through an 8 KiB buffer).
     import io
 
     raw_writes = []

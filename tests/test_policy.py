@@ -352,7 +352,7 @@ def test_streamed_policy_file_is_in_sorted_key_order(tmp_path, n, constrained, b
         parts = stream(report.rule, block)
         assert "".join(parts) == text, block
         if block == 0 and n > 1:
-            # every set is walked, so the root's after-sets write their own
+            # no set is a block, so the root's after-sets write their own
             assert len(parts) > 2
         # Written as the CLI writes it, through a line-buffered handle or
         # one with a 4096-byte buffer, the file holds the same text.
@@ -367,8 +367,8 @@ def test_streamed_policy_file_is_in_sorted_key_order(tmp_path, n, constrained, b
 
 def test_streaming_the_n7_policy_file_takes_flat_memory():
     # Built whole, the n = 7 file's keys, their sorted list and the
-    # 3.4 MB text peak near 20 MB; streamed, one walked set's lines are
-    # held at a time, each write at most about 21 KB.
+    # 3.4 MB text peak near 20 MB; streamed, each write is one block or
+    # one set's own lines, at most about 4.1 KB.
     family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=7))
     rule = solve_optimal(family, constrained=True).rule
     written: list[int] = []
@@ -555,6 +555,15 @@ def test_enumeration_guard():
         solve_optimal(family, constrained=True)
 
 
+def test_is_consistent_refuses_a_large_prediction_before_listing_orders():
+    # Nine candidates would be 362,880 orders; none may be listed.
+    prediction = Scenario(1, (Fraction(1),) * 9)
+    with mock.patch.object(
+        policy_module.itertools, "permutations", side_effect=AssertionError("listed")
+    ), pytest.raises(EnumerationGuardError):
+        is_consistent(Policy(), prediction)
+
+
 def test_invalid_family_rejected():
     # The constructor refuses the family, so no solve can receive it.
     with pytest.raises(InvalidFamilyError) as err:
@@ -609,6 +618,12 @@ def test_brute_force_unconstrained_on_small_family():
 def test_brute_force_cap(anchor_family):
     with pytest.raises(EnumerationGuardError):
         brute_force_optimum(anchor_family, max_policies_per_subtree=10)
+    # The first arrivals have 1, 1, 10, 46, 46, 10, 1, 46, 10, 46 and 10
+    # constrained sub-policies below them: a cap of 46 admits the family,
+    # 45 refuses it.
+    assert brute_force_optimum(anchor_family, max_policies_per_subtree=46) == CONSTRAINED_OPT
+    with pytest.raises(EnumerationGuardError):
+        brute_force_optimum(anchor_family, max_policies_per_subtree=45)
 
 
 @pytest.mark.parametrize("constrained", (True, False))
