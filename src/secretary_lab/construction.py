@@ -111,10 +111,13 @@ def row_exponents(row: int, k: int) -> tuple[int, int]:
 def build_hard_family(params: ConstructionParams) -> PriorFamily:
     """Deterministically build the hard family for the given parameters.
 
-    Each power s^e is computed once, and every row that shows it holds
-    that one object, as every tail row holds one probability."""
+    Each power s^e is computed once, as s^(e-1) * s, and every row that
+    shows it holds that one object, as every tail row holds one
+    probability."""
     k, n = params.k, params.n
-    power = [params.s ** e for e in range(k + 2)]  # s^0 .. s^(k+1)
+    power = [params.s ** 0]  # s^0 .. s^(k+1)
+    for _ in range(k + 1):
+        power.append(power[-1] * params.s)
     one, s = power[0], power[1]
     padding = (one,) * (n - 3)
     scenarios = [Scenario(id=1, values=(s, one, one) + padding)]

@@ -24,12 +24,14 @@ exactly correct, for every arrival order.
 The induction is exact without Fraction arithmetic: it holds every value
 as a Python integer on one scale fixed per family (row weights p_r / max_r
 over their common denominator L, candidate values over theirs, V) and
-divides once per solve, by n! * V * L.  Its self-check is an exact
-forward count over sets of arrivals that scores the memo's decisions on
-every row, on integers of its own value scale, with one Fraction per row
-for the row's ratio.  The induction also counts the ordered table's
-entries, and the policy file's text is streamed from the memo in sorted
-key order, so a solve builds no ordered table unless
+divides once per solve, by n! * V * L.  A set with one column left is
+built in one pass over its rows: the last arrival is always accepted.
+The induction's self-check is an exact forward count over sets of
+arrivals that scores the memo's decisions on every row, on integers of
+its own value scale, with one Fraction per row for the row's ratio, and
+weighs each distinct probability once.  The induction also counts the
+ordered table's entries, and the policy file's text is streamed from
+the memo in sorted key order, so a solve builds no ordered table unless
 ``SolveReport.policy`` is read.  The lines below a set differ from one
 history that reaches it to the next only in their key prefix, so the
 text of each set with at most POLICY_BLOCK entries below it is rendered
@@ -398,15 +400,22 @@ def _split(n: int, arrived: int, rows: list[tuple]):
 
 def _number_values(
     support: list[tuple[Scenario, Fraction]],
-) -> tuple[dict[Fraction, int], list[tuple[int, ...]]]:
-    """The support's distinct values, numbered in first-seen order, and
-    each row's values as those value ids."""
-    value_ids: dict[Fraction, int] = {}
-    id_rows = [
-        tuple(value_ids.setdefault(v, len(value_ids)) for v in scenario.values)
-        for scenario, _ in support
-    ]
-    return value_ids, id_rows
+) -> tuple[dict[tuple[int, int], int], list[Fraction], list[tuple[int, ...]]]:
+    """The support's distinct values, numbered in first-seen order, as ids
+    keyed by numerator and denominator, which hash without
+    Fraction.__hash__, and as a list by id; and each row's value ids."""
+    value_ids: dict[tuple[int, int], int] = {}
+    values: list[Fraction] = []
+    id_rows = []
+    for scenario, _ in support:
+        ids = []
+        for v in scenario.values:
+            value_id = value_ids.setdefault((v.numerator, v.denominator), len(values))
+            if value_id == len(values):
+                values.append(v)
+            ids.append(value_id)
+        id_rows.append(tuple(ids))
+    return value_ids, values, id_rows
 
 
 # A set of arrivals, each a (0-based column, value id) pair, as one
@@ -548,29 +557,37 @@ class _SetInduction:
         the rows it leaves possible.
         Every history that reaches a set has the same subtree, so the
         set's table entries are one per next arrival plus those of each
-        after-set."""
+        after-set.
+        A set of n - 1 arrivals is built in one pass over ``rows``: the
+        last arrival is accepted, for a reject is worth 0, ties go to
+        accept, and on the prediction path no column is left to reject
+        toward; the set's value sums the rows' values in that column."""
         known = self.steps.get(seen)
         if known is not None:
             return known
         depth = arrived.bit_count()
-        tail = self.tails[depth]
         total = 0
         children: Children = {}
+        if depth + 1 == self.n:
+            j = (~arrived & ((1 << self.n) - 1)).bit_length() - 1  # the column left
+            accept = (Action.ACCEPT, None)
+            for ids, products in rows:
+                children[j, ids[j]] = accept
+                total += products[j]
+            step = self.steps[seen] = (total, children, len(children))
+            return step
+        tail = self.tails[depth]
         entries = 0
         for j, value_id, sub in _split(self.n, arrived, rows):
             on = on_path and self.prediction_ids[j] == value_id
             accept_ok = reject_ok = True
             if on:
                 accept_ok, reject_ok = _on_path_actions(self.best_columns, arrived, j)
-            after = None
-            if depth + 1 == self.n:
-                reject_value = 0
-            elif reject_ok:
+            after = reject_value = None
+            if reject_ok:
                 after = seen + (value_id + 1) * self.places[j]
                 reject_value, _, below = self.step(after, arrived | 1 << j, on, sub)
                 entries += below
-            else:
-                reject_value = None
             accept_value = tail * sum(row[1][j] for row in sub)
             if accept_ok and (reject_value is None or accept_value >= reject_value):
                 action, state_value = Action.ACCEPT, accept_value
@@ -625,8 +642,7 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     support = _checked_family(family)
     prediction = family.prediction()
     n = family.n
-    value_ids, id_rows = _number_values(support)
-    values = tuple(value_ids)
+    value_ids, values, id_rows = _number_values(support)
     value_scale = math.lcm(*(v.denominator for v in values))  # V
     scaled = [v.numerator * (value_scale // v.denominator) for v in values]
     # p_r / max_r, with max_r * V the row's largest scaled value; Fraction
@@ -643,7 +659,9 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
         n,
         base=len(values) + 1,
         # -1 where no supported row shows the predicted value
-        prediction_ids=[value_ids.get(v, -1) for v in prediction.values],
+        prediction_ids=[
+            value_ids.get((v.numerator, v.denominator), -1) for v in prediction.values
+        ],
         best_columns=_best_columns(prediction),
     )
     scaled_optimum, _, policy_states = induction.step(0, 0, constrained, rows)
@@ -660,7 +678,7 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
         )
     return SolveReport(
         optimum=optimum,
-        rule=_SetRule(n, values, steps),
+        rule=_SetRule(n, tuple(values), steps),
         per_row=per_row,
         policy_states=policy_states,
         constrained=constrained,
@@ -682,12 +700,15 @@ def _forward_ratios(
     ``action`` is asked once per set the row reaches and next arrival, on
     the first history by which the row reached the set (that of the
     first S whose reject of x reaches S + x, extended by x), and on the
-    set's ``IdSet``, rebuilt from ``values`` alone: the key of S is that
-    of S minus its lowest column x plus (id + 1) * B**x.
+    set's ``IdSet``, built from ``values`` alone on that first reach: the
+    key of S + x is that of S plus (id + 1) * B**x.
     The row's ratio is its accepted total over max_r * n!, both counted on
     one integer value scale (the values over their common denominator), so
-    each row makes one Fraction; the mixture weighs each class of rows
-    with one probability and one maximum once, by their summed totals."""
+    each row makes one Fraction.  The mixture sums total / max_r per
+    distinct probability, the totals of rows with one maximum summed first
+    as integers, then multiplies each sum by its probability once and
+    divides by n! once: a probability of thousands of digits is weighed
+    once, not once per maximum."""
     # keyed by numerator and denominator, which hash without Fraction.__hash__
     value_ids = {(v.numerator, v.denominator): vid for vid, v in enumerate(values)}
     places = [(len(values) + 1) ** x for x in range(n)]
@@ -695,20 +716,16 @@ def _forward_ratios(
     scaled = [v.numerator * (scale // v.denominator) for v in values]
     tails = [math.factorial(n - size - 1) for size in range(n)]
     orders = math.factorial(n)
-    # (p numerator, p denominator, max_r) -> [p, max_r, summed totals]
-    classes: dict[tuple[int, int, int], list] = {}
+    # (p numerator, p denominator) -> (p, summed totals by max_r)
+    classes: dict[tuple[int, int], tuple[Fraction, dict[int, int]]] = {}
     per_row: dict[int, Fraction] = {}
     for scenario, probability in support:
         ids = [value_ids[v.numerator, v.denominator] for v in scenario.values]
-        keys = [0] * (1 << n)  # the IdSet of each bitmask of columns
+        keys = [0] * (1 << n)  # the IdSet of each S the row reaches
         rejected = [0] * (1 << n)  # N(S), S a bitmask of columns
         rejected[0] = 1
         histories: list[History] = [()] * (1 << n)  # the first to reach each S
         accepted = [0] * n  # orders that accept each column
-        for columns in range(1, (1 << n) - 1):
-            low = columns & -columns
-            x = low.bit_length() - 1
-            keys[columns] = keys[columns ^ low] + (ids[x] + 1) * places[x]
         for columns in range((1 << n) - 1):  # the full set decides nothing
             count = rejected[columns]
             if not count:
@@ -723,16 +740,20 @@ def _forward_ratios(
                 else:
                     after = columns | 1 << x
                     if not rejected[after]:
+                        keys[after] = seen + (ids[x] + 1) * places[x]
                         histories[after] = history + ((x + 1, scenario.values[x]),)
                     rejected[after] += count
         total = sum(count * scaled[i] for count, i in zip(accepted, ids))
         top = max(scaled[i] for i in ids)
         per_row[scenario.id] = Fraction(total, top * orders)
-        key = (probability.numerator, probability.denominator, top)
-        classes.setdefault(key, [probability, top, 0])[2] += total
+        key = (probability.numerator, probability.denominator)
+        tops = classes.setdefault(key, (probability, {}))[1]
+        tops[top] = tops.get(top, 0) + total
     mixture = sum(
-        (p * Fraction(total, top * orders) for p, top, total in classes.values()), Fraction(0)
-    )
+        (p * sum((Fraction(total, top) for top, total in tops.items()), Fraction(0))
+         for p, tops in classes.values()),
+        Fraction(0),
+    ) / orders
     return mixture, per_row
 
 
@@ -744,7 +765,7 @@ def _set_ratios(
     rejected each history it is asked on, and a set-keyed rule answers
     alike on every such history of a set."""
     support = _checked_family(family)
-    values = tuple(_number_values(support)[0])
+    values = _number_values(support)[1]
     return _forward_ratios(
         lambda key, column, value_id, history: decide(history, (column + 1, values[value_id])),
         family.n, values, support,

@@ -15,7 +15,7 @@ import secretary_lab
 from secretary_lab import Policy, load_family
 from secretary_lab.bounds import oracle_optimum
 from secretary_lab.cli import main, run_command
-from secretary_lab.exact import format_value
+from secretary_lab.exact import format_value, inv_e_enclosure
 
 
 def gen_family(tmp_path, name="family.json", eps="1/10", s="5", k="4"):
@@ -686,6 +686,23 @@ def test_verify_bytes_are_pinned(capsys, argv):
     assert run_command(["verify", *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
+
+
+def test_verify_at_the_edge_point_is_pinned(capsys):
+    # The corrected-76-78 family with mix_eps moved so that its optimum is
+    # the lower end of the 2000-digit enclosure of 1/e, as the benchmark's
+    # verify-edge computes it: its probabilities run to about 4,300
+    # digits, numerator and denominator together.  oracle_optimum is
+    # affine in mix_eps, so two points fix it.
+    at_quarter = oracle_optimum(Fraction(1, 4), Fraction(76), 78)
+    slope = (oracle_optimum(Fraction(1, 2), Fraction(76), 78) - at_quarter) * 4
+    eps = format_value(Fraction(1, 4) + (inv_e_enclosure(2000).lower - at_quarter) / slope)
+    assert len(eps) > 4000
+    assert run_command(["verify", "--eps", eps, "--s", "76", "--k", "78"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "051bfa7d99647ffcf28d86a8c91e1966930dd967f6d51c8a42f3ed5db24648d2"
+    )
 
 
 # SHA-256 of solve stdout (no --policy-out) on the eps = 1/10, s = 5 hard

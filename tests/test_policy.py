@@ -27,10 +27,12 @@ from secretary_lab import (
     build_hard_family,
     competitive_ratio,
     consistent_actions,
+    dynkin_policy,
     evaluate_policy,
     is_consistent,
     oracle_optimum,
     posterior,
+    prediction_argmax_policy,
     random_policy,
     reachable_states,
     scenario_max,
@@ -450,21 +452,24 @@ def test_reachable_state_order_and_random_policy_are_pinned(n):
 @pytest.mark.parametrize("constrained", (True, False))
 def test_solver_branches_once_per_set_of_arrivals(monkeypatch, constrained):
     # The induction depends on the set of rejected arrivals only, so it
-    # takes the chance step once per set, not once per ordered history.
+    # builds one memo entry per set, not one per ordered history: every
+    # step call that finds no entry builds one, and a set of n - 1
+    # arrivals builds its entry without a chance step.
     import secretary_lab.policy as policy_module
 
-    calls = []
-    split = policy_module._split
+    built = []
+    step = policy_module._SetInduction.step
 
-    def counted(n, arrived, rows):
-        calls.append(arrived)
-        return split(n, arrived, rows)
+    def counted(self, seen, arrived, on_path, rows):
+        if seen not in self.steps:
+            built.append(seen)
+        return step(self, seen, arrived, on_path, rows)
 
-    monkeypatch.setattr(policy_module, "_split", counted)
+    monkeypatch.setattr(policy_module._SetInduction, "step", counted)
     family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=5))
     report = solve_optimal(family, constrained=constrained)
     sets = {frozenset(state.observed) for state in report.policy.actions}
-    assert len(calls) == len(sets)
+    assert len(built) == len(sets)
     assert len(sets) < len(report.policy)
 
 
@@ -926,9 +931,11 @@ def test_a_reloaded_table_is_the_table(family, seed):
 
 def test_forward_count_keys_sets_that_no_order_reaches():
     # On row 2 the optimal rule accepts (3:2) first, so no order of that
-    # row rejects the set {(3:2)} alone; it rejects (1:1) and then (3:2),
-    # and the key of {(1:1), (3:2)} is built on that of {(3:2)}.  A forward
-    # count that filled keys only for sets it reached would count 59/63.
+    # row rejects the set {(3:2)} alone; it rejects (1:1) and then (3:2).
+    # The key of {(1:1), (3:2)} is built on that of {(1:1)}, the set the
+    # row reached it from.  A forward count that built it on the key of
+    # {(3:2)}, the set minus its lowest column, unfilled since no order
+    # reaches it, would count 59/63.
     family = PriorFamily(
         n=3,
         scenarios=(
@@ -1027,6 +1034,56 @@ def test_scaled_induction_agrees_on_coprime_denominators(family):
 @given(coprime_families())
 def test_reachable_state_count_on_coprime_families(family):
     assert reachable_state_count(family) == len(reachable_states(family))
+
+
+@st.composite
+def weighted_families(draw) -> PriorFamily:
+    """Families with n <= 3 and two to five rows, the second row a
+    permutation of the first, so that row maxima repeat; the first row's
+    probability has a denominator of two or of about 300 digits, and the
+    other rows share the rest by small weights, so that at least two
+    probabilities differ."""
+    n = draw(st.integers(1, 3))
+    first = tuple(draw(SMALL_VALUES) for _ in range(n))
+    values = [first, tuple(draw(st.permutations(first)))]
+    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    values += [tuple(draw(SMALL_VALUES) for _ in range(n)) for _ in weights[1:]]
+    denominator = draw(st.sampled_from((2, 7**355)))
+    head = Fraction(draw(st.integers(1, denominator - 1)), denominator)
+    probabilities = (head, *((1 - head) * Fraction(w, sum(weights)) for w in weights))
+    if len(set(probabilities)) < 2:
+        reject()
+    return PriorFamily(
+        n=n,
+        scenarios=tuple(Scenario(row, v) for row, v in enumerate(values, start=1)),
+        probabilities=probabilities,
+        prediction_id=draw(st.integers(1, len(values))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_families())
+def test_forward_count_mixture_is_the_rows_summed(family):
+    # The forward count weighs each distinct probability once, by its
+    # rows' ratios summed; that must be the mixture summed row by row, for
+    # the solver's memo, constrained or not, and for set-keyed baselines.
+    results = []
+    forward = policy_module._forward_ratios
+
+    def recorded(*args):
+        results.append(forward(*args))
+        return results[-1]
+
+    rules = (dynkin_policy(family.n), prediction_argmax_policy(family.prediction().values))
+    with mock.patch.object(policy_module, "_forward_ratios", recorded):
+        for constrained in (True, False):
+            solve_optimal(family, constrained=constrained)
+        for rule in rules:
+            policy_module._set_ratios(rule.decide, family)
+    assert len(results) == 4
+    for mixture, per_row in results:
+        summed = sum((family.probability_of(row) * r for row, r in per_row.items()), Fraction(0))
+        assert mixture == summed
 
 
 def test_policy_text_does_not_depend_on_shared_arrivals(anchor_family):
