@@ -400,10 +400,10 @@ def _split(n: int, arrived: int, rows: list[tuple]):
 
 def _number_values(
     support: list[tuple[Scenario, Fraction]],
-) -> tuple[dict[tuple[int, int], int], list[Fraction], list[tuple[int, ...]]]:
+) -> tuple[dict[tuple[int, int], int], tuple[Fraction, ...], list[tuple[int, ...]]]:
     """The support's distinct values, numbered in first-seen order, as ids
     keyed by numerator and denominator, which hash without
-    Fraction.__hash__, and as a list by id; and each row's value ids."""
+    Fraction.__hash__, and as a tuple by id; and each row's value ids."""
     value_ids: dict[tuple[int, int], int] = {}
     values: list[Fraction] = []
     id_rows = []
@@ -415,7 +415,7 @@ def _number_values(
                 values.append(v)
             ids.append(value_id)
         id_rows.append(tuple(ids))
-    return value_ids, values, id_rows
+    return value_ids, tuple(values), id_rows
 
 
 # A set of arrivals, each a (0-based column, value id) pair, as one
@@ -678,7 +678,7 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
         )
     return SolveReport(
         optimum=optimum,
-        rule=_SetRule(n, tuple(values), steps),
+        rule=_SetRule(n, values, steps),
         per_row=per_row,
         policy_states=policy_states,
         constrained=constrained,
