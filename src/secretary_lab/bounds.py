@@ -119,7 +119,8 @@ def oracle_optimum(mix_eps: Fraction, s: Fraction, k: int) -> Fraction:
     One third of the time the first arrival is the predicted candidate
     and the policy must take it: row 1 contributes 1, and each of the
     2k - 2 remaining rows contributes s^(1-m) where s^m is its maximum
-    (the exponents m run over 3..k+1, twice each).  Otherwise the row is
+    (the exponents m run over 3..k+1, twice each), their sum taken as a
+    geometric series in closed form.  Otherwise the row is
     resolved by the confusion structure: value 1 with probability
     mix_eps + 2(1 - mix_eps)/(r-1), and an even split between 1 and 1/s
     on the rest.
@@ -127,9 +128,8 @@ def oracle_optimum(mix_eps: Fraction, s: Fraction, k: int) -> Fraction:
     params = ConstructionParams(Fraction(mix_eps), Fraction(s), int(k))
     eps, s_val, k_val = params.mix_eps, params.s, params.k
     r = params.row_count
-    forced = sum(
-        (s_val ** (1 - m) for m in range(3, k_val + 2)), Fraction(0)
-    )
+    # the geometric series s^-2 + ... + s^-k in closed form
+    forced = (s_val ** -2 - s_val ** -(k_val + 1)) / (1 - 1 / s_val)
     case_first = eps + (1 - eps) * Fraction(2, r - 1) * forced
     return Fraction(1, 3) * case_first + Fraction(2, 3) * _shared_cases(params)
 

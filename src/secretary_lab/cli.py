@@ -331,20 +331,14 @@ def _add_param_flags(parser: argparse.ArgumentParser, with_n: bool = True) -> No
         parser.add_argument("--n", type=int, help="number of candidates (default 3)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="secretary-lab",
-        description="Exact verification lab for prediction-constrained stopping rules.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a hard prior family file")
+def _gen_flags(gen: argparse.ArgumentParser) -> None:
     _add_param_flags(gen)
     gen.add_argument("-o", "--output", type=_path, required=True, help="family JSON path")
     gen.add_argument("--render", choices=("md", "csv"), help="also print a table to stdout")
     gen.set_defaults(handler=_cmd_gen)
 
-    solve = sub.add_parser("solve", help="solve a family by backward induction")
+
+def _solve_flags(solve: argparse.ArgumentParser) -> None:
     solve.add_argument("--family", type=_path,
                        help="family JSON path (alternative to --eps/--s/--k)")
     _add_param_flags(solve)
@@ -355,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--digits", type=_digits, default=12)
     solve.set_defaults(handler=_cmd_solve)
 
-    evaluate = sub.add_parser("eval", help="score an algorithm on a family")
+
+def _eval_flags(evaluate: argparse.ArgumentParser) -> None:
     evaluate.add_argument("--family", type=_path, required=True, help="family JSON path")
     evaluate.add_argument("--alg", type=_algorithm, required=True,
                           help="dynkin, pred-argmax, or policy:<file>")
@@ -371,20 +366,23 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--digits", type=_digits, default=12)
     evaluate.set_defaults(handler=_cmd_eval, usage_error=evaluate.error)
 
-    bounds = sub.add_parser("bounds", help="print the closed-form bound chain")
+
+def _bounds_flags(bounds: argparse.ArgumentParser) -> None:
     _add_param_flags(bounds, with_n=False)
     bounds.add_argument("-o", "--output", type=_path, help="output JSON path (default stdout)")
     bounds.add_argument("--digits", type=_digits, default=12)
     bounds.set_defaults(handler=_cmd_bounds)
 
-    verify = sub.add_parser("verify", help="full verification run for one parameter point")
+
+def _verify_flags(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("--preset", help=f"one of: {', '.join(known_presets())}")
     _add_param_flags(verify)
     verify.add_argument("-o", "--output", type=_path, help="report JSON path (default stdout)")
     verify.add_argument("--digits", type=_digits, default=12)
     verify.set_defaults(handler=_cmd_verify)
 
-    sweep = sub.add_parser("sweep", help="solve a parameter grid into a CSV")
+
+def _sweep_flags(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--eps", required=True, help="comma-separated list, e.g. 1/100,1/10")
     sweep.add_argument("--s", required=True, help="comma-separated list, e.g. 50,100,400")
     sweep.add_argument("--k", required=True, help="comma-separated list, e.g. 50,100,400")
@@ -395,13 +393,40 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--digits", type=_digits, default=12)
     sweep.set_defaults(handler=_cmd_sweep)
 
+
+# Each subcommand: its help line and what adds its flags.
+COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "gen": ("generate a hard prior family file", _gen_flags),
+    "solve": ("solve a family by backward induction", _solve_flags),
+    "eval": ("score an algorithm on a family", _eval_flags),
+    "bounds": ("print the closed-form bound chain", _bounds_flags),
+    "verify": ("full verification run for one parameter point", _verify_flags),
+    "sweep": ("solve a parameter grid into a CSV", _sweep_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand registered.  Only ``command``'s
+    flags are added when it names a subcommand, for only that subcommand
+    parses (building verify's reads the preset file); every subcommand's
+    are added otherwise.  Help and usage errors read the same either way."""
+    parser = argparse.ArgumentParser(
+        prog="secretary-lab",
+        description="Exact verification lab for prediction-constrained stopping rules.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags) in COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if command == name or command not in COMMANDS:
+            add_flags(subparser)
     return parser
 
 
 def run_command(argv: list[str] | None = None) -> int:
     """Parse argv and execute one subcommand; returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except (SecretaryLabError, OSError, ValueError, KeyError) as exc:

@@ -149,7 +149,9 @@ def prediction_error(values, predictions) -> Fraction:
 def validate_family(family: PriorFamily) -> tuple[str, ...]:
     """Check every family invariant and return the violations instead of
     raising; the PriorFamily constructor runs it and raises on any, so on
-    every family that exists it returns ()."""
+    every family that exists it returns ().  The mass is summed once per
+    distinct probability, counted by (numerator, denominator) as the
+    solver numbers values, so no probability is hashed as a Fraction."""
     violations: list[str] = []
     if family.n < 1:
         violations.append(f"candidate count n = {family.n} must be >= 1")
@@ -166,9 +168,10 @@ def validate_family(family: PriorFamily) -> tuple[str, ...]:
             violations.append(
                 f"scenario {scenario.id} has negative probability {format_value(probability)}"
             )
-    # Summed once per distinct probability: a family's rows mostly share one.
+    # a family's rows mostly share one probability
+    counts = Counter((p.numerator, p.denominator) for p in family.probabilities)
     mass = sum(
-        (p * count for p, count in Counter(family.probabilities).items()), Fraction(0)
+        (Fraction(num * count, den) for (num, den), count in counts.items()), Fraction(0)
     )
     if mass != 1:
         violations.append(f"mass != 1 (probabilities sum to {format_value(mass)})")

@@ -249,16 +249,14 @@ class SolveReport:
         return worst_id, self.per_row[worst_id]
 
     def to_dict(self, digits: int = 12) -> dict:
+        worst_id, worst_ratio = self.worst_row  # a min over every row, read once
         return {
             "optimum": render_number(self.optimum, digits),
             "per_row": {
                 str(row_id): render_number(v, digits)
                 for row_id, v in sorted(self.per_row.items())
             },
-            "worst_row": {
-                "id": self.worst_row[0],
-                "ratio": render_number(self.worst_row[1], digits),
-            },
+            "worst_row": {"id": worst_id, "ratio": render_number(worst_ratio, digits)},
             "constrained": self.constrained,
             "policy_states": self.policy_states,
         }
@@ -616,8 +614,16 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     Values are integers on one scale.  Row r weighs W_r = L * p_r / max_r
     and value v counts v * V, where L and V are the least common multiples
     of the denominators of the p_r / max_r and of the values; each value
-    is mapped to its id, and each row's maximum found, once per row, and
-    each row carries its products W_r * v * V by column.  At a state with
+    is mapped to its id, and each row's maximum found, once per row.  Rows
+    of one probability and one maximum form a class, and W_r is computed
+    once per class: p_r * V / max_r as a Fraction, which takes gcds only
+    with small operands, where a gcd of p_r's numerator times V with its
+    denominator times max_r would run on numbers of thousands of digits.
+    L is the lcm of the distinct class denominators, taken in ascending
+    order.  Each row carries its products W_r * v * V by column, each
+    computed once per (class, value id) and shared by every row of the
+    class that shows the value: the hard family's row pairs differ only
+    by a swap of two columns.  At a state with
     d rejected arrivals the accept value of v in column j is
     (n - d - 1)! * (sum of W_r * v * V over the rows still possible, read
     off their column j), a chance node is the plain sum of its child
@@ -645,16 +651,30 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     value_ids, values, id_rows = _number_values(support)
     value_scale = math.lcm(*(v.denominator for v in values))  # V
     scaled = [v.numerator * (value_scale // v.denominator) for v in values]
-    # p_r / max_r, with max_r * V the row's largest scaled value; Fraction
-    # arithmetic cancels only the small factors, with no gcd over all of p
-    weights = [
-        p * value_scale / max(scaled[i] for i in ids) for ids, (_, p) in zip(id_rows, support)
-    ]
-    weight_scale = math.lcm(*(w.denominator for w in weights))  # L
+    # p_r / max_r once per (probability, maximum) class, with max_r * V the
+    # row's largest scaled value; Fraction arithmetic cancels only the
+    # small factors, with no gcd over all of p
+    class_ids: dict[tuple[int, int, int], int] = {}
+    weights: list[Fraction] = []
+    row_classes = []
+    for ids, (_, p) in zip(id_rows, support):
+        top = max(scaled[i] for i in ids)
+        c = class_ids.setdefault((p.numerator, p.denominator, top), len(weights))
+        if c == len(weights):
+            weights.append(p * value_scale / top)
+        row_classes.append(c)
+    weight_scale = math.lcm(*sorted({w.denominator for w in weights}))  # L
+    class_weights = [w.numerator * (weight_scale // w.denominator) for w in weights]  # W_r
+    products: dict[tuple[int, int], int] = {}  # W_r * v * V by (class, value id)
     rows = []
-    for ids, w in zip(id_rows, weights):
-        weight = w.numerator * (weight_scale // w.denominator)  # W_r
-        rows.append((ids, tuple(weight * scaled[i] for i in ids)))
+    for ids, c in zip(id_rows, row_classes):
+        row = []
+        for i in ids:
+            product = products.get((c, i))
+            if product is None:
+                product = products[c, i] = class_weights[c] * scaled[i]
+            row.append(product)
+        rows.append((ids, tuple(row)))
     induction = _SetInduction(
         n,
         base=len(values) + 1,
@@ -708,7 +728,10 @@ def _forward_ratios(
     distinct probability, the totals of rows with one maximum summed first
     as integers, then multiplies each sum by its probability once and
     divides by n! once: a probability of thousands of digits is weighed
-    once, not once per maximum."""
+    once, not once per maximum.  The sum over maxima runs in ascending
+    order as one integer numerator over the running lcm of the maxima,
+    each step a gcd, a quotient and a multiply, and makes one Fraction per
+    probability, not one per maximum."""
     # keyed by numerator and denominator, which hash without Fraction.__hash__
     value_ids = {(v.numerator, v.denominator): vid for vid, v in enumerate(values)}
     places = [(len(values) + 1) ** x for x in range(n)]
@@ -749,12 +772,17 @@ def _forward_ratios(
         key = (probability.numerator, probability.denominator)
         tops = classes.setdefault(key, (probability, {}))[1]
         tops[top] = tops.get(top, 0) + total
-    mixture = sum(
-        (p * sum((Fraction(total, top) for top, total in tops.items()), Fraction(0))
-         for p, tops in classes.values()),
-        Fraction(0),
-    ) / orders
-    return mixture, per_row
+    mixture = Fraction(0)
+    for p, tops in classes.values():
+        # sum of total / top as one numerator over the running lcm of the tops
+        summed, common = 0, 1
+        for top in sorted(tops):
+            g = math.gcd(common, top)
+            up = top // g
+            summed = summed * up + tops[top] * (common // g)
+            common *= up
+        mixture += p * Fraction(summed, common)
+    return mixture / orders, per_row
 
 
 def _set_ratios(

@@ -162,6 +162,26 @@ def test_closed_forms_at_anchor():
     assert oracle_optimum(F(1, 10), F(5), 4) == F(1703, 3125)
 
 
+def oracle_term_by_term(eps: Fraction, s: Fraction, k: int) -> Fraction:
+    # oracle_optimum with its geometric series summed one term at a time
+    r = 2 * k - 1
+    forced = sum((s ** (1 - m) for m in range(3, k + 2)), F(0))
+    shared = eps + 2 * (1 - eps) / (r - 1) + (1 - eps) * F(r - 3, r - 1) * (F(1, 2) + 1 / (2 * s))
+    return F(1, 3) * (eps + (1 - eps) * F(2, r - 1) * forced) + F(2, 3) * shared
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    eps=st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000),
+    s=st.fractions(min_value=F(61, 60), max_value=F(500), max_denominator=60),
+    k=st.integers(2, 200).map(lambda half: 2 * half),
+)
+@example(eps=F(1, 100), s=F(400), k=400)
+@example(eps=F(259, 10000), s=F(7, 3), k=400)
+def test_oracle_closed_form_is_the_term_by_term_sum(eps, s, k):
+    assert oracle_optimum(eps, s, k) == oracle_term_by_term(eps, s, k)
+
+
 def test_closed_form_decimals_at_19_20():
     assert decimal_str(ub_display(F(259, 10000), F(19), 20), 7) == "0.4009690"
 

@@ -39,6 +39,84 @@ def test_usage_errors_exit_two():
     assert err.value.code == 2
 
 
+# SHA-256 of `--help` stdout at 80 columns, top level and per command,
+# recorded while every call built every command's flags.
+HELP_DIGESTS = {
+    (): "f9e6eab481d28ce490ee21b5c0173901830605249b2f082609ee16cf0e5c0330",
+    ("gen",): "6eb59a55ffae0610afb109f132464b113299393174febed367817b39bf62ef15",
+    ("solve",): "5e637f272d77056fc196aefba6b0bf067ee8257c6fffad5c4dbc0f9d8fd67ec9",
+    ("eval",): "15b66e1ccc132c3cab467455f41e0224c5cda48c8aece79c8beec5db8bb1ab51",
+    ("bounds",): "a000fdaf94564714ec2498a77939ed57d5c865d6d7390b36d2626da431b1c40c",
+    ("verify",): "41458780d019910718af974e86b88631a4191e6e3dc2c2410bbde46d4a0098a2",
+    ("sweep",): "e7d15792550f822fbe4a6067c4ae032f106c903c3b18a3bbba729e4b8e4b20d3",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS), ids=lambda c: " ".join(c) or "top")
+def test_help_bytes_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as err:
+        run_command([*command, "--help"])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+# One usage error per command at 80 columns: its usage line and message,
+# recorded while every call built every command's flags.
+USAGE_ERRORS = {
+    (): (
+        "usage: secretary-lab [-h] {gen,solve,eval,bounds,verify,sweep} ...\n"
+        "secretary-lab: error: the following arguments are required: command\n"
+    ),
+    ("gen", "--eps", "1/10", "--s", "5", "--k", "4"): (
+        "usage: secretary-lab gen [-h] [--eps EPS] [--s S] [--k K] [--n N] -o OUTPUT\n"
+        "                         [--render {md,csv}]\n"
+        "secretary-lab gen: error: the following arguments are required: -o/--output\n"
+    ),
+    ("solve", "--digits", "x"): (
+        "usage: secretary-lab solve [-h] [--family FAMILY] [--eps EPS] [--s S] [--k K]\n"
+        "                           [--n N] [--unconstrained] [-o OUTPUT]\n"
+        "                           [--policy-out POLICY_OUT] [--digits DIGITS]\n"
+        "secretary-lab solve: error: argument --digits: not an integer: 'x'\n"
+    ),
+    ("eval", "--family", "f.json", "--alg", "dynkin", "--exact", "--mc"): (
+        "usage: secretary-lab eval [-h] --family FAMILY --alg ALG [--exact | --mc]\n"
+        "                          [--trials TRIALS] [--seed SEED]\n"
+        "                          [--metric {ratio,success}] [-o OUTPUT]\n"
+        "                          [--digits DIGITS]\n"
+        "secretary-lab eval: error: argument --mc: not allowed with argument --exact\n"
+    ),
+    ("bounds", "--k", "four"): (
+        "usage: secretary-lab bounds [-h] [--eps EPS] [--s S] [--k K] [-o OUTPUT]\n"
+        "                            [--digits DIGITS]\n"
+        "secretary-lab bounds: error: argument --k: invalid int value: 'four'\n"
+    ),
+    ("verify", "--digits", "4301"): (
+        "usage: secretary-lab verify [-h] [--preset PRESET] [--eps EPS] [--s S] [--k K]\n"
+        "                            [--n N] [-o OUTPUT] [--digits DIGITS]\n"
+        "secretary-lab verify: error: argument --digits: must be in 0..4300, got 4301\n"
+    ),
+    ("sweep", "--eps", "1/10"): (
+        "usage: secretary-lab sweep [-h] --eps EPS --s S --k K [--n N] -o OUTPUT\n"
+        "                           [--fields FIELDS] [--max-points MAX_POINTS]\n"
+        "                           [--digits DIGITS]\n"
+        "secretary-lab sweep: error: the following arguments are required: "
+        "--s, --k, -o/--output\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE_ERRORS), ids=lambda a: a[0] if a else "top")
+def test_usage_error_bytes_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as err:
+        run_command(list(argv))
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", USAGE_ERRORS[argv])
+
+
 HARD_FLAGS = ["--eps", "1/10", "--s", "5", "--k", "4"]
 # An empty path names the working directory to the OS; each path flag
 # refuses it by name.
