@@ -32,7 +32,14 @@ from .baselines import (
     monte_carlo_estimate,
     prediction_argmax_policy,
 )
-from .bounds import alpha_value, bound_chain, known_presets, ub_display, verify_theorem
+from .bounds import (
+    alpha_value,
+    bound_chain,
+    known_presets,
+    oracle_optimum,
+    ub_display,
+    verify_theorem,
+)
 from .construction import (
     ConstructionParams,
     build_hard_family,
@@ -295,11 +302,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(fields), lineterminator="\n")
     writer.writeheader()
+    # One solve per (s, k), at its first eps.  A 1-consistent rule takes
+    # ratio 1 on the prediction row, and off it the rows keep their
+    # relative weights, so the optimal rule does not depend on eps and the
+    # optimum is eps + (1 - eps) * T, T its value on the other rows.  Every
+    # point, solved or derived, must equal the closed form.
+    tails: dict[tuple[Fraction, int], Fraction] = {}
     for params in grid:
         eps, s, k = params.mix_eps, params.s, params.k
         alpha = alpha_value(eps, s, k)
         display = ub_display(eps, s, k)
-        solved = solve_optimal(build_hard_family(params), constrained=True)
+        if (s, k) not in tails:
+            solved = solve_optimal(build_hard_family(params), constrained=True)
+            tails[s, k] = (solved.optimum - eps) / (1 - eps)
+        optimum = eps + (1 - eps) * tails[s, k]
+        expected = oracle_optimum(eps, s, k)
+        if optimum != expected:
+            raise RuntimeError(
+                "sweep optimum and closed form disagree: "
+                f"{format_value(optimum)} vs {format_value(expected)}"
+            )
         row = {
             "eps": format_value(eps),
             "s": format_value(s),
@@ -309,9 +331,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "alpha_decimal": decimal_str(alpha, args.digits),
             "ub_display_exact": format_value(display),
             "ub_display_decimal": decimal_str(display, args.digits),
-            "dp_optimum_exact": format_value(solved.optimum),
-            "dp_optimum_decimal": decimal_str(solved.optimum, args.digits),
-            "vs_inv_e": compare_to_inv_e(solved.optimum).value,
+            "dp_optimum_exact": format_value(optimum),
+            "dp_optimum_decimal": decimal_str(optimum, args.digits),
+            "vs_inv_e": compare_to_inv_e(optimum).value,
         }
         writer.writerow({f: row[f] for f in fields})
     _atomic_write(args.output, buffer.getvalue())

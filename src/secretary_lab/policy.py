@@ -620,7 +620,10 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     with small operands, where a gcd of p_r's numerator times V with its
     denominator times max_r would run on numbers of thousands of digits.
     L is the lcm of the distinct class denominators, taken in ascending
-    order.  Each row carries its products W_r * v * V by column, each
+    order; L // d is found for each d from the largest down, as the next
+    larger d' gives it times d' // d when d divides d', a small quotient
+    on the hard family, whose denominators differ by powers of s, and as
+    a division of L otherwise.  Each row carries its products W_r * v * V by column, each
     computed once per (class, value id) and shared by every row of the
     class that shows the value: the hard family's row pairs differ only
     by a swap of two columns.  At a state with
@@ -663,8 +666,17 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
         if c == len(weights):
             weights.append(p * value_scale / top)
         row_classes.append(c)
-    weight_scale = math.lcm(*sorted({w.denominator for w in weights}))  # L
-    class_weights = [w.numerator * (weight_scale // w.denominator) for w in weights]  # W_r
+    denominators = sorted({w.denominator for w in weights})
+    weight_scale = math.lcm(*denominators)  # L
+    quotients: dict[int, int] = {}  # L // d
+    larger = weight_scale
+    for d in reversed(denominators):
+        step, rest = divmod(larger, d)
+        if rest:
+            larger, step = weight_scale, weight_scale // d
+        quotients[d] = quotients.get(larger, 1) * step
+        larger = d
+    class_weights = [w.numerator * quotients[w.denominator] for w in weights]  # W_r
     products: dict[tuple[int, int], int] = {}  # W_r * v * V by (class, value id)
     rows = []
     for ids, c in zip(id_rows, row_classes):

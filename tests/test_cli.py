@@ -920,6 +920,56 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
     )
 
 
+# Three eps at each of four (s, k) pairs at n = 4, recorded while sweep
+# still solved every point.
+REUSE_GRID = ["--eps", "1/1000,1/100,1/10", "--s", "5,19", "--k", "4,20", "--n", "4"]
+REUSE_CSV_DIGEST = "7a86cce1916a17f5f75b5b2f82f7eb41461e35d9bace3f5e9048ecda900bd802"
+
+
+def test_sweep_solves_each_s_k_once(tmp_path, monkeypatch):
+    # Each later eps is eps + (1 - eps) T from the first solve of its
+    # (s, k): it builds no family and solves nothing, and its bytes are
+    # those of a direct solve.
+    import secretary_lab.cli as cli
+
+    calls = {"solve_optimal": 0, "build_hard_family": 0}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    out = tmp_path / "sweep.csv"
+    assert run_command(["sweep", *REUSE_GRID, "-o", str(out)]) == 0
+    assert calls == {"solve_optimal": 4, "build_hard_family": 4}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REUSE_CSV_DIGEST
+
+
+def test_sweep_checks_every_point_against_the_closed_form(tmp_path, monkeypatch):
+    # A closed form off by 1/10^6 at one eps must stop the sweep, whether
+    # that eps is solved (the first) or derived (the last).
+    import secretary_lab.cli as cli
+
+    def off_at(bad_eps):
+        def closed_form(eps, s, k):
+            return oracle_optimum(eps, s, k) + (Fraction(1, 10**6) if eps == bad_eps else 0)
+
+        return closed_form
+
+    out = tmp_path / "sweep.csv"
+    for bad_eps in (Fraction(1, 1000), Fraction(1, 10)):
+        monkeypatch.setattr(cli, "oracle_optimum", off_at(bad_eps))
+        with pytest.raises(RuntimeError, match="sweep optimum and closed form disagree"):
+            run_command(["sweep", *REUSE_GRID, "-o", str(out)])
+    assert not out.exists()
+
+
 def test_verify_and_sweep_build_no_table(tmp_path, capsys, monkeypatch):
     # Neither command reads a policy table, so neither may build one or
     # any information state.

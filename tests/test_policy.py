@@ -989,6 +989,65 @@ def test_solver_matches_closed_form_at_rational_s(eps, s, k, n):
     assert solve_optimal(family, constrained=True).optimum == oracle_optimum(eps, s, k)
 
 
+# ---------------------------------------------------------------------------
+# The prediction row's mass p moves no constrained decision: every rule
+# the constraint allows accepts a predicted maximum on that row, so both
+# actions add the same amount there, and off it the other rows keep their
+# relative weights.  The optimum is p + (1 - p) T; sweep relies on it.
+# ---------------------------------------------------------------------------
+
+PREDICTION_MASSES = (Fraction(1, 1000), Fraction(1, 3), Fraction(9, 10))
+SIX_POOL = tuple(map(Fraction, ("1/2", "1", "2", "5/3", "3", "7")))
+
+
+@st.composite
+def predicted_rows(draw):
+    """(prediction, other rows, their integer weights): the prediction's
+    maximum is in one column or in two or more, the other rows' values are
+    drawn freely, so some may equal the prediction."""
+    n = draw(st.integers(2, 4))
+    top = draw(st.sampled_from(SIX_POOL[1:]))
+    best = draw(st.integers(1, n))
+    below = st.sampled_from([v for v in SIX_POOL if v < top])
+    values = [top] * best + [draw(below) for _ in range(n - best)]
+    prediction = tuple(draw(st.permutations(values)))
+    others = draw(st.lists(st.tuples(*[st.sampled_from(SIX_POOL)] * n), min_size=1, max_size=3))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(others), max_size=len(others)))
+    return prediction, tuple(others), tuple(weights)
+
+
+def family_with_prediction_mass(rows, p: Fraction) -> PriorFamily:
+    prediction, others, weights = rows
+    return PriorFamily(
+        n=len(prediction),
+        scenarios=tuple(
+            Scenario(row, values) for row, values in enumerate((prediction, *others), start=1)
+        ),
+        probabilities=(p, *((1 - p) * Fraction(w, sum(weights)) for w in weights)),
+        prediction_id=1,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@example(((Fraction(3), Fraction(3), Fraction(1)), ((Fraction(1), Fraction(3), Fraction(7)),), (1,)))
+@example(((Fraction(2), Fraction(2)), ((Fraction(2), Fraction(2)), (Fraction(1), Fraction(7))), (1, 2)))
+@given(predicted_rows())
+def test_prediction_mass_moves_no_constrained_decision(rows):
+    solves = [
+        solve_optimal(family_with_prediction_mass(rows, p), constrained=True)
+        for p in PREDICTION_MASSES
+    ]
+    decisions = [
+        {key: children for key, (_, children, _) in solved.rule.steps.items()}
+        for solved in solves
+    ]
+    assert decisions[0] == decisions[1] == decisions[2]
+    assert solves[0].per_row == solves[1].per_row == solves[2].per_row
+    assert solves[0].per_row[1] == 1
+    tails = {(solved.optimum - p) / (1 - p) for solved, p in zip(solves, PREDICTION_MASSES)}
+    assert len(tails) == 1
+
+
 # Values whose denominators are pairwise coprime, so the value scale is
 # their product; ties across rows still occur.
 COPRIME_VALUES = st.sampled_from((Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)))
