@@ -672,9 +672,8 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     larger = weight_scale
     for d in reversed(denominators):
         step, rest = divmod(larger, d)
-        if rest:
-            larger, step = weight_scale, weight_scale // d
-        quotients[d] = quotients.get(larger, 1) * step
+        # larger is L at the first step, and L // L is 1
+        quotients[d] = weight_scale // d if rest else quotients.get(larger, 1) * step
         larger = d
     class_weights = [w.numerator * quotients[w.denominator] for w in weights]  # W_r
     products: dict[tuple[int, int], int] = {}  # W_r * v * V by (class, value id)

@@ -780,7 +780,8 @@ def test_consistency_matches_order_enumeration_on_random_policies(n, constrained
 # A pool of three values makes ties within and across rows common.
 SMALL_VALUES = st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2)))
 # A pool of six values gives a memo key up to six nonzero digits per column.
-SIX_VALUES = st.sampled_from(tuple(map(Fraction, ("1/2", "1", "2", "5/3", "3", "7"))))
+SIX_POOL = tuple(map(Fraction, ("1/2", "1", "2", "5/3", "3", "7")))
+SIX_VALUES = st.sampled_from(SIX_POOL)
 
 
 @st.composite
@@ -997,7 +998,7 @@ def test_solver_matches_closed_form_at_rational_s(eps, s, k, n):
 # ---------------------------------------------------------------------------
 
 PREDICTION_MASSES = (Fraction(1, 1000), Fraction(1, 3), Fraction(9, 10))
-SIX_POOL = tuple(map(Fraction, ("1/2", "1", "2", "5/3", "3", "7")))
+F1, F2, F3 = Fraction(1), Fraction(2), Fraction(3)
 
 
 @st.composite
@@ -1029,8 +1030,9 @@ def family_with_prediction_mass(rows, p: Fraction) -> PriorFamily:
 
 
 @settings(max_examples=60, deadline=None)
-@example(((Fraction(3), Fraction(3), Fraction(1)), ((Fraction(1), Fraction(3), Fraction(7)),), (1,)))
-@example(((Fraction(2), Fraction(2)), ((Fraction(2), Fraction(2)), (Fraction(1), Fraction(7))), (1, 2)))
+# Two best columns; then a second row equal to the prediction.
+@example(((F3, F3, F1), ((F1, F3, Fraction(7)),), (1,)))
+@example(((F2, F2), ((F2, F2), (F1, Fraction(7))), (1, 2)))
 @given(predicted_rows())
 def test_prediction_mass_moves_no_constrained_decision(rows):
     solves = [
