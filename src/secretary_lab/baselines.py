@@ -192,7 +192,8 @@ def evaluate_algorithm(alg: OnlineAlgorithm, family: PriorFamily) -> SolveReport
     """Exact per-row evaluation of a streaming rule, as exact_expected_ratio
     scores it, building no policy table (the report's policy is None)."""
     optimum, per_row = _rule_ratios(alg, family)
-    return SolveReport(optimum, None, per_row, reachable_state_count(family))
+    pairs = {row_id: (r.numerator, r.denominator) for row_id, r in per_row.items()}
+    return SolveReport(optimum, None, pairs, reachable_state_count(family))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ divides once per solve, by n! * V * L.  A set with one column left is
 built in one pass over its rows: the last arrival is always accepted.
 The induction's self-check is an exact forward count over sets of
 arrivals that scores the memo's decisions on every row, on integers of
-its own value scale, with one Fraction per row for the row's ratio, and
+its own value scale, with one integer pair for each row's ratio, and
 weighs each distinct probability once.  The induction also counts the
 ordered table's entries, and the policy file's text is streamed from
 the memo in sorted key order, so a solve builds no ordered table unless
@@ -226,11 +226,17 @@ class SolveReport:
     per-row conditional expected ratios and the size of the rule's policy
     table.  The rule is a policy table, a solver's set rule, or None for a
     rule scored without a table (with the size its table would have); it
-    stays as given, and ``policy`` renders a set rule's table beside it."""
+    stays as given, and ``policy`` renders a set rule's table beside it.
+
+    Each row's ratio is held as an integer pair (numerator, denominator),
+    positive denominator, on the row's own scale and not reduced: the
+    solver's are its forward count's (accepted total, max_r * n!), an
+    evaluator's a Fraction's own.  ``per_row`` reduces them on first read,
+    and ``worst_row`` compares them as pairs and reduces only its own."""
 
     optimum: Fraction
     rule: Policy | _SetRule | None
-    per_row: dict[int, Fraction]
+    ratio_pairs: dict[int, tuple[int, int]]
     policy_states: int
     constrained: bool | None = None
 
@@ -242,11 +248,29 @@ class SolveReport:
             return self.rule.table()
         return self.rule
 
+    @functools.cached_property
+    def per_row(self) -> dict[int, Fraction]:
+        """Each row's conditional expected ratio, reduced on first read."""
+        return {row_id: Fraction(*pair) for row_id, pair in self.ratio_pairs.items()}
+
     @property
     def worst_row(self) -> tuple[int, Fraction]:
-        """The robustness certificate: the row of least ratio, lowest id on a tie."""
-        worst_id = min(self.per_row, key=lambda row_id: (self.per_row[row_id], row_id))
-        return worst_id, self.per_row[worst_id]
+        """The robustness certificate: the row of least ratio, lowest id on
+        a tie.  Rows of one denominator are compared by numerator alone;
+        the least of each denominator are then compared by cross
+        multiplying, and only the winner is reduced."""
+        least: dict[int, tuple[int, int]] = {}  # denominator -> (numerator, row id)
+        for row_id, (numerator, denominator) in self.ratio_pairs.items():
+            known = least.get(denominator)
+            if known is None or (numerator, row_id) < known:
+                least[denominator] = (numerator, row_id)
+        groups = iter(least.items())
+        worst_denominator, (worst_numerator, worst_id) = next(groups)
+        for denominator, (numerator, row_id) in groups:
+            left, right = numerator * worst_denominator, worst_numerator * denominator
+            if left < right or (left == right and row_id < worst_id):
+                worst_numerator, worst_denominator, worst_id = numerator, denominator, row_id
+        return worst_id, Fraction(worst_numerator, worst_denominator)
 
     def to_dict(self, digits: int = 12) -> dict:
         worst_id, worst_ratio = self.worst_row  # a min over every row, read once
@@ -391,7 +415,11 @@ def _split(n: int, arrived: int, rows: list[tuple]):
             continue
         groups: dict = {}
         for row in rows:
-            groups.setdefault(row[0][j], []).append(row)
+            sub = groups.get(row[0][j])
+            if sub is None:
+                groups[row[0][j]] = [row]
+            else:
+                sub.append(row)
         for value, sub in groups.items():
             yield j, value, sub
 
@@ -401,16 +429,24 @@ def _number_values(
 ) -> tuple[dict[tuple[int, int], int], tuple[Fraction, ...], list[tuple[int, ...]]]:
     """The support's distinct values, numbered in first-seen order, as ids
     keyed by numerator and denominator, which hash without
-    Fraction.__hash__, and as a tuple by id; and each row's value ids."""
+    Fraction.__hash__, and as a tuple by id; and each row's value ids.
+    Each value object is looked up by ``id()`` first, and only an object
+    not met before is hashed by numerator and denominator, so a value
+    that many cells share, as the hard family shares one object per power
+    of s, is hashed once; equal values in distinct objects share an id."""
     value_ids: dict[tuple[int, int], int] = {}
+    by_object: dict[int, int] = {}  # id() of a value object -> value id
     values: list[Fraction] = []
     id_rows = []
     for scenario, _ in support:
         ids = []
         for v in scenario.values:
-            value_id = value_ids.setdefault((v.numerator, v.denominator), len(values))
-            if value_id == len(values):
-                values.append(v)
+            value_id = by_object.get(id(v))
+            if value_id is None:
+                value_id = value_ids.setdefault((v.numerator, v.denominator), len(values))
+                if value_id == len(values):
+                    values.append(v)
+                by_object[id(v)] = value_id
             ids.append(value_id)
         id_rows.append(tuple(ids))
     return value_ids, tuple(values), id_rows
@@ -614,9 +650,10 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     Values are integers on one scale.  Row r weighs W_r = L * p_r / max_r
     and value v counts v * V, where L and V are the least common multiples
     of the denominators of the p_r / max_r and of the values; each value
-    is mapped to its id, and each row's maximum found, once per row.  Rows
-    of one probability and one maximum form a class, and W_r is computed
-    once per class: p_r * V / max_r as a Fraction, which takes gcds only
+    object is mapped to its id once, and each row's maximum is the value
+    id of highest rank, the values ranked once per solve.  Rows of one
+    probability and one maximum's value id form a class, and W_r is
+    computed once per class: p_r * V / max_r as a Fraction, which takes gcds only
     with small operands, where a gcd of p_r's numerator times V with its
     denominator times max_r would run on numbers of thousands of digits.
     L is the lcm of the distinct class denominators, taken in ascending
@@ -640,8 +677,8 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     each looked up in the memo by set key and next arrival, by an exact
     forward count over sets, on the family's values and its own integer
     scale, sharing no scale or state with the induction; its
-    per-row ratios are the report's, and their mixture must equal the
-    optimum.  ``policy_states``, the size of the policy table keyed on
+    per-row ratio pairs are the report's, and their mixture must equal
+    the optimum.  ``policy_states``, the size of the policy table keyed on
     ordered histories, is counted by the induction; the table itself is
     rendered from the memo only when ``SolveReport.policy`` is read.
 
@@ -654,6 +691,11 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     value_ids, values, id_rows = _number_values(support)
     value_scale = math.lcm(*(v.denominator for v in values))  # V
     scaled = [v.numerator * (value_scale // v.denominator) for v in values]
+    # each value id's rank among the values, so that a row's maximum is
+    # found on small integers, not on scaled values of thousands of digits
+    rank = [0] * len(values)
+    for position, i in enumerate(sorted(range(len(values)), key=scaled.__getitem__)):
+        rank[i] = position
     # p_r / max_r once per (probability, maximum) class, with max_r * V the
     # row's largest scaled value; Fraction arithmetic cancels only the
     # small factors, with no gcd over all of p
@@ -661,10 +703,10 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     weights: list[Fraction] = []
     row_classes = []
     for ids, (_, p) in zip(id_rows, support):
-        top = max(scaled[i] for i in ids)
+        top = max(ids, key=rank.__getitem__)  # the value id of max_r
         c = class_ids.setdefault((p.numerator, p.denominator, top), len(weights))
         if c == len(weights):
-            weights.append(p * value_scale / top)
+            weights.append(p * value_scale / scaled[top])
         row_classes.append(c)
     denominators = sorted({w.denominator for w in weights})
     weight_scale = math.lcm(*denominators)  # L
@@ -698,7 +740,7 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     scaled_optimum, _, policy_states = induction.step(0, 0, constrained, rows)
     optimum = Fraction(scaled_optimum, math.factorial(n) * value_scale * weight_scale)
     steps = induction.steps
-    mixture, per_row = _forward_ratios(
+    mixture, ratio_pairs = _forward_ratios(
         lambda key, column, value_id, history: steps[key][1][column, value_id][0],
         n, values, support,
     )
@@ -710,7 +752,7 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     return SolveReport(
         optimum=optimum,
         rule=_SetRule(n, values, steps),
-        per_row=per_row,
+        ratio_pairs=ratio_pairs,
         policy_states=policy_states,
         constrained=constrained,
     )
@@ -718,10 +760,11 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
 
 def _forward_ratios(
     action: ActionFn, n: int, values: Sequence[Fraction], support: list[tuple[Scenario, Fraction]]
-) -> tuple[Fraction, dict[int, Fraction]]:
+) -> tuple[Fraction, dict[int, tuple[int, int]]]:
     """Mixture expected ratio of a rule on sets of arrivals, value ids
     indexing ``values``, and its conditional expected ratio on each
-    supported row, by an exact forward count over sets of columns.
+    supported row, as an unreduced integer pair, by an exact forward count
+    over sets of columns.
 
     For a row, N(S) counts the orders of the set S in which every arrival
     was rejected: N(empty set) = 1, and for each column x not in S the
@@ -733,18 +776,21 @@ def _forward_ratios(
     first S whose reject of x reaches S + x, extended by x), and on the
     set's ``IdSet``, built from ``values`` alone on that first reach: the
     key of S + x is that of S plus (id + 1) * B**x.
-    The row's ratio is its accepted total over max_r * n!, both counted on
-    one integer value scale (the values over their common denominator), so
-    each row makes one Fraction.  The mixture sums total / max_r per
-    distinct probability, the totals of rows with one maximum summed first
-    as integers, then multiplies each sum by its probability once and
-    divides by n! once: a probability of thousands of digits is weighed
-    once, not once per maximum.  The sum over maxima runs in ascending
-    order as one integer numerator over the running lcm of the maxima,
-    each step a gcd, a quotient and a multiply, and makes one Fraction per
-    probability, not one per maximum."""
+    The row's ratio is the pair (accepted total, max_r * n!), both counted
+    on one integer value scale (the values over their common denominator)
+    and left unreduced: no caller of a solve need read every row reduced.
+    Each row's value objects are mapped to ids by ``id()`` first, and only
+    an object not met before by numerator and denominator.  The mixture sums
+    total / max_r per distinct probability, the totals of rows with one
+    maximum summed first as integers, then multiplies each sum by its
+    probability once and divides by n! once: a probability of thousands of
+    digits is weighed once, not once per maximum.  The sum over maxima runs
+    in ascending order as one integer numerator over the running lcm of the
+    maxima, each step a gcd, a quotient and a multiply, and makes one
+    Fraction per probability, not one per maximum."""
     # keyed by numerator and denominator, which hash without Fraction.__hash__
     value_ids = {(v.numerator, v.denominator): vid for vid, v in enumerate(values)}
+    by_object = {id(v): vid for vid, v in enumerate(values)}
     places = [(len(values) + 1) ** x for x in range(n)]
     scale = math.lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (scale // v.denominator) for v in values]
@@ -752,9 +798,14 @@ def _forward_ratios(
     orders = math.factorial(n)
     # (p numerator, p denominator) -> (p, summed totals by max_r)
     classes: dict[tuple[int, int], tuple[Fraction, dict[int, int]]] = {}
-    per_row: dict[int, Fraction] = {}
+    ratio_pairs: dict[int, tuple[int, int]] = {}
     for scenario, probability in support:
-        ids = [value_ids[v.numerator, v.denominator] for v in scenario.values]
+        ids = []
+        for v in scenario.values:
+            vid = by_object.get(id(v))
+            if vid is None:
+                vid = by_object[id(v)] = value_ids[v.numerator, v.denominator]
+            ids.append(vid)
         keys = [0] * (1 << n)  # the IdSet of each S the row reaches
         rejected = [0] * (1 << n)  # N(S), S a bitmask of columns
         rejected[0] = 1
@@ -779,7 +830,7 @@ def _forward_ratios(
                     rejected[after] += count
         total = sum(count * scaled[i] for count, i in zip(accepted, ids))
         top = max(scaled[i] for i in ids)
-        per_row[scenario.id] = Fraction(total, top * orders)
+        ratio_pairs[scenario.id] = (total, top * orders)
         key = (probability.numerator, probability.denominator)
         tops = classes.setdefault(key, (probability, {}))[1]
         tops[top] = tops.get(top, 0) + total
@@ -793,7 +844,7 @@ def _forward_ratios(
             summed = summed * up + tops[top] * (common // g)
             common *= up
         mixture += p * Fraction(summed, common)
-    return mixture / orders, per_row
+    return mixture / orders, ratio_pairs
 
 
 def _set_ratios(
@@ -805,10 +856,11 @@ def _set_ratios(
     alike on every such history of a set."""
     support = _checked_family(family)
     values = _number_values(support)[1]
-    return _forward_ratios(
+    mixture, ratio_pairs = _forward_ratios(
         lambda key, column, value_id, history: decide(history, (column + 1, values[value_id])),
         family.n, values, support,
     )
+    return mixture, {row_id: Fraction(*pair) for row_id, pair in ratio_pairs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +891,10 @@ def evaluate_policy(policy: Policy, family: PriorFamily) -> SolveReport:
     """
     mixture, per_row = _exact_ratios(policy.decide, family)
     return SolveReport(
-        optimum=mixture, rule=policy, per_row=per_row, policy_states=len(policy)
+        optimum=mixture,
+        rule=policy,
+        ratio_pairs={row_id: (r.numerator, r.denominator) for row_id, r in per_row.items()},
+        policy_states=len(policy),
     )
 
 

@@ -1149,8 +1149,11 @@ def test_forward_count_mixture_is_the_rows_summed(family):
         for rule in rules:
             policy_module._set_ratios(rule.decide, family)
     assert len(results) == 4
-    for mixture, per_row in results:
-        summed = sum((family.probability_of(row) * r for row, r in per_row.items()), Fraction(0))
+    for mixture, ratio_pairs in results:
+        summed = sum(
+            (family.probability_of(row) * Fraction(*pair) for row, pair in ratio_pairs.items()),
+            Fraction(0),
+        )
         assert mixture == summed
 
 
@@ -1175,3 +1178,113 @@ def test_policy_text_does_not_depend_on_shared_arrivals(anchor_family):
     for policy in (solved, loaded):
         arrivals = [arrival for key in policy.actions for arrival in key.arrivals()]
         assert len({id(arrival) for arrival in arrivals}) == len(set(arrivals))
+
+
+# ---------------------------------------------------------------------------
+# Per-row ratios are held as unreduced integer pairs: worst_row compares
+# them as pairs, and per_row reduces them only when read.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tied_families(draw) -> PriorFamily:
+    """Families with n <= 3 whose second row is a permutation of the
+    first, so that the two share a maximum, and whose last row is an exact
+    copy of an earlier one under its own id, so that the two tie; row ids
+    are drawn in any order, so a tie's lower id need not come first."""
+    n = draw(st.integers(1, 3))
+    first = tuple(draw(SIX_VALUES) for _ in range(n))
+    rows = [first, tuple(draw(st.permutations(first)))]
+    rows += [tuple(draw(SIX_VALUES) for _ in range(n)) for _ in range(draw(st.integers(0, 2)))]
+    rows.append(draw(st.sampled_from(rows)))
+    ids = draw(st.permutations(range(1, len(rows) + 1)))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    return PriorFamily(
+        n=n,
+        scenarios=tuple(Scenario(row_id, values) for row_id, values in zip(ids, rows)),
+        probabilities=tuple(Fraction(w, sum(weights)) for w in weights),
+        prediction_id=draw(st.sampled_from(ids)),
+    )
+
+
+def family_of_rows(*rows, prediction_id=1) -> PriorFamily:
+    """A family of (id, values) rows of equal mass."""
+    return PriorFamily(
+        n=len(rows[0][1]),
+        scenarios=tuple(Scenario(row_id, tuple(map(Fraction, values))) for row_id, values in rows),
+        probabilities=(Fraction(1, len(rows)),) * len(rows),
+        prediction_id=prediction_id,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+# Every row's ratio is 1, each on its own denominator: the tie is across
+# denominators, and id 1 comes second.
+@example(family_of_rows((2, (2, 2)), (1, (1, 1))))
+# The least ratio is on two copies of one row, the lower id second.
+@example(family_of_rows((1, (3, 1)), (3, (1, 3)), (2, (1, 3)), prediction_id=1))
+@given(tied_families())
+def test_worst_row_is_the_least_ratio_lowest_id_first(family):
+    for constrained in (True, False):
+        solved = solve_optimal(family, constrained=constrained)
+        worst = solved.worst_row
+        assert "per_row" not in vars(solved)
+        per_row = solved.per_row
+        lowest = min(per_row, key=lambda row_id: (per_row[row_id], row_id))
+        assert worst == (lowest, per_row[lowest])
+        # an evaluator's pairs are reduced Fractions; the same row wins
+        assert evaluate_policy(solved.policy, family).worst_row == worst
+
+
+def test_verify_and_sweep_never_reduce_every_row(tmp_path, monkeypatch):
+    # verify reads only worst_row, and sweep neither: per_row is never built.
+    import secretary_lab.bounds
+    import secretary_lab.cli
+    from secretary_lab import verify_theorem
+    from secretary_lab.cli import run_command
+
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(solve_optimal(*args, **kwargs))
+        return reports[-1]
+
+    for module in (secretary_lab.bounds, secretary_lab.cli):
+        monkeypatch.setattr(module, "solve_optimal", recorded)
+    verify_theorem("paper-19-20")
+    argv = ["sweep", "--eps", "1/100,1/10", "--s", "5", "--k", "4,20", "-o", str(tmp_path / "s.csv")]
+    assert run_command(argv) == 0
+    assert len(reports) == 3
+    assert not any("per_row" in vars(report) for report in reports)
+
+
+def test_equal_values_in_distinct_objects_number_as_one():
+    # Values are numbered by object first; equal values held by distinct
+    # objects must still share one value id, so the solve is the one on
+    # the family whose rows share one object per value.
+    two = Fraction(2)
+    twos = (Fraction(2), Fraction(4, 2), Fraction(int("2")))
+    assert len({id(v) for v in (two, *twos)}) == 4
+    one, three = Fraction(1), Fraction(3)
+
+    def family(a, b, c) -> PriorFamily:
+        return PriorFamily(
+            n=3,
+            scenarios=(
+                Scenario(1, (a, one, three)),
+                Scenario(2, (one, b, a)),
+                Scenario(3, (c, three, one)),
+                Scenario(4, (b, c, a)),
+            ),
+            probabilities=(Fraction(1, 4),) * 4,
+            prediction_id=3,
+        )
+
+    shared, distinct = family(two, two, two), family(*twos)
+    for constrained in (True, False):
+        solves = [solve_optimal(f, constrained=constrained) for f in (shared, distinct)]
+        assert solves[0].rule.values == solves[1].rule.values
+        assert solves[0].rule.steps == solves[1].rule.steps
+        assert solves[0].per_row == solves[1].per_row
+        assert solves[0].optimum == solves[1].optimum
+        assert "".join(stream(solves[0].rule)) == "".join(stream(solves[1].rule))
