@@ -15,8 +15,8 @@ every other rule, and every policy table, is scored through one walker,
 all n! orders of every row.  Seeded Monte Carlo counts the sampled orders
 of each row (through the batch runner when the rule has one, through
 ``_tally`` otherwise) where n! is out of reach; it draws and decides its
-trials in fixed-size chunks, so its memory does not grow with the trial
-count.
+trials in fixed-size chunks, into one buffer per estimate, so its memory
+does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -240,7 +240,10 @@ class MonteCarloEstimate:
 # less Python-level overhead per call, and NEP 19 freezes its stream.
 _WORD = 1 << 64
 # Trials are drawn and decided in chunks of about CHUNK_ELEMENTS int64
-# order entries (2 MB), max(1, CHUNK_ELEMENTS // n) trials each, so an
+# order entries (2 MB), max(1, CHUNK_ELEMENTS // n) trials each.  An
+# estimate allocates one order buffer (and one row-draw buffer) of
+# min(chunk, trials) rows, and every chunk draws into leading views of
+# them, so no two chunks' buffers are ever alive at once and an
 # estimate's memory is flat in its trial count.
 CHUNK_ELEMENTS = 1 << 18
 # The most trials * max(n, 100) one estimate runs, refused before the first
@@ -319,7 +322,9 @@ def monte_carlo_estimate(
     so results are reproducible across platforms.
 
     Trials run in chunks of ``max(1, CHUNK_ELEMENTS // n)``, each drawn
-    into its own buffers, so memory stays flat however many trials run;
+    into leading views of one order buffer and one row-draw buffer
+    allocated once per estimate, so memory stays flat however many
+    trials run;
     since every trial keeps its own counter block, no chunk boundary moves
     a draw.  A run of more than MAX_TRIAL_ELEMENTS trials * max(n, 100)
     is refused before the first draw.
@@ -360,10 +365,14 @@ def monte_carlo_estimate(
         places = n ** np.arange(n - 1, -1, -1) if n <= MAX_ENUMERATION_N else None
 
     chunk = max(1, CHUNK_ELEMENTS // n)
+    # per trial an optional row uniform, then the arrival order, in one
+    # pair of buffers for the whole estimate (see CHUNK_ELEMENTS)
+    order_buffer = np.empty((min(chunk, trials), n), dtype=np.int64)
+    draw_buffer = None if cumulative is None else np.empty(len(order_buffer), dtype=np.int64)
     for first in range(0, trials, chunk):
-        # per trial an optional row uniform, then the arrival order
-        orders = np.empty((min(chunk, trials - first), n), dtype=np.int64)
-        row_draws = None if cumulative is None else np.empty(len(orders), dtype=np.int64)
+        size = min(chunk, trials - first)
+        orders = order_buffer[:size]
+        row_draws = None if draw_buffer is None else draw_buffer[:size]
         _draw_trials(seed, first, orders, row_draws)
         rows = None if row_draws is None else _pick_rows(cumulative, row_draws)
         for row, (scenario, _) in enumerate(scenarios):
@@ -379,6 +388,7 @@ def monte_carlo_estimate(
                     codes, counts = np.unique(block @ places, return_counts=True)
                     block, counts = codes[:, None] // places % n, counts.tolist()
                 tallies[row] += _tally(alg.decide, scenario, (block + 1).tolist(), counts)
+        del rows, block  # the row picks and last block go before the next chunk draws
     if alg.run_batch is not None:
         tallies = [
             _value_counts(row_hits, scenario)

@@ -174,15 +174,27 @@ def _algorithm(text: str) -> str:
     return text
 
 
-def _digits(text: str) -> int:
-    """The ``--digits`` type: an integer in 0..MAX_DIGITS_FLAG, else a usage error."""
+def _integer(text: str) -> int:
     try:
-        digits = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _digits(text: str) -> int:
+    """The ``--digits`` type: an integer in 0..MAX_DIGITS_FLAG, else a usage error."""
+    digits = _integer(text)
     if not 0 <= digits <= MAX_DIGITS_FLAG:
         raise argparse.ArgumentTypeError(f"must be in 0..{MAX_DIGITS_FLAG}, got {digits}")
     return digits
+
+
+def _max_points(text: str) -> int:
+    """The ``--max-points`` type: an integer of at least 1, else a usage error."""
+    points = _integer(text)
+    if points < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {points}")
+    return points
 
 
 def _family_from_args(args: argparse.Namespace) -> PriorFamily:
@@ -411,7 +423,7 @@ def _sweep_flags(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--n", type=int, default=3)
     sweep.add_argument("-o", "--output", type=_path, required=True, help="CSV path")
     sweep.add_argument("--fields", help=f"subset of: {','.join(SWEEP_FIELDS)}")
-    sweep.add_argument("--max-points", type=int, default=10_000)
+    sweep.add_argument("--max-points", type=_max_points, default=10_000)
     sweep.add_argument("--digits", type=_digits, default=12)
     sweep.set_defaults(handler=_cmd_sweep)
 

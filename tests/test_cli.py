@@ -1095,6 +1095,23 @@ def test_sweep_guards(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("points", ("0", "-1"))
+def test_sweep_max_points_below_one_is_a_usage_error(tmp_path, capsys, points):
+    # refused by argparse, as --digits is, not as a grid above its cap
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as err:
+        run_command(
+            ["sweep", *HARD_FLAGS, "-o", str(out), "--max-points", points]
+        )
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"secretary-lab sweep: error: argument --max-points: must be >= 1, got {points}\n"
+    )
+    assert not out.exists()
+
+
 def test_no_temp_files_left_behind(tmp_path):
     gen_family(tmp_path)
     run_command(

@@ -450,26 +450,13 @@ def test_reachable_state_order_and_random_policy_are_pinned(n):
 
 
 @pytest.mark.parametrize("constrained", (True, False))
-def test_solver_branches_once_per_set_of_arrivals(monkeypatch, constrained):
+def test_solver_branches_once_per_set_of_arrivals(constrained):
     # The induction depends on the set of rejected arrivals only, so it
-    # builds one memo entry per set, not one per ordered history: every
-    # step call that finds no entry builds one, and a set of n - 1
-    # arrivals builds its entry without a chance step.
-    import secretary_lab.policy as policy_module
-
-    built = []
-    step = policy_module._SetInduction.step
-
-    def counted(self, seen, arrived, on_path, rows):
-        if seen not in self.steps:
-            built.append(seen)
-        return step(self, seen, arrived, on_path, rows)
-
-    monkeypatch.setattr(policy_module._SetInduction, "step", counted)
+    # builds one memo entry per set, not one per ordered history.
     family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=5))
     report = solve_optimal(family, constrained=constrained)
     sets = {frozenset(state.observed) for state in report.policy.actions}
-    assert len(built) == len(sets)
+    assert len(report.rule.steps) == len(sets)
     assert len(sets) < len(report.policy)
 
 
