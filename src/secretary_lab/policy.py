@@ -25,8 +25,7 @@ The induction is exact without Fraction arithmetic: it holds every value
 as a Python integer on one scale fixed per family (row weights p_r / max_r
 over their common denominator L, candidate values over theirs, V) and
 divides once per solve, by n! * V * L.  A set with one column left is
-built in its parent's pass, in one pass over its rows: the last arrival
-is always accepted.
+built in one pass over its rows: the last arrival is always accepted.
 The induction's self-check is an exact forward count over sets of
 arrivals that scores the memo's decisions on every row, on integers of
 its own value scale, with one integer pair for each row's ratio, and
@@ -593,19 +592,26 @@ class _SetInduction:
         Every history that reaches a set has the same subtree, so the
         set's table entries are one per next arrival plus those of each
         after-set.
-        The entry of a set with one column left is built by ``_last`` in
-        its parent's pass, with no step of its own; only a one-column
-        family's root is such a set."""
+        A set of n - 1 arrivals is built in one pass over ``rows``: the
+        last arrival is accepted, for a reject is worth 0, ties go to
+        accept, and on the prediction path no column is left to reject
+        toward; the set's value sums the rows' values in that column."""
         known = self.steps.get(seen)
         if known is not None:
             return known
         depth = arrived.bit_count()
-        if depth + 1 == self.n:
-            return self._last(seen, 0, rows)
-        left = ~arrived & ((1 << self.n) - 1)  # the columns not arrived
-        tail = self.tails[depth]
-        total = entries = 0
+        total = 0
         children: Children = {}
+        if depth + 1 == self.n:
+            j = (~arrived & ((1 << self.n) - 1)).bit_length() - 1  # the column left
+            accept = (Action.ACCEPT, None)
+            for ids, products in rows:
+                children[j, ids[j]] = accept
+                total += products[j]
+            step = self.steps[seen] = (total, children, len(children))
+            return step
+        tail = self.tails[depth]
+        entries = 0
         for j, value_id, sub in _split(self.n, arrived, rows):
             on = on_path and self.prediction_ids[j] == value_id
             accept_ok = reject_ok = True
@@ -614,17 +620,9 @@ class _SetInduction:
             after = reject_value = None
             if reject_ok:
                 after = seen + (value_id + 1) * self.places[j]
-                if depth + 2 == self.n:  # the after-set has one column left
-                    reject_value, _, below = self.steps.get(after) or self._last(
-                        after, (left ^ 1 << j).bit_length() - 1, sub
-                    )
-                else:
-                    reject_value, _, below = self.step(after, arrived | 1 << j, on, sub)
+                reject_value, _, below = self.step(after, arrived | 1 << j, on, sub)
                 entries += below
-            if len(sub) == 1:
-                accept_value = tail * sub[0][1][j]
-            else:
-                accept_value = tail * sum(row[1][j] for row in sub)
+            accept_value = tail * sum(row[1][j] for row in sub)
             if accept_ok and (reject_value is None or accept_value >= reject_value):
                 action, state_value = Action.ACCEPT, accept_value
             else:
@@ -632,19 +630,6 @@ class _SetInduction:
             children[j, value_id] = (action, after)
             total += state_value
         step = self.steps[seen] = (total, children, entries + len(children))
-        return step
-
-    def _last(self, seen: IdSet, j: int, rows: list[IdRow]) -> Step:
-        """The memo entry of the set ``seen`` with only column j left,
-        built in one pass over ``rows``: the last arrival is accepted, for
-        a reject is worth 0, ties go to accept, and on the prediction path
-        no column is left to reject toward; the set's value sums the rows'
-        values in that column."""
-        accept = (Action.ACCEPT, None)
-        children: Children = {(j, ids[j]): accept for ids, _ in rows}
-        step = self.steps[seen] = (
-            sum(products[j] for _, products in rows), children, len(children)
-        )
         return step
 
 
@@ -797,9 +782,7 @@ def _forward_ratios(
     Each row's value objects are mapped to ids by ``id()`` first, and only
     an object not met before by numerator and denominator.  The mixture sums
     total / max_r per distinct probability, the totals of rows with one
-    maximum summed first as integers, keyed by the maximum's value id,
-    found by the values' ranks, taken once per call on the check's own
-    scale, so no scaled value is hashed; then it multiplies each sum by its
+    maximum summed first as integers, then multiplies each sum by its
     probability once and divides by n! once: a probability of thousands of
     digits is weighed once, not once per maximum.  The sum over maxima runs
     in ascending order as one integer numerator over the running lcm of the
@@ -811,14 +794,9 @@ def _forward_ratios(
     places = [(len(values) + 1) ** x for x in range(n)]
     scale = math.lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (scale // v.denominator) for v in values]
-    # each value id's rank among the values, so that a row's maximum is
-    # found, and its totals keyed, by value id, not by scaled value
-    rank = [0] * len(values)
-    for position, vid in enumerate(sorted(range(len(values)), key=scaled.__getitem__)):
-        rank[vid] = position
     tails = [math.factorial(n - size - 1) for size in range(n)]
     orders = math.factorial(n)
-    # (p numerator, p denominator) -> (p, summed totals by max_r's value id)
+    # (p numerator, p denominator) -> (p, summed totals by max_r)
     classes: dict[tuple[int, int], tuple[Fraction, dict[int, int]]] = {}
     ratio_pairs: dict[int, tuple[int, int]] = {}
     for scenario, probability in support:
@@ -851,8 +829,8 @@ def _forward_ratios(
                         histories[after] = history + ((x + 1, scenario.values[x]),)
                     rejected[after] += count
         total = sum(count * scaled[i] for count, i in zip(accepted, ids))
-        top = max(ids, key=rank.__getitem__)  # the value id of max_r
-        ratio_pairs[scenario.id] = (total, scaled[top] * orders)
+        top = max(scaled[i] for i in ids)
+        ratio_pairs[scenario.id] = (total, top * orders)
         key = (probability.numerator, probability.denominator)
         tops = classes.setdefault(key, (probability, {}))[1]
         tops[top] = tops.get(top, 0) + total
@@ -860,9 +838,9 @@ def _forward_ratios(
     for p, tops in classes.values():
         # sum of total / top as one numerator over the running lcm of the tops
         summed, common = 0, 1
-        for top in sorted(tops, key=rank.__getitem__):
-            g = math.gcd(common, scaled[top])
-            up = scaled[top] // g
+        for top in sorted(tops):
+            g = math.gcd(common, top)
+            up = top // g
             summed = summed * up + tops[top] * (common // g)
             common *= up
         mixture += p * Fraction(summed, common)

@@ -432,26 +432,6 @@ def test_monte_carlo_across_chunks_is_pinned():
     assert success.std_error == 0.005102382942236633
 
 
-def test_monte_carlo_memory_is_flat_in_the_trial_count():
-    family = hard_family_100()
-    alg = dynkin_policy(100)
-    chunk = baselines_module.CHUNK_ELEMENTS // 100
-    # numpy's one-time allocations are made before either peak is read
-    monte_carlo_estimate(alg, family, trials=10, seed=0)
-    peaks = []
-    for chunks in (4, 16):
-        tracemalloc.start()
-        try:
-            monte_carlo_estimate(alg, family, trials=chunks * chunk, seed=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    # a buffer of every trial's order would take 8 * n * trials bytes
-    all_orders = 8 * 100 * 16 * chunk
-    assert abs(peaks[1] - peaks[0]) < 256 * 1024
-    assert max(peaks) < all_orders / 4
-
-
 def traced_peak(alg: OnlineAlgorithm, family: PriorFamily, trials: int) -> int:
     tracemalloc.start()
     try:
@@ -461,36 +441,36 @@ def traced_peak(alg: OnlineAlgorithm, family: PriorFamily, trials: int) -> int:
         tracemalloc.stop()
 
 
-def assert_peak_of_one_chunk(alg: OnlineAlgorithm, family: PriorFamily, trials: int) -> None:
-    # An estimate over several chunks peaks where one chunk does: every
-    # chunk draws into views of one order buffer and one row-draw buffer,
-    # where a chunk's own new buffers would be alive beside the last's.
-    chunk = baselines_module.CHUNK_ELEMENTS // family.n
-    assert trials >= 3 * chunk
-    # numpy's one-time allocations are made before either peak is read
-    monte_carlo_estimate(alg, family, trials=10, seed=0)
-    one_chunk = traced_peak(alg, family, chunk)
-    chunks = traced_peak(alg, family, trials)
-    assert abs(chunks - one_chunk) < 256 * 1024
-
-
-def test_monte_carlo_draws_every_chunk_into_one_buffer():
-    # A 2 MiB order buffer per chunk: four chunks of dynkin at n = 100
-    # peaked at 4.37 MiB when each chunk allocated its own, against 2.85
-    # MiB for one chunk.
+def test_monte_carlo_memory_is_flat_in_the_trial_count():
+    # Every chunk draws into views of one order buffer and one row-draw
+    # buffer, so 4 and 16 chunks peak where one chunk does; a 2 MiB order
+    # buffer allocated per chunk, alive beside the last chunk's, peaked at
+    # 4.37 MiB over 4 chunks against 2.85 MiB for one.
+    family = hard_family_100()
+    alg = dynkin_policy(100)
     chunk = baselines_module.CHUNK_ELEMENTS // 100
-    assert_peak_of_one_chunk(dynkin_policy(100), hard_family_100(), 4 * chunk)
+    # numpy's one-time allocations are made before any peak is read
+    monte_carlo_estimate(alg, family, trials=10, seed=0)
+    peaks = [traced_peak(alg, family, chunks * chunk) for chunks in (1, 4, 16)]
+    # a buffer of every trial's order would take 8 * n * trials bytes
+    all_orders = 8 * 100 * 16 * chunk
+    assert all(abs(peak - peaks[0]) < 256 * 1024 for peak in peaks)
+    assert max(peaks) < all_orders / 4
 
 
 def test_monte_carlo_table_rule_draws_every_chunk_into_one_buffer(monkeypatch):
     # A table rule has no batch runner, so each chunk's orders go through
     # _tally, each distinct order once; three full chunks and a partial
-    # one of 10,922 trials at n = 6, a 512 KiB order buffer.
+    # one of 10,922 trials at n = 6, a 512 KiB order buffer, peak where
+    # one chunk does.
     family = build_hard_family(ConstructionParams(F(1, 10), F(5), 4, n=6))
-    policy = solve_optimal(family, constrained=True).policy
+    alg = OnlineAlgorithm("policy", solve_optimal(family, constrained=True).policy.decide)
     monkeypatch.setattr(baselines_module, "CHUNK_ELEMENTS", 1 << 16)
     chunk = baselines_module.CHUNK_ELEMENTS // 6
-    assert_peak_of_one_chunk(OnlineAlgorithm("policy", policy.decide), family, 3 * chunk + 7)
+    # numpy's one-time allocations are made before either peak is read
+    monte_carlo_estimate(alg, family, trials=10, seed=0)
+    one_chunk = traced_peak(alg, family, chunk)
+    assert abs(traced_peak(alg, family, 3 * chunk + 7) - one_chunk) < 256 * 1024
 
 
 def test_trial_cap_is_checked_before_the_first_draw(monkeypatch):

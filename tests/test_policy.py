@@ -450,13 +450,39 @@ def test_reachable_state_order_and_random_policy_are_pinned(n):
 
 
 @pytest.mark.parametrize("constrained", (True, False))
-def test_solver_branches_once_per_set_of_arrivals(constrained):
+def test_solver_branches_once_per_set_of_arrivals(monkeypatch, constrained):
     # The induction depends on the set of rejected arrivals only, so it
-    # builds one memo entry per set, not one per ordered history.
+    # builds one memo entry per set, not one per ordered history: every
+    # step call that finds no entry builds one, a set of n - 1 arrivals
+    # builds its entry without a chance step, and no entry is written twice.
+    import secretary_lab.policy as policy_module
+
+    built = []
+    written = []
+    step = policy_module._SetInduction.step
+    init = policy_module._SetInduction.__init__
+
+    class Memo(dict):
+        def __setitem__(self, seen, entry):
+            written.append(seen)
+            super().__setitem__(seen, entry)
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.steps = Memo()
+
+    def counted(self, seen, arrived, on_path, rows):
+        if seen not in self.steps:
+            built.append(seen)
+        return step(self, seen, arrived, on_path, rows)
+
+    monkeypatch.setattr(policy_module._SetInduction, "__init__", counted_init)
+    monkeypatch.setattr(policy_module._SetInduction, "step", counted)
     family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=5))
     report = solve_optimal(family, constrained=constrained)
     sets = {frozenset(state.observed) for state in report.policy.actions}
-    assert len(report.rule.steps) == len(sets)
+    assert len(built) == len(sets)
+    assert len(written) == len(sets)
     assert len(sets) < len(report.policy)
 
 
