@@ -189,12 +189,13 @@ def _digits(text: str) -> int:
     return digits
 
 
-def _max_points(text: str) -> int:
-    """The ``--max-points`` type: an integer of at least 1, else a usage error."""
-    points = _integer(text)
-    if points < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {points}")
-    return points
+def _at_least_one(text: str) -> int:
+    """The ``--max-points`` and ``--trials`` type: an integer of at least 1,
+    else a usage error."""
+    count = _integer(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def _family_from_args(args: argparse.Namespace) -> PriorFamily:
@@ -359,10 +360,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _add_param_flags(parser: argparse.ArgumentParser, with_n: bool = True) -> None:
     parser.add_argument("--eps", help="mixture probability of the prediction row, e.g. 1/10")
     parser.add_argument("--s", help="value scale, e.g. 5 or 19")
-    parser.add_argument("--k", type=int, help="construction size (even, >= 4)")
+    parser.add_argument("--k", type=_integer, help="construction size (even, >= 4)")
     if with_n:
         # no default here: a preset or family file also sets n
-        parser.add_argument("--n", type=int, help="number of candidates (default 3)")
+        parser.add_argument("--n", type=_integer, help="number of candidates (default 3)")
 
 
 def _gen_flags(gen: argparse.ArgumentParser) -> None:
@@ -392,8 +393,8 @@ def _eval_flags(evaluate: argparse.ArgumentParser) -> None:
     mode.add_argument("--exact", action="store_true",
                       help="exact score over all orders (default)")
     mode.add_argument("--mc", action="store_true", help="Monte Carlo estimate")
-    evaluate.add_argument("--trials", type=int, default=100_000)
-    evaluate.add_argument("--seed", type=int, default=0)
+    evaluate.add_argument("--trials", type=_at_least_one, default=100_000)
+    evaluate.add_argument("--seed", type=_integer, default=0)
     evaluate.add_argument("--metric", choices=("ratio", "success"), default="ratio")
     evaluate.add_argument("-o", "--output", type=_path,
                           help="output JSON path (default stdout)")
@@ -420,10 +421,10 @@ def _sweep_flags(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--eps", required=True, help="comma-separated list, e.g. 1/100,1/10")
     sweep.add_argument("--s", required=True, help="comma-separated list, e.g. 50,100,400")
     sweep.add_argument("--k", required=True, help="comma-separated list, e.g. 50,100,400")
-    sweep.add_argument("--n", type=int, default=3)
+    sweep.add_argument("--n", type=_integer, default=3)
     sweep.add_argument("-o", "--output", type=_path, required=True, help="CSV path")
     sweep.add_argument("--fields", help=f"subset of: {','.join(SWEEP_FIELDS)}")
-    sweep.add_argument("--max-points", type=_max_points, default=10_000)
+    sweep.add_argument("--max-points", type=_at_least_one, default=10_000)
     sweep.add_argument("--digits", type=_digits, default=12)
     sweep.set_defaults(handler=_cmd_sweep)
 

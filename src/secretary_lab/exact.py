@@ -221,16 +221,49 @@ def _e_series_state(digits: int) -> tuple[Fraction, Fraction]:
     tail bound below 10**-digits, at the first m whose bound is.
 
     Uses sum_{i>m} 1/i! < (m+2) / ((m+1)! * (m+1)), strict for all m >= 1.
+    A float estimate of log m! guesses m; the exact test on
+    ``math.factorial`` then moves it to the first m, and the partial sum
+    is m! + P over m!, P / m! = sum_{1<=i<=m} 1/i! by binary splitting.
     """
     scale = 10 ** digits
-    m, factorial_m, partial_numerator = 1, 1, 2
-    # a_m = a_{m-1}*m + 1, a_0 = 1
-    while (m + 2) * scale >= factorial_m * (m + 1) * (m + 1):
+
+    def short(m: int, factorial_m: int) -> bool:
+        # the bound at m is not yet below 10**-digits
+        return (m + 2) * scale >= factorial_m * (m + 1) * (m + 1)
+
+    log_scale = digits * math.log(10)
+    m, high = 1, digits + 3
+    while m < high:
+        middle = (m + high) // 2
+        if math.lgamma(middle + 1) + math.log((middle + 1) ** 2 / (middle + 2)) > log_scale:
+            high = middle
+        else:
+            m = middle + 1
+    factorial_m = math.factorial(m)
+    while m > 1 and not short(m - 1, factorial_m // m):
+        factorial_m //= m
+        m -= 1
+    while short(m, factorial_m):
         m += 1
         factorial_m *= m
-        partial_numerator = partial_numerator * m + 1
     tail = Fraction(m + 2, factorial_m * (m + 1) * (m + 1))
-    return Fraction(partial_numerator, factorial_m), tail
+    return Fraction(factorial_m + _e_split(0, m)[0], factorial_m), tail
+
+
+def _e_split(a: int, b: int) -> tuple[int, int]:
+    """(P, Q) with Q = (a+1)(a+2)...b and P / Q = sum_{a<i<=b} a!/i!, by
+    binary splitting: halves at c give P = P_left * Q_right + P_right and
+    Q = Q_left * Q_right.  A range of at most 32 terms is summed by Horner's
+    rule, from i = b down, on integers of a few hundred bits."""
+    if b - a <= 32:
+        p, q = 0, 1
+        for i in range(b, a, -1):
+            p, q = p + q, q * i
+        return p, q
+    c = (a + b) // 2
+    left, left_q = _e_split(a, c)
+    right, right_q = _e_split(c, b)
+    return left * right_q + right, left_q * right_q
 
 
 def e_enclosure(digits: int | None = None) -> Enclosure:

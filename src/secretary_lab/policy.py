@@ -22,9 +22,14 @@ to pick a maximum-value candidate whenever the announced predictions are
 exactly correct, for every arrival order.
 
 The induction is exact without Fraction arithmetic: it holds every value
-as a Python integer on one scale fixed per family (row weights p_r / max_r
+as a Python integer on one scale fixed per family (row weights q_r / max_r
 over their common denominator L, candidate values over theirs, V) and
-divides once per solve, by n! * V * L.  A set with one column left is
+divides once per solve, by n! * V * L.  Unconstrained, q_r is the row's
+probability p_r.  Constrained, the prediction row's mass p moves no
+decision, for every allowed rule accepts a predicted maximum on that row:
+it weighs 0, each other row q_r = p_r / (1 - p), and the optimum is
+p + (1 - p) T, T the induction's value; so a mass of thousands of digits
+does not ride through the induction's integers.  A set with one column left is
 built in one pass over its rows: the last arrival is always accepted.
 The induction's self-check is an exact forward count over sets of
 arrivals that scores the memo's decisions on every row, on integers of
@@ -647,15 +652,24 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     allowed action and, where rejecting is allowed, the set after a
     reject.
 
-    Values are integers on one scale.  Row r weighs W_r = L * p_r / max_r
+    Values are integers on one scale.  Row r weighs W_r = L * q_r / max_r
     and value v counts v * V, where L and V are the least common multiples
-    of the denominators of the p_r / max_r and of the values; each value
+    of the denominators of the q_r / max_r and of the values.  Unconstrained,
+    q_r = p_r.  Constrained, with p the prediction row's mass, the
+    prediction row has q_r = 0, and every other row q_r = p_r / (1 - p),
+    divided once per distinct probability; the row stays among the rows,
+    so its sets stay in the memo.  Every rule the constraint allows accepts
+    a predicted maximum on the prediction row, so at a state on its path
+    both allowed actions add the same amount there, and off it the row is
+    ruled out: no comparison, and no tie, depends on p, and the optimum is
+    p + (1 - p) * T, T the induction's optimum.  When the prediction row
+    is the only supported row, T is 0 and the optimum 1.  Each value
     object is mapped to its id once, and each row's maximum is the value
     id of highest rank, the values ranked once per solve.  Rows of one
-    probability and one maximum's value id form a class, and W_r is
-    computed once per class: p_r * V / max_r as a Fraction, which takes gcds only
-    with small operands, where a gcd of p_r's numerator times V with its
-    denominator times max_r would run on numbers of thousands of digits.
+    q_r and one maximum's value id form a class, and q_r / max_r is
+    reduced once per class, by a gcd of q_r's numerator with max_r's and
+    one of their denominators, each on one small operand, where a gcd of
+    the products would run on numbers of thousands of digits.
     L is the lcm of the distinct class denominators, taken in ascending
     order; L // d is found for each d from the largest down, as the next
     larger d' gives it times d' // d when d divides d', a small quotient
@@ -668,9 +682,9 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     (n - d - 1)! * (sum of W_r * v * V over the rows still possible, read
     off their column j), a chance node is the plain sum of its child
     states, and rejecting the last arrival is worth 0.  Each is the true value times the rows'
-    probability mass times (n - d - 1)! * V * L, a positive factor shared
+    weighed mass times (n - d - 1)! * V * L, a positive factor shared
     by both actions at a state, so every comparison, ties included, is
-    the one on true values; the optimum is the root's integer divided by
+    the one on true values; T is the root's integer divided by
     n! * V * L.
 
     The self-check, ``_forward_ratios``, scores the memo's decisions,
@@ -696,19 +710,34 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     rank = [0] * len(values)
     for position, i in enumerate(sorted(range(len(values)), key=scaled.__getitem__)):
         rank[i] = position
-    # p_r / max_r once per (probability, maximum) class, with max_r * V the
-    # row's largest scaled value; Fraction arithmetic cancels only the
-    # small factors, with no gcd over all of p
+    # constrained, the prediction row's mass p moves no comparison: that row
+    # has q_r = 0, each other row q_r = p_r / (1 - p)
+    p = family.probability_of(family.prediction_id) if constrained else 0
+    masses: dict[tuple[int, int], Fraction] = {}  # q_r by p_r
+    # q_r / max_r once per (q_r, maximum) class, as a reduced (numerator,
+    # denominator) pair: a gcd of the numerators and one of the denominators
     class_ids: dict[tuple[int, int, int], int] = {}
-    weights: list[Fraction] = []
+    weights: list[tuple[int, int]] = []
     row_classes = []
-    for ids, (_, p) in zip(id_rows, support):
+    for ids, (scenario, p_r) in zip(id_rows, support):
+        if p and scenario is prediction:
+            q = Fraction(0)
+        else:
+            q = masses.get((p_r.numerator, p_r.denominator))
+            if q is None:
+                q = masses[p_r.numerator, p_r.denominator] = p_r / (1 - p) if p else p_r
         top = max(ids, key=rank.__getitem__)  # the value id of max_r
-        c = class_ids.setdefault((p.numerator, p.denominator, top), len(weights))
+        c = class_ids.setdefault((q.numerator, q.denominator, top), len(weights))
         if c == len(weights):
-            weights.append(p * value_scale / scaled[top])
+            top_value = values[top]
+            g = math.gcd(q.numerator, top_value.numerator)
+            h = math.gcd(q.denominator, top_value.denominator)
+            weights.append((
+                q.numerator // g * (top_value.denominator // h),
+                q.denominator // h * (top_value.numerator // g),
+            ))
         row_classes.append(c)
-    denominators = sorted({w.denominator for w in weights})
+    denominators = sorted({d for _, d in weights})
     weight_scale = math.lcm(*denominators)  # L
     quotients: dict[int, int] = {}  # L // d
     larger = weight_scale
@@ -717,7 +746,7 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
         # larger is L at the first step, and L // L is 1
         quotients[d] = weight_scale // d if rest else quotients.get(larger, 1) * step
         larger = d
-    class_weights = [w.numerator * quotients[w.denominator] for w in weights]  # W_r
+    class_weights = [numerator * quotients[d] for numerator, d in weights]  # W_r
     products: dict[tuple[int, int], int] = {}  # W_r * v * V by (class, value id)
     rows = []
     for ids, c in zip(id_rows, row_classes):
@@ -738,7 +767,9 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
         best_columns=_best_columns(prediction),
     )
     scaled_optimum, _, policy_states = induction.step(0, 0, constrained, rows)
-    optimum = Fraction(scaled_optimum, math.factorial(n) * value_scale * weight_scale)
+    optimum = Fraction(scaled_optimum, math.factorial(n) * value_scale * weight_scale)  # T
+    if p:
+        optimum = p + (1 - p) * optimum
     steps = induction.steps
     mixture, ratio_pairs = _forward_ratios(
         lambda key, column, value_id, history: steps[key][1][column, value_id][0],

@@ -15,7 +15,7 @@ import secretary_lab
 from secretary_lab import Policy, load_family
 from secretary_lab.bounds import oracle_optimum
 from secretary_lab.cli import main, run_command
-from secretary_lab.exact import format_value, inv_e_enclosure
+from secretary_lab.exact import format_value
 
 
 def gen_family(tmp_path, name="family.json", eps="1/10", s="5", k="4"):
@@ -90,7 +90,7 @@ USAGE_ERRORS = {
     ("bounds", "--k", "four"): (
         "usage: secretary-lab bounds [-h] [--eps EPS] [--s S] [--k K] [-o OUTPUT]\n"
         "                            [--digits DIGITS]\n"
-        "secretary-lab bounds: error: argument --k: invalid int value: 'four'\n"
+        "secretary-lab bounds: error: argument --k: not an integer: 'four'\n"
     ),
     ("verify", "--digits", "4301"): (
         "usage: secretary-lab verify [-h] [--preset PRESET] [--eps EPS] [--s S] [--k K]\n"
@@ -766,15 +766,10 @@ def test_verify_bytes_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
 
 
-def test_verify_at_the_edge_point_is_pinned(capsys):
-    # The corrected-76-78 family with mix_eps moved so that its optimum is
-    # the lower end of the 2000-digit enclosure of 1/e, as the benchmark's
-    # verify-edge computes it: its probabilities run to about 4,300
-    # digits, numerator and denominator together.  oracle_optimum is
-    # affine in mix_eps, so two points fix it.
-    at_quarter = oracle_optimum(Fraction(1, 4), Fraction(76), 78)
-    slope = (oracle_optimum(Fraction(1, 2), Fraction(76), 78) - at_quarter) * 4
-    eps = format_value(Fraction(1, 4) + (inv_e_enclosure(2000).lower - at_quarter) / slope)
+def test_verify_at_the_edge_point_is_pinned(capsys, edge_eps):
+    # its probabilities run to about 4,300 digits, numerator and
+    # denominator together
+    eps = format_value(edge_eps)
     assert len(eps) > 4000
     assert run_command(["verify", "--eps", eps, "--s", "76", "--k", "78"]) == 0
     out = capsys.readouterr().out
@@ -1110,6 +1105,31 @@ def test_sweep_max_points_below_one_is_a_usage_error(tmp_path, capsys, points):
         f"secretary-lab sweep: error: argument --max-points: must be >= 1, got {points}\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ("--k", "--n", "--trials", "--seed"))
+def test_integer_flags_read_alike(tmp_path, capsys, flag):
+    argv = (["eval", "--family", str(gen_family(tmp_path)), "--alg", "dynkin", "--mc"]
+            if flag in ("--trials", "--seed") else ["solve", *HARD_FLAGS])
+    with pytest.raises(SystemExit) as err:
+        run_command([*argv, flag, "four"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: not an integer: 'four'\n")
+
+
+@pytest.mark.parametrize("trials", ("0", "-1"))
+def test_eval_trials_below_one_is_a_usage_error(tmp_path, capsys, trials):
+    # the check --max-points makes, not the estimator's exit 1
+    family = gen_family(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        run_command(["eval", "--family", str(family), "--alg", "dynkin", "--mc",
+                     "--trials", trials])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"secretary-lab eval: error: argument --trials: must be >= 1, got {trials}\n"
+    )
 
 
 def test_no_temp_files_left_behind(tmp_path):

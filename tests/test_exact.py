@@ -182,8 +182,13 @@ def _e_series_from_scratch(digits: int) -> tuple[Fraction, Fraction]:
 
 def test_e_series_resumes_to_the_same_terms():
     # Each level, computed afresh with the cache cleared, must give the
-    # from-scratch pair.
-    levels = [50 * 2**i for i in range(7)] + [1, 2, 7, 333, 1000, 3201]
+    # from-scratch pair: every level _refine reaches, every small digits
+    # value (few terms, so a binary split's leaves and the first m's
+    # search are at their edges) and a few odd ones.
+    levels = [exact.DEFAULT_DIGITS]
+    while levels[-1] < exact.MAX_DIGITS:  # each precision _refine tries
+        levels.append(min(2 * levels[-1], exact.MAX_DIGITS))
+    levels += list(range(1, 65)) + [333, 1000, 3201]
     exact._e_series_state.cache_clear()
     for digits in levels:
         assert exact._e_series_state(digits) == _e_series_from_scratch(digits), digits

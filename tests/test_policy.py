@@ -29,6 +29,7 @@ from secretary_lab import (
     consistent_actions,
     dynkin_policy,
     evaluate_policy,
+    inv_e_enclosure,
     is_consistent,
     oracle_optimum,
     posterior,
@@ -1061,6 +1062,45 @@ def test_prediction_mass_moves_no_constrained_decision(rows):
     assert solves[0].per_row[1] == 1
     tails = {(solved.optimum - p) / (1 - p) for solved, p in zip(solves, PREDICTION_MASSES)}
     assert len(tails) == 1
+    # the solver relies on the lemma; brute force weighs the real masses
+    if len(rows[0]) <= 3:
+        for p, solved in zip(PREDICTION_MASSES, solves):
+            family = family_with_prediction_mass(rows, p)
+            assert brute_force_optimum(family, constrained=True) == solved.optimum
+    # a prediction row of mass 0 leaves the same decisions on the other rows
+    family = family_with_prediction_mass(rows, Fraction(0))
+    solved = solve_optimal(family, constrained=True)
+    assert solved.optimum == tails.pop()
+    if len(rows[0]) <= 3:
+        assert brute_force_optimum(family, constrained=True) == solved.optimum
+
+
+def test_prediction_row_alone_scores_one():
+    # every other row has mass 0: the optimum is 1, with no division by 1 - p
+    family = PriorFamily(
+        n=3,
+        scenarios=(Scenario(1, (F1, F3, F2)), Scenario(2, (F3, F1, F1))),
+        probabilities=(Fraction(1), Fraction(0)),
+        prediction_id=1,
+    )
+    solved = solve_optimal(family, constrained=True)
+    assert solved.optimum == 1 == brute_force_optimum(family, constrained=True)
+    assert solved.per_row == {1: 1}
+
+
+def test_edge_mass_moves_no_decision_of_the_76_78_family(edge_eps):
+    solves = [
+        solve_optimal(build_hard_family(ConstructionParams(eps, Fraction(76), 78)), True)
+        for eps in (edge_eps, Fraction(1, 10))
+    ]
+    decisions = [
+        {key: children for key, (_, children, _) in solved.rule.steps.items()}
+        for solved in solves
+    ]
+    assert decisions[0] == decisions[1]
+    assert solves[0].policy_states == solves[1].policy_states
+    assert solves[0].per_row == solves[1].per_row
+    assert solves[0].optimum == inv_e_enclosure(2000).lower
 
 
 # Values whose denominators are pairwise coprime, so the value scale is
