@@ -12,12 +12,11 @@ int-to-str limit bounds only the integers ``parse_value`` reads.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import PrecisionExhaustedError
 
@@ -180,50 +179,86 @@ class Comparison(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
+# An end of an enclosure: a Fraction, or an integer pair (numerator,
+# positive denominator) that need not be in lowest terms.
+End = Fraction | tuple[int, int]
+
+
+def _pair(end: End) -> tuple[int, int]:
+    return end if type(end) is tuple else (end.numerator, end.denominator)
+
+
 class Enclosure:
     """Open rational interval certified to contain one irrational constant.
 
-    ``digits`` records the precision level the interval was built for and
-    is the hint passed back to the producer when a comparison needs a
-    tighter interval.
+    Each end is kept as an integer pair, as given.  ``lower`` and
+    ``upper`` reduce it to a Fraction on first read, and ``compare``
+    cross multiplies, so that deciding a value against ends of thousands
+    of digits takes no gcd: only an enclosure whose ends are read, as a
+    report's are, is reduced.  Two enclosures are equal when their
+    reduced ends and ``digits`` are.  ``digits`` records the precision
+    level the interval was built for and is the hint passed back to the
+    producer when a comparison needs a tighter interval.
     """
 
-    lower: Fraction
-    upper: Fraction
-    digits: int
-
-    def __post_init__(self) -> None:
-        if not self.lower < self.upper:
+    def __init__(self, lower: End, upper: End, digits: int) -> None:
+        self.ends = (_pair(lower), _pair(upper))
+        self.digits = digits
+        (lower_numerator, lower_denominator), (upper_numerator, upper_denominator) = self.ends
+        if not lower_numerator * upper_denominator < upper_numerator * lower_denominator:
             raise ValueError("enclosure requires lower < upper")
+
+    @functools.cached_property
+    def lower(self) -> Fraction:
+        return Fraction(*self.ends[0])
+
+    @functools.cached_property
+    def upper(self) -> Fraction:
+        return Fraction(*self.ends[1])
 
     @property
     def width(self) -> Fraction:
         return self.upper - self.lower
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Enclosure) and (
+            (self.lower, self.upper, self.digits) == (other.lower, other.upper, other.digits)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lower, self.upper, self.digits))
+
+    def __repr__(self) -> str:
+        return f"Enclosure(lower={self.lower!r}, upper={self.upper!r}, digits={self.digits!r})"
 
     def compare(self, x: Fraction) -> Comparison:
         """Decisive position of ``x`` versus the enclosed constant.
 
         The constant lies strictly inside the interval, so x <= lower
         already certifies x < constant (and symmetrically for upper).
+        Each is decided on the ends' integer pairs, as Fraction compares.
         """
         x = Fraction(x)
-        if x <= self.lower:
+        (lower_numerator, lower_denominator), (upper_numerator, upper_denominator) = self.ends
+        if x.numerator * lower_denominator <= lower_numerator * x.denominator:
             return Comparison.LESS
-        if x >= self.upper:
+        if x.numerator * upper_denominator >= upper_numerator * x.denominator:
             return Comparison.GREATER
         return Comparison.INDETERMINATE
 
 
-@lru_cache(maxsize=None)
-def _e_series_state(digits: int) -> tuple[Fraction, Fraction]:
-    """Partial sum of sum 1/i! and a strict rational tail bound, with the
-    tail bound below 10**-digits, at the first m whose bound is.
+@functools.lru_cache(maxsize=None)
+def _e_series_state(digits: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ends of an enclosure of e narrower than 10**-digits, as integer
+    pairs not in lowest terms: the partial sum of sum 1/i! to the first m
+    whose strict tail bound is below 10**-digits, and the partial sum plus
+    that bound.
 
     Uses sum_{i>m} 1/i! < (m+2) / ((m+1)! * (m+1)), strict for all m >= 1.
     A float estimate of log m! guesses m; the exact test on
     ``math.factorial`` then moves it to the first m, and the partial sum
-    is m! + P over m!, P / m! = sum_{1<=i<=m} 1/i! by binary splitting.
+    is m! + P over m!, P / m! = sum_{1<=i<=m} 1/i! by binary splitting;
+    with the bound it is ((m! + P) (m+1)^2 + m + 2) over m! (m+1)^2.
     """
     scale = 10 ** digits
 
@@ -246,8 +281,9 @@ def _e_series_state(digits: int) -> tuple[Fraction, Fraction]:
     while short(m, factorial_m):
         m += 1
         factorial_m *= m
-    tail = Fraction(m + 2, factorial_m * (m + 1) * (m + 1))
-    return Fraction(factorial_m + _e_split(0, m)[0], factorial_m), tail
+    partial = factorial_m + _e_split(0, m)[0]
+    square = (m + 1) * (m + 1)
+    return (partial, factorial_m), (partial * square + m + 2, factorial_m * square)
 
 
 def _e_split(a: int, b: int) -> tuple[int, int]:
@@ -270,15 +306,20 @@ def e_enclosure(digits: int | None = None) -> Enclosure:
     """Rational enclosure of e with width below 10**-digits."""
     if digits is None:
         digits = DEFAULT_DIGITS
-    partial, tail = _e_series_state(digits)
-    return Enclosure(lower=partial, upper=partial + tail, digits=digits)
+    lower, upper = _e_series_state(digits)
+    return Enclosure(lower=lower, upper=upper, digits=digits)
 
 
 def inv_e_enclosure(digits: int | None = None) -> Enclosure:
-    """Rational enclosure of 1/e, inverted from the e enclosure."""
+    """Rational enclosure of 1/e, inverted from the e enclosure: each end
+    the other's pair turned over, so x against it is x * upper and
+    x * lower of e against 1."""
     outer = e_enclosure(digits)
+    (lower_numerator, lower_denominator), (upper_numerator, upper_denominator) = outer.ends
     return Enclosure(
-        lower=1 / outer.upper, upper=1 / outer.lower, digits=outer.digits
+        lower=(upper_denominator, upper_numerator),
+        upper=(lower_denominator, lower_numerator),
+        digits=outer.digits,
     )
 
 
@@ -336,9 +377,11 @@ def floor_n_over_e(n: int) -> int:
         raise ValueError("n must be >= 1")
 
     def attempt(digits: int) -> int | None:
-        outer = e_enclosure(digits)
-        low = (Fraction(n) / outer.upper).__floor__()
-        high = (Fraction(n) / outer.lower).__floor__()
+        (lower_numerator, lower_denominator), (upper_numerator, upper_denominator) = (
+            e_enclosure(digits).ends
+        )
+        low = n * upper_denominator // upper_numerator
+        high = n * lower_denominator // lower_numerator
         return low if low == high else None
 
     return _refine(attempt, lambda: f"floor({n}/e)")

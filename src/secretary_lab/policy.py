@@ -30,7 +30,9 @@ decision, for every allowed rule accepts a predicted maximum on that row:
 it weighs 0, each other row q_r = p_r / (1 - p), and the optimum is
 p + (1 - p) T, T the induction's value; so a mass of thousands of digits
 does not ride through the induction's integers.  A set with one column left is
-built in one pass over its rows: the last arrival is always accepted.
+built in one pass over its rows: the last arrival is always accepted.  A
+set with two columns left builds each one-column set after it in that
+set's own pass, with no call per set.
 The induction's self-check is an exact forward count over sets of
 arrivals that scores the memo's decisions on every row, on integers of
 its own value scale, with one integer pair for each row's ratio, and
@@ -457,6 +459,16 @@ def _number_values(
     return value_ids, tuple(values), id_rows
 
 
+def _ranks(scaled: list[int]) -> list[int]:
+    """Each value id's rank among the values, by their scaled integers, so
+    that a row's maximum is found on small integers, not on scaled values
+    of thousands of digits."""
+    rank = [0] * len(scaled)
+    for position, i in enumerate(sorted(range(len(scaled)), key=scaled.__getitem__)):
+        rank[i] = position
+    return rank
+
+
 # A set of arrivals, each a (0-based column, value id) pair, as one
 # integer: with B the number of distinct values plus 1, the set holds the
 # digit id + 1 at place B**j for each of its arrivals (j, id), and 0 at
@@ -600,11 +612,16 @@ class _SetInduction:
         A set of n - 1 arrivals is built in one pass over ``rows``: the
         last arrival is accepted, for a reject is worth 0, ties go to
         accept, and on the prediction path no column is left to reject
-        toward; the set's value sums the rows' values in that column."""
+        toward; the set's value sums the rows' values in that column.
+        Such a set is built here only at the root of a family of one
+        candidate: a set of n - 2 arrivals builds those after it in
+        ``_last_two``, with no call per set."""
         known = self.steps.get(seen)
         if known is not None:
             return known
         depth = arrived.bit_count()
+        if depth + 2 == self.n:
+            return self._last_two(seen, arrived, on_path, rows)
         total = 0
         children: Children = {}
         if depth + 1 == self.n:
@@ -634,6 +651,55 @@ class _SetInduction:
                 action, state_value = Action.REJECT, reject_value
             children[j, value_id] = (action, after)
             total += state_value
+        step = self.steps[seen] = (total, children, entries + len(children))
+        return step
+
+    def _last_two(self, seen: IdSet, arrived: int, on_path: bool, rows: list[IdRow]) -> Step:
+        """``step`` at a set with two columns left, the chance step in
+        ``_split``'s order.  One pass over ``rows`` per column j groups
+        the rows by their value in j and builds, beside each group's
+        accept value, the memo entry of the set after a reject of that
+        value, with no call and no ``_split`` for it: its only column
+        left is accepted on each of its rows, its children in first-seen
+        row order, as ``step``'s own pass would build them.  Each such
+        entry goes into the memo, unless it is there already, when the
+        chance step reaches it, before the set's own entry, just where a
+        call would have put it."""
+        tail = self.tails[self.n - 2]
+        left = ~arrived & ((1 << self.n) - 1)
+        j, other = (left & -left).bit_length() - 1, left.bit_length() - 1
+        accept = (Action.ACCEPT, None)
+        total = entries = 0
+        children: Children = {}
+        for _ in range(2):
+            groups: dict[int, list] = {}  # value id -> [accept sum, leaf value, leaf children]
+            for ids, products in rows:
+                group = groups.get(ids[j])
+                if group is None:
+                    groups[ids[j]] = [products[j], products[other], {(other, ids[other]): accept}]
+                else:
+                    group[0] += products[j]
+                    group[1] += products[other]
+                    group[2][other, ids[other]] = accept
+            for value_id, (accept_sum, leaf_value, leaf_children) in groups.items():
+                accept_ok = reject_ok = True
+                if on_path and self.prediction_ids[j] == value_id:
+                    accept_ok, reject_ok = _on_path_actions(self.best_columns, arrived, j)
+                after = reject_value = None
+                if reject_ok:
+                    after = seen + (value_id + 1) * self.places[j]
+                    reject_value, _, below = self.steps.setdefault(
+                        after, (leaf_value, leaf_children, len(leaf_children))
+                    )
+                    entries += below
+                accept_value = tail * accept_sum
+                if accept_ok and (reject_value is None or accept_value >= reject_value):
+                    action, state_value = Action.ACCEPT, accept_value
+                else:
+                    action, state_value = Action.REJECT, reject_value
+                children[j, value_id] = (action, after)
+                total += state_value
+            j, other = other, j
         step = self.steps[seen] = (total, children, entries + len(children))
         return step
 
@@ -677,7 +743,8 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     a division of L otherwise.  Each row carries its products W_r * v * V by column, each
     computed once per (class, value id) and shared by every row of the
     class that shows the value: the hard family's row pairs differ only
-    by a swap of two columns.  At a state with
+    by a swap of two columns.  At the class's own maximum the product is
+    W_r * max_r * V = L * V * q_r, computed once per distinct q_r.  At a state with
     d rejected arrivals the accept value of v in column j is
     (n - d - 1)! * (sum of W_r * v * V over the rows still possible, read
     off their column j), a chance node is the plain sum of its child
@@ -705,11 +772,7 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     value_ids, values, id_rows = _number_values(support)
     value_scale = math.lcm(*(v.denominator for v in values))  # V
     scaled = [v.numerator * (value_scale // v.denominator) for v in values]
-    # each value id's rank among the values, so that a row's maximum is
-    # found on small integers, not on scaled values of thousands of digits
-    rank = [0] * len(values)
-    for position, i in enumerate(sorted(range(len(values)), key=scaled.__getitem__)):
-        rank[i] = position
+    rank = _ranks(scaled)
     # constrained, the prediction row's mass p moves no comparison: that row
     # has q_r = 0, each other row q_r = p_r / (1 - p)
     p = family.probability_of(family.prediction_id) if constrained else 0
@@ -718,6 +781,7 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
     # denominator) pair: a gcd of the numerators and one of the denominators
     class_ids: dict[tuple[int, int, int], int] = {}
     weights: list[tuple[int, int]] = []
+    class_tops: list[tuple[Fraction, int]] = []  # (q_r, value id of max_r) by class
     row_classes = []
     for ids, (scenario, p_r) in zip(id_rows, support):
         if p and scenario is prediction:
@@ -736,6 +800,7 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
                 q.numerator // g * (top_value.denominator // h),
                 q.denominator // h * (top_value.numerator // g),
             ))
+            class_tops.append((q, top))
         row_classes.append(c)
     denominators = sorted({d for _, d in weights})
     weight_scale = math.lcm(*denominators)  # L
@@ -748,6 +813,14 @@ def solve_optimal(family: PriorFamily, constrained: bool) -> SolveReport:
         larger = d
     class_weights = [numerator * quotients[d] for numerator, d in weights]  # W_r
     products: dict[tuple[int, int], int] = {}  # W_r * v * V by (class, value id)
+    # at the class's own maximum, W_r * max_r * V = L * V * q_r, one per q_r
+    at_top: dict[tuple[int, int], int] = {}  # by q_r's numerator and denominator
+    scales = weight_scale * value_scale
+    for c, (q, top) in enumerate(class_tops):
+        product = at_top.get((q.numerator, q.denominator))
+        if product is None:
+            product = at_top[q.numerator, q.denominator] = scales // q.denominator * q.numerator
+        products[c, top] = product
     rows = []
     for ids, c in zip(id_rows, row_classes):
         row = []
@@ -800,34 +873,45 @@ def _forward_ratios(
     For a row, N(S) counts the orders of the set S in which every arrival
     was rejected: N(empty set) = 1, and for each column x not in S the
     rule accepts x, which ends N(S) * (n - |S| - 1)! orders with the row's
-    value at x, or rejects it, which adds N(S) to N(S + x).  A set is
-    visited after all its subsets, as a bitmask after every smaller one.
+    value at x, or rejects it, which adds N(S) to N(S + x).  Only the
+    sets the row reaches are visited, each after all its subsets: in the
+    order the row first reaches them, which runs by size.
     ``action`` is asked once per set the row reaches and next arrival, on
     the first history by which the row reached the set (that of the
-    first S whose reject of x reaches S + x, extended by x), and on the
-    set's ``IdSet``, built from ``values`` alone on that first reach: the
-    key of S + x is that of S plus (id + 1) * B**x.
+    first S visited whose reject of x reaches S + x, extended by x), and
+    on the set's ``IdSet``, built from ``values`` alone on that first
+    reach: the key of S + x is that of S plus (id + 1) * B**x.
     The row's ratio is the pair (accepted total, max_r * n!), both counted
     on one integer value scale (the values over their common denominator)
     and left unreduced: no caller of a solve need read every row reduced.
     Each row's value objects are mapped to ids by ``id()`` first, and only
-    an object not met before by numerator and denominator.  The mixture sums
-    total / max_r per distinct probability, the totals of rows with one
-    maximum summed first as integers, then multiplies each sum by its
-    probability once and divides by n! once: a probability of thousands of
-    digits is weighed once, not once per maximum.  The sum over maxima runs
-    in ascending order as one integer numerator over the running lcm of the
-    maxima, each step a gcd, a quotient and a multiply, and makes one
-    Fraction per probability, not one per maximum."""
+    an object not met before by numerator and denominator; its maximum is
+    the value id of highest rank, the values ranked once per call.  The
+    mixture sums total / max_r per distinct probability, the totals of
+    rows with one maximum summed first as integers, keyed by its value id,
+    then multiplies each sum by its probability once and divides by n!
+    once: a probability of thousands of digits is weighed once, not once
+    per maximum.  The sum over maxima runs in ascending order as one
+    integer numerator over the running lcm of the maxima, each step a
+    gcd, a quotient and a multiply, and makes one Fraction per
+    probability, not one per maximum."""
     # keyed by numerator and denominator, which hash without Fraction.__hash__
     value_ids = {(v.numerator, v.denominator): vid for vid, v in enumerate(values)}
     by_object = {id(v): vid for vid, v in enumerate(values)}
     places = [(len(values) + 1) ** x for x in range(n)]
     scale = math.lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (scale // v.denominator) for v in values]
-    tails = [math.factorial(n - size - 1) for size in range(n)]
+    rank = _ranks(scaled)  # on this call's own scale, apart from the induction's
     orders = math.factorial(n)
-    # (p numerator, p denominator) -> (p, summed totals by max_r)
+    full = (1 << n) - 1
+    # by each set S but the full one, which decides nothing: (n - |S| - 1)!
+    # and the columns not in S, each beside its bit
+    nexts = [
+        (math.factorial(n - columns.bit_count() - 1),
+         [(x, 1 << x) for x in range(n) if not columns >> x & 1])
+        for columns in range(full)
+    ]
+    # (p numerator, p denominator) -> (p, summed totals by max_r's value id)
     classes: dict[tuple[int, int], tuple[Fraction, dict[int, int]]] = {}
     ratio_pairs: dict[int, tuple[int, int]] = {}
     for scenario, probability in support:
@@ -842,36 +926,38 @@ def _forward_ratios(
         rejected[0] = 1
         histories: list[History] = [()] * (1 << n)  # the first to reach each S
         accepted = [0] * n  # orders that accept each column
-        for columns in range((1 << n) - 1):  # the full set decides nothing
+        # the sets the row reaches but the full one, each appended when
+        # first reached: by size, so each is visited after every subset
+        # that reaches it
+        reached = [0]
+        for columns in reached:
             count = rejected[columns]
-            if not count:
-                continue
             seen, history = keys[columns], histories[columns]
-            tail = tails[columns.bit_count()]
-            for x in range(n):
-                if columns >> x & 1:
-                    continue
+            tail, missing = nexts[columns]
+            for x, bit in missing:
                 if action(seen, x, ids[x], history) is Action.ACCEPT:
                     accepted[x] += count * tail
                 else:
-                    after = columns | 1 << x
+                    after = columns | bit
                     if not rejected[after]:
                         keys[after] = seen + (ids[x] + 1) * places[x]
                         histories[after] = history + ((x + 1, scenario.values[x]),)
+                        if after != full:
+                            reached.append(after)
                     rejected[after] += count
         total = sum(count * scaled[i] for count, i in zip(accepted, ids))
-        top = max(scaled[i] for i in ids)
-        ratio_pairs[scenario.id] = (total, top * orders)
+        top = max(ids, key=rank.__getitem__)  # the value id of max_r
+        ratio_pairs[scenario.id] = (total, scaled[top] * orders)
         key = (probability.numerator, probability.denominator)
         tops = classes.setdefault(key, (probability, {}))[1]
         tops[top] = tops.get(top, 0) + total
     mixture = Fraction(0)
     for p, tops in classes.values():
-        # sum of total / top as one numerator over the running lcm of the tops
+        # sum of total / max_r as one numerator over the running lcm of the maxima
         summed, common = 0, 1
-        for top in sorted(tops):
-            g = math.gcd(common, top)
-            up = top // g
+        for top in sorted(tops, key=rank.__getitem__):
+            g = math.gcd(common, scaled[top])
+            up = scaled[top] // g
             summed = summed * up + tops[top] * (common // g)
             common *= up
         mixture += p * Fraction(summed, common)

@@ -191,7 +191,8 @@ def test_e_series_resumes_to_the_same_terms():
     levels += list(range(1, 65)) + [333, 1000, 3201]
     exact._e_series_state.cache_clear()
     for digits in levels:
-        assert exact._e_series_state(digits) == _e_series_from_scratch(digits), digits
+        lower, upper = (Fraction(*end) for end in exact._e_series_state(digits))
+        assert (lower, upper - lower) == _e_series_from_scratch(digits), digits
 
 
 @pytest.mark.parametrize("digits", [5, 20, 50])
@@ -209,6 +210,33 @@ def test_enclosure_compare_semantics():
     assert box.compare(Fraction(1, 2)) is Comparison.GREATER
     with pytest.raises(ValueError):
         Enclosure(Fraction(1), Fraction(1), digits=5)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    digits=st.sampled_from((5, 50, 400)),
+    inverse=st.booleans(),
+    end=st.sampled_from(("lower", "upper", "middle")),
+    numerator=st.integers(-(10**6), 10**6),
+    power=st.integers(0, 450),
+)
+def test_compare_on_unreduced_ends_is_the_fraction_comparison(
+    digits, inverse, end, numerator, power
+):
+    # The ends of e's enclosure and of 1/e's are integer pairs in no
+    # lowest terms; each comparison must be the one on the reduced ends,
+    # ties to an end included.
+    enclosure = (inv_e_enclosure if inverse else e_enclosure)(digits)
+    lower, upper = (Fraction(*pair) for pair in enclosure.ends)
+    assert (enclosure.lower, enclosure.upper) == (lower, upper)
+    start = {"lower": lower, "upper": upper, "middle": (lower + upper) / 2}[end]
+    for x in (start, start + Fraction(numerator, 10**power)):
+        expected = (
+            Comparison.LESS if x <= lower
+            else Comparison.GREATER if x >= upper
+            else Comparison.INDETERMINATE
+        )
+        assert enclosure.compare(x) is expected
 
 
 def test_compare_to_inv_e_known_sides():

@@ -454,8 +454,9 @@ def test_reachable_state_order_and_random_policy_are_pinned(n):
 def test_solver_branches_once_per_set_of_arrivals(monkeypatch, constrained):
     # The induction depends on the set of rejected arrivals only, so it
     # builds one memo entry per set, not one per ordered history: every
-    # step call that finds no entry builds one, a set of n - 1 arrivals
-    # builds its entry without a chance step, and no entry is written twice.
+    # step call that finds no entry builds one, a set of n - 1 arrivals is
+    # built by the pass of the set it comes from, with no step call, and
+    # no entry is written twice.
     import secretary_lab.policy as policy_module
 
     built = []
@@ -467,6 +468,11 @@ def test_solver_branches_once_per_set_of_arrivals(monkeypatch, constrained):
         def __setitem__(self, seen, entry):
             written.append(seen)
             super().__setitem__(seen, entry)
+
+        def setdefault(self, seen, entry):
+            if seen not in self:
+                written.append(seen)
+            return super().setdefault(seen, entry)
 
     def counted_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -482,7 +488,7 @@ def test_solver_branches_once_per_set_of_arrivals(monkeypatch, constrained):
     family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=5))
     report = solve_optimal(family, constrained=constrained)
     sets = {frozenset(state.observed) for state in report.policy.actions}
-    assert len(built) == len(sets)
+    assert len(built) == sum(len(arrivals) < family.n - 1 for arrivals in sets)
     assert len(written) == len(sets)
     assert len(sets) < len(report.policy)
 
@@ -1268,6 +1274,46 @@ def family_of_rows(*rows, prediction_id=1) -> PriorFamily:
         probabilities=(Fraction(1, len(rows)),) * len(rows),
         prediction_id=prediction_id,
     )
+
+
+def memo_walk(steps, seen=0, order=None) -> int:
+    """Table entries at and below the set ``seen``, counted by walking its
+    subtree; ``order`` gets each set after every set below it, the sets
+    below in the order of its children, each set once: the order in which
+    a recursive induction enters them into the memo."""
+    count = 0
+    for _, after in steps[seen][1].values():
+        count += 1
+        if after is not None:
+            count += memo_walk(steps, after, order)
+    if order is not None and seen not in order:
+        order.append(seen)
+    return count
+
+
+# n = 1: the root has one column left; n = 2: the root has two, so its
+# leaves are built by its own pass.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(family_of_rows((1, (3,)), (2, (1,))))
+@example(family_of_rows((1, (3, 1)), (2, (1, 3)), (3, (1, 1))))
+@example(TIED_FAMILY)
+@given(small_families(st.integers(1, 5), SIX_VALUES))
+def test_memo_counts_order_and_ratios_match_independent_walks(family):
+    # The two-column pass must build the memo a recursive induction
+    # builds: each entry's count that of a walk of its subtree, every set
+    # entered after the sets below it, and the table and per-row ratios
+    # those of the orders the table decides.
+    for constrained in (True, False):
+        report = solve_optimal(family, constrained=constrained)
+        steps = report.rule.steps
+        assert report.policy_states == len(report.policy)
+        order = []
+        memo_walk(steps, 0, order)
+        assert order == list(steps)
+        for seen, (_, _, count) in steps.items():
+            assert count == memo_walk(steps, seen)
+        _, per_row = policy_module._exact_ratios(report.policy.decide, family)
+        assert {row: Fraction(*pair) for row, pair in report.ratio_pairs.items()} == per_row
 
 
 @settings(max_examples=80, deadline=None)
