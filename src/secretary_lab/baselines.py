@@ -279,18 +279,14 @@ def _draw_trials(
     # bound once, not once per trial
     random_raw = bit_generator.random_raw
     shuffle = np.random.RandomState(bit_generator).shuffle
-    draws = []
-    draw = draws.append
     orders[:] = np.arange(orders.shape[1])
-    for trial, order in zip(range(first, first + len(orders)), orders):
-        counter[3], counter[2] = divmod(trial, _WORD)
+    for t, order in enumerate(orders):
+        counter[3], counter[2] = divmod(first + t, _WORD)
         bit_generator.state = state
         if row_draws is not None:
-            draw(random_raw() >> 11)
+            row_draws[t] = random_raw() >> 11
         # the same draws as Generator.permutation(n) on a fresh arange(n)
         shuffle(order)
-    if row_draws is not None:
-        row_draws[:] = draws
 
 
 def _pick_rows(cumulative: Sequence[Fraction], row_draws: np.ndarray) -> np.ndarray:

@@ -14,10 +14,6 @@ class DegenerateInstanceError(SecretaryLabError, ValueError):
     """Scenario has no positive value, so a competitive ratio is undefined."""
 
 
-class UndefinedErrorMeasureError(SecretaryLabError, ZeroDivisionError):
-    """Multiplicative prediction error is undefined because a true value is 0."""
-
-
 class PrecisionExhaustedError(SecretaryLabError, RuntimeError):
     """An enclosure comparison stayed indeterminate up to the digit cap."""
 

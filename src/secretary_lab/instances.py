@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DegenerateInstanceError, InvalidFamilyError, UndefinedErrorMeasureError
+from .errors import DegenerateInstanceError, InvalidFamilyError
 from .exact import as_fraction, format_value, format_value_with_base, parse_value
 
 
@@ -128,22 +128,6 @@ def competitive_ratio(accepted_value: Fraction | None, scenario: Scenario) -> Fr
             f"scenario {scenario.id}"
         )
     return accepted_value / best
-
-
-def prediction_error(values, predictions) -> Fraction:
-    """Maximum multiplicative error max_i |1 - predicted_i / true_i|.
-
-    Undefined (raises) when any true value is zero.
-    """
-    values = [Fraction(v) for v in values]
-    predictions = [Fraction(p) for p in predictions]
-    if len(values) != len(predictions):
-        raise ValueError("values and predictions must have equal length")
-    if any(v == 0 for v in values):
-        raise UndefinedErrorMeasureError(
-            "prediction error undefined: some true value is 0"
-        )
-    return max(abs(1 - p / v) for v, p in zip(values, predictions))
 
 
 def validate_family(family: PriorFamily) -> tuple[str, ...]:

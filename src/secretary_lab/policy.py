@@ -29,10 +29,11 @@ probability p_r.  Constrained, the prediction row's mass p moves no
 decision, for every allowed rule accepts a predicted maximum on that row:
 it weighs 0, each other row q_r = p_r / (1 - p), and the optimum is
 p + (1 - p) T, T the induction's value; so a mass of thousands of digits
-does not ride through the induction's integers.  A set with one column left is
-built in one pass over its rows: the last arrival is always accepted.  A
-set with two columns left builds each one-column set after it in that
-set's own pass, with no call per set.
+does not ride through the induction's integers.  One step builds every
+set: per column left, one pass over its rows groups them by value and sums
+each group's accept value, and one comparison decides each group.  A set
+with one column left is built in one pass over its rows: the last arrival
+is always accepted.
 The induction's self-check is an exact forward count over sets of
 arrivals that scores the memo's decisions on every row, on integers of
 its own value scale, with one integer pair for each row's ratio, and
@@ -409,11 +410,10 @@ IdRow = tuple[tuple[int, ...], tuple[int, ...]]
 
 def _split(n: int, arrived: int, rows: list[tuple]):
     """The chance step once the columns in the bitmask ``arrived`` have
-    arrived.  Each row starts with its values by 0-based column (value ids
-    in the solver, Fractions in reachable_states and brute force).  Yields
-    ``(j, value, sub)`` for each column j not in ``arrived``, in ascending
-    order, and each value j takes in ``rows``, in first-seen row order,
-    where ``sub`` holds the rows that show it.
+    arrived.  Each row starts with its values by 0-based column, as
+    Fractions.  Yields ``(j, value, sub)`` for each column j not in
+    ``arrived``, in ascending order, and each value j takes in ``rows``,
+    in first-seen row order, where ``sub`` holds the rows that show it.
 
     This order fixes the state order of reachable_states, and with it
     random_policy per seed."""
@@ -609,19 +609,18 @@ class _SetInduction:
         Every history that reaches a set has the same subtree, so the
         set's table entries are one per next arrival plus those of each
         after-set.
+        The chance step runs in ``_split``'s order: for each column j not
+        arrived, ascending, one pass over ``rows`` groups them by their
+        value in j, in first-seen order, keeping each group's accept sum
+        beside its rows.
         A set of n - 1 arrivals is built in one pass over ``rows``: the
         last arrival is accepted, for a reject is worth 0, ties go to
         accept, and on the prediction path no column is left to reject
-        toward; the set's value sums the rows' values in that column.
-        Such a set is built here only at the root of a family of one
-        candidate: a set of n - 2 arrivals builds those after it in
-        ``_last_two``, with no call per set."""
+        toward; the set's value sums the rows' values in that column."""
         known = self.steps.get(seen)
         if known is not None:
             return known
         depth = arrived.bit_count()
-        if depth + 2 == self.n:
-            return self._last_two(seen, arrived, on_path, rows)
         total = 0
         children: Children = {}
         if depth + 1 == self.n:
@@ -634,63 +633,26 @@ class _SetInduction:
             return step
         tail = self.tails[depth]
         entries = 0
-        for j, value_id, sub in _split(self.n, arrived, rows):
-            on = on_path and self.prediction_ids[j] == value_id
-            accept_ok = reject_ok = True
-            if on:
-                accept_ok, reject_ok = _on_path_actions(self.best_columns, arrived, j)
-            after = reject_value = None
-            if reject_ok:
-                after = seen + (value_id + 1) * self.places[j]
-                reject_value, _, below = self.step(after, arrived | 1 << j, on, sub)
-                entries += below
-            accept_value = tail * sum(row[1][j] for row in sub)
-            if accept_ok and (reject_value is None or accept_value >= reject_value):
-                action, state_value = Action.ACCEPT, accept_value
-            else:
-                action, state_value = Action.REJECT, reject_value
-            children[j, value_id] = (action, after)
-            total += state_value
-        step = self.steps[seen] = (total, children, entries + len(children))
-        return step
-
-    def _last_two(self, seen: IdSet, arrived: int, on_path: bool, rows: list[IdRow]) -> Step:
-        """``step`` at a set with two columns left, the chance step in
-        ``_split``'s order.  One pass over ``rows`` per column j groups
-        the rows by their value in j and builds, beside each group's
-        accept value, the memo entry of the set after a reject of that
-        value, with no call and no ``_split`` for it: its only column
-        left is accepted on each of its rows, its children in first-seen
-        row order, as ``step``'s own pass would build them.  Each such
-        entry goes into the memo, unless it is there already, when the
-        chance step reaches it, before the set's own entry, just where a
-        call would have put it."""
-        tail = self.tails[self.n - 2]
-        left = ~arrived & ((1 << self.n) - 1)
-        j, other = (left & -left).bit_length() - 1, left.bit_length() - 1
-        accept = (Action.ACCEPT, None)
-        total = entries = 0
-        children: Children = {}
-        for _ in range(2):
-            groups: dict[int, list] = {}  # value id -> [accept sum, leaf value, leaf children]
-            for ids, products in rows:
-                group = groups.get(ids[j])
+        for j in range(self.n):
+            if arrived >> j & 1:
+                continue
+            groups: dict[int, list] = {}  # value id -> [accept sum, rows that show it]
+            for row in rows:
+                group = groups.get(row[0][j])
                 if group is None:
-                    groups[ids[j]] = [products[j], products[other], {(other, ids[other]): accept}]
+                    groups[row[0][j]] = [row[1][j], [row]]
                 else:
-                    group[0] += products[j]
-                    group[1] += products[other]
-                    group[2][other, ids[other]] = accept
-            for value_id, (accept_sum, leaf_value, leaf_children) in groups.items():
+                    group[0] += row[1][j]
+                    group[1].append(row)
+            for value_id, (accept_sum, sub) in groups.items():
+                on = on_path and self.prediction_ids[j] == value_id
                 accept_ok = reject_ok = True
-                if on_path and self.prediction_ids[j] == value_id:
+                if on:
                     accept_ok, reject_ok = _on_path_actions(self.best_columns, arrived, j)
                 after = reject_value = None
                 if reject_ok:
                     after = seen + (value_id + 1) * self.places[j]
-                    reject_value, _, below = self.steps.setdefault(
-                        after, (leaf_value, leaf_children, len(leaf_children))
-                    )
+                    reject_value, _, below = self.step(after, arrived | 1 << j, on, sub)
                     entries += below
                 accept_value = tail * accept_sum
                 if accept_ok and (reject_value is None or accept_value >= reject_value):
@@ -699,7 +661,6 @@ class _SetInduction:
                     action, state_value = Action.REJECT, reject_value
                 children[j, value_id] = (action, after)
                 total += state_value
-            j, other = other, j
         step = self.steps[seen] = (total, children, entries + len(children))
         return step
 

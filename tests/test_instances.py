@@ -10,10 +10,8 @@ from secretary_lab import (
     InvalidFamilyError,
     PriorFamily,
     Scenario,
-    UndefinedErrorMeasureError,
     competitive_ratio,
     load_family,
-    prediction_error,
     render_family_json,
     scenario_max,
     validate_family,
@@ -102,38 +100,6 @@ def test_competitive_ratio_scale_invariant(numerator, denominator):
     scaled = _row(3, c, 4 * c, 2 * c)
     assert competitive_ratio(Fraction(4), row) == competitive_ratio(4 * c, scaled)
     assert competitive_ratio(Fraction(2), row) == competitive_ratio(2 * c, scaled)
-
-
-# ---------------------------------------------------------------------------
-# Prediction error.
-# ---------------------------------------------------------------------------
-
-def test_prediction_error_examples():
-    assert prediction_error((2, 4), (2, 4)) == 0
-    assert prediction_error((2, 4), (1, 4)) == Fraction(1, 2)
-    values = (S, S**2, S**3)
-    predicted = (S, Fraction(1), Fraction(1))
-    assert prediction_error(values, predicted) == 1 - S**-3
-
-
-def test_prediction_error_zero_true_value():
-    with pytest.raises(UndefinedErrorMeasureError):
-        prediction_error((1, 0), (1, 1))
-
-
-def test_prediction_error_length_mismatch():
-    with pytest.raises(ValueError):
-        prediction_error((1, 2), (1,))
-
-
-def test_prediction_error_permutation_invariant():
-    values = (Fraction(2), Fraction(3), Fraction(5))
-    predicted = (Fraction(1), Fraction(3), Fraction(10))
-    base = prediction_error(values, predicted)
-    permuted = prediction_error(
-        (values[2], values[0], values[1]), (predicted[2], predicted[0], predicted[1])
-    )
-    assert base == permuted
 
 
 # ---------------------------------------------------------------------------

@@ -454,9 +454,8 @@ def test_reachable_state_order_and_random_policy_are_pinned(n):
 def test_solver_branches_once_per_set_of_arrivals(monkeypatch, constrained):
     # The induction depends on the set of rejected arrivals only, so it
     # builds one memo entry per set, not one per ordered history: every
-    # step call that finds no entry builds one, a set of n - 1 arrivals is
-    # built by the pass of the set it comes from, with no step call, and
-    # no entry is written twice.
+    # set, a set of n - 1 arrivals included, is built by one step call
+    # that finds no entry, and no entry is written twice.
     import secretary_lab.policy as policy_module
 
     built = []
@@ -468,11 +467,6 @@ def test_solver_branches_once_per_set_of_arrivals(monkeypatch, constrained):
         def __setitem__(self, seen, entry):
             written.append(seen)
             super().__setitem__(seen, entry)
-
-        def setdefault(self, seen, entry):
-            if seen not in self:
-                written.append(seen)
-            return super().setdefault(seen, entry)
 
     def counted_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -488,7 +482,7 @@ def test_solver_branches_once_per_set_of_arrivals(monkeypatch, constrained):
     family = build_hard_family(ConstructionParams(Fraction(1, 10), S, 4, n=5))
     report = solve_optimal(family, constrained=constrained)
     sets = {frozenset(state.observed) for state in report.policy.actions}
-    assert len(built) == sum(len(arrivals) < family.n - 1 for arrivals in sets)
+    assert len(built) == len(sets)
     assert len(written) == len(sets)
     assert len(sets) < len(report.policy)
 
@@ -1291,15 +1285,16 @@ def memo_walk(steps, seen=0, order=None) -> int:
     return count
 
 
-# n = 1: the root has one column left; n = 2: the root has two, so its
-# leaves are built by its own pass.
+# n = 1: the root has one column left, built by the leaf pass; n = 2: the
+# root's chance step groups its rows and calls the leaf pass for each
+# reject.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @example(family_of_rows((1, (3,)), (2, (1,))))
 @example(family_of_rows((1, (3, 1)), (2, (1, 3)), (3, (1, 1))))
 @example(TIED_FAMILY)
 @given(small_families(st.integers(1, 5), SIX_VALUES))
 def test_memo_counts_order_and_ratios_match_independent_walks(family):
-    # The two-column pass must build the memo a recursive induction
+    # The one-pass grouping must build the memo a recursive induction
     # builds: each entry's count that of a walk of its subtree, every set
     # entered after the sets below it, and the table and per-row ratios
     # those of the orders the table decides.
@@ -1314,6 +1309,97 @@ def test_memo_counts_order_and_ratios_match_independent_walks(family):
             assert count == memo_walk(steps, seen)
         _, per_row = policy_module._exact_ratios(report.policy.decide, family)
         assert {row: Fraction(*pair) for row, pair in report.ratio_pairs.items()} == per_row
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations: each maps a family to one of the same optimum,
+# and so checks the induction at sizes that no oracle reaches.
+# ---------------------------------------------------------------------------
+
+def with_scenarios(family: PriorFamily, scenarios, probabilities) -> PriorFamily:
+    return PriorFamily(
+        n=len(scenarios[0].values),
+        scenarios=tuple(scenarios),
+        probabilities=tuple(probabilities),
+        prediction_id=family.prediction_id,
+    )
+
+
+def scale_values(family: PriorFamily, c: Fraction) -> PriorFamily:
+    """Every value times c > 0: no ratio, and no comparison, moves."""
+    rows = [Scenario(row.id, tuple(v * c for v in row.values)) for row in family.scenarios]
+    return with_scenarios(family, rows, family.probabilities)
+
+
+def split_row(family: PriorFamily, index: int) -> PriorFamily:
+    """The row at ``index`` and a copy of it under a new id, half its mass
+    each: the same prior on values."""
+    row, mass = family.scenarios[index], family.probabilities[index]
+    copy = Scenario(max(r.id for r in family.scenarios) + 1, row.values)
+    probabilities = list(family.probabilities)
+    probabilities[index] = mass / 2
+    return with_scenarios(family, [*family.scenarios, copy], [*probabilities, mass / 2])
+
+
+def permute_columns(family: PriorFamily, order) -> PriorFamily:
+    """Column ``order[j]`` of every row, prediction row included, moved to
+    column j: the arrival order is uniform, so nothing moves."""
+    rows = [Scenario(row.id, tuple(row.values[j] for j in order)) for row in family.scenarios]
+    return with_scenarios(family, rows, family.probabilities)
+
+
+def non_prediction_rows(family: PriorFamily) -> list[int]:
+    return [
+        index for index, row in enumerate(family.scenarios) if row.id != family.prediction_id
+    ]
+
+
+@pytest.mark.parametrize("constrained", (True, False))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    family=small_families(st.integers(1, 5), SIX_VALUES),
+    c=st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=1000),
+)
+def test_scaling_every_value_keeps_the_optimum(constrained, family, c):
+    expected = solve_optimal(family, constrained=constrained).optimum
+    assert solve_optimal(scale_values(family, c), constrained=constrained).optimum == expected
+
+
+@pytest.mark.parametrize("constrained", (True, False))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(family=small_families(st.integers(1, 5), SIX_VALUES), data=st.data())
+def test_splitting_a_row_keeps_the_optimum(constrained, family, data):
+    indices = non_prediction_rows(family)
+    if not indices:
+        reject()
+    index = data.draw(st.sampled_from(indices))
+    expected = solve_optimal(family, constrained=constrained).optimum
+    assert solve_optimal(split_row(family, index), constrained=constrained).optimum == expected
+
+
+@pytest.mark.parametrize("constrained", (True, False))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(family=small_families(st.integers(1, 5), SIX_VALUES), data=st.data())
+def test_permuting_the_columns_keeps_the_optimum(constrained, family, data):
+    order = data.draw(st.permutations(range(family.n)))
+    expected = solve_optimal(family, constrained=constrained).optimum
+    permuted = permute_columns(family, order)
+    assert solve_optimal(permuted, constrained=constrained).optimum == expected
+
+
+@pytest.mark.parametrize("constrained", (True, False))
+def test_metamorphic_relations_hold_at_k400(constrained):
+    # 799 rows at n = 3: the root's first reject sends every row into one
+    # set with two columns left.
+    family = build_hard_family(ConstructionParams(Fraction(1, 100), 400, 400))
+    expected = solve_optimal(family, constrained=constrained).optimum
+    index = non_prediction_rows(family)[len(family.scenarios) // 2]
+    for related in (
+        scale_values(family, Fraction(7, 400)),
+        split_row(family, index),
+        permute_columns(family, (2, 0, 1)),
+    ):
+        assert solve_optimal(related, constrained=constrained).optimum == expected
 
 
 @settings(max_examples=80, deadline=None)
